@@ -167,15 +167,6 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
         "hw_batch=true or hw_flush_threads=1",
         hw_flush_threads);
 
-  if (hw_bit_parallel && !hw_batch)
-    err("hw_bit_parallel requested with hw_batch off: packed evaluation "
-        "only runs in the offline flush, so the knob is silently dead — "
-        "set hw_batch=true or hw_bit_parallel=false");
-  if (hw_packed_lanes == 0 || hw_packed_lanes > 64)
-    err("hw_packed_lanes must be in [1, 64] (got %u) — lanes are bits of "
-        "one uint64_t word per net",
-        hw_packed_lanes);
-
   if (hw_analytical_calibration_vectors == 0)
     err("hw_analytical_calibration_vectors must be > 0 — the analytical "
         "backend least-squares-fits %zu coefficients per unit from these "
@@ -197,13 +188,6 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
     err("hw_channel_length_nm must be > 0 (got %g) — leakage scales as "
         "250 / channel length",
         hw_channel_length_nm);
-  if (analytical_prefilter > 0 && estimators.hw_gate != "hw.analytical" &&
-      estimators.hw_rtl != "hw.analytical")
-    err("analytical_prefilter=%zu needs an HW estimator role set to "
-        "\"hw.analytical\" (hw_gate=\"%s\" hw_rtl=\"%s\") — the prefilter "
-        "tier has no analytical model to run otherwise",
-        analytical_prefilter, estimators.hw_gate.c_str(),
-        estimators.hw_rtl.c_str());
 
   if (dist_rpc_timeout_ms == 0)
     err("dist_rpc_timeout_ms must be > 0 — a zero timeout declares every "

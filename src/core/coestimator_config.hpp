@@ -155,19 +155,6 @@ struct CoEstimatorConfig {
   /// results are bit-identical for any value. 1 = serial, 0 = one per
   /// hardware thread.
   unsigned hw_flush_threads = 1;
-  /// Bit-parallel gate evaluation for the offline flush: groups of up to
-  /// hw_packed_lanes consecutive buffered vectors evaluate in ONE pass over
-  /// the netlist (uint64_t per net, one bit per stimulus lane), with
-  /// per-lane energies billed in the exact scalar commit order so results
-  /// stay bit-identical. Register lanes are seeded from the recorded
-  /// behavioral pre-states and verified against the netlist's own
-  /// next-state chain; any disagreement (or a reaction-cache-enabled unit,
-  /// whose replayed hits are faster still) falls back to the scalar path.
-  /// Per-run knob; requires hw_batch (validated).
-  bool hw_bit_parallel = false;
-  /// Stimulus patterns per packed pass, 1..64. Fewer lanes only make sense
-  /// for experiments on packed-evaluation overhead.
-  unsigned hw_packed_lanes = 64;
   /// Gate-level calibration samples per hardware unit for the analytical
   /// backend (estimators.hw_gate/hw_rtl = "hw.analytical"): the first N
   /// reactions of each unit replay through GateSim while (activity, energy)
@@ -185,12 +172,6 @@ struct CoEstimatorConfig {
   double hw_leakage_nw_per_gate = 2.0;
   double hw_temperature_k = 300.0;
   double hw_channel_length_nm = 250.0;
-  /// Three-tier exploration: 0 = off; K > 0 makes explore()/explore_sharded
-  /// run the whole sweep through the analytical tier first and keep only
-  /// the best K candidates for the usual coarse/verify phases. Consumed by
-  /// the examples/benches when building ExploreOptions — requires an HW
-  /// role to select "hw.analytical" (validated).
-  std::size_t analytical_prefilter = 0;
   /// Host the hardware power estimators out-of-process: the master selects
   /// the "<hw backend>.remote" proxy, which forks a worker process per
   /// backend and ships batched vectors over the dist wire protocol while

@@ -1,12 +1,9 @@
 #include "core/compactor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
-
-#include "hw/gatesim.hpp"
 
 namespace socpower::core {
 
@@ -199,28 +196,6 @@ bool DynamicCompactionStream::feed(std::uint32_t symbol) {
   }
   if (simulate) ++simulated_;
   return simulate;
-}
-
-std::vector<Joules> DynamicCompactionStream::price_candidates(
-    hw::GateSim& sim, std::span<const std::vector<std::uint8_t>> patterns) {
-  std::vector<Joules> out;
-  out.reserve(patterns.size());
-  std::array<hw::CycleResult, hw::GateSim::kMaxLanes> per_lane;
-  for (std::size_t base = 0; base < patterns.size();
-       base += hw::GateSim::kMaxLanes) {
-    const unsigned n = static_cast<unsigned>(
-        std::min<std::size_t>(hw::GateSim::kMaxLanes, patterns.size() - base));
-    sim.begin_packed_stage();
-    for (unsigned l = 0; l < n; ++l) {
-      const auto& bits = patterns[base + l];
-      for (std::size_t i = 0; i < bits.size(); ++i)
-        sim.stage_packed_input(i, l, bits[i] != 0);
-    }
-    sim.probe_packed(n, per_lane.data());
-    for (unsigned l = 0; l < n; ++l) out.push_back(per_lane[l].energy);
-  }
-  priced_ += patterns.size();
-  return out;
 }
 
 }  // namespace socpower::core

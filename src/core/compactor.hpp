@@ -18,12 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "util/units.hpp"
-
-namespace socpower::hw {
-class GateSim;
-}  // namespace socpower::hw
-
 namespace socpower::core {
 
 struct CompactionParams {
@@ -79,22 +73,6 @@ class DynamicCompactionStream {
   [[nodiscard]] std::uint64_t fed() const { return fed_; }
   [[nodiscard]] std::uint64_t simulated() const { return simulated_; }
 
-  /// Price the K candidate patterns of one selection round on a gate
-  /// simulator in packed passes: each pattern is one bit-parallel lane (64
-  /// per GateSim::probe_packed pass), all hypothetical next cycles from the
-  /// simulator's current state. patterns[k] holds pattern k's primary-input
-  /// bits, LSB-first (missing high bits read as the currently staged
-  /// values). Returns one energy per pattern, each bit-identical to what a
-  /// scalar step() with that stimulus would bill — the per-window energy
-  /// weight an energy-aware selection can fold into the L1 statistics.
-  /// Purely speculative: the simulator state is untouched.
-  [[nodiscard]] std::vector<Joules> price_candidates(
-      hw::GateSim& sim,
-      std::span<const std::vector<std::uint8_t>> patterns);
-
-  /// Candidate patterns priced by price_candidates() so far.
-  [[nodiscard]] std::uint64_t priced() const { return priced_; }
-
  private:
   SequenceCompactor compactor_;
   CompactionParams params_;
@@ -104,7 +82,6 @@ class DynamicCompactionStream {
   bool bootstrap_ = true;
   std::uint64_t fed_ = 0;
   std::uint64_t simulated_ = 0;
-  std::uint64_t priced_ = 0;
 };
 
 }  // namespace socpower::core

@@ -205,9 +205,8 @@ class HwBackend : public ComponentEstimator {
   /// Reset transition observed while online: re-initialize the netlist.
   virtual void reset_unit(cfsm::CfsmId task) = 0;
   /// Batch mode: buffer the input vector for the offline flush. `pre_state`
-  /// is the behavioral process state before the reaction — the bit-parallel
-  /// flush seeds each packed lane's register state from it (and verifies the
-  /// seeds against the netlist's own next-state chain before trusting them).
+  /// is the behavioral process state before the reaction; hw.analytical
+  /// prices its flush entries from it.
   virtual void enqueue(cfsm::CfsmId task, sim::SimTime time,
                        const cfsm::ReactionInputs& inputs, cfsm::PathId path,
                        const cfsm::CfsmState& pre_state) = 0;

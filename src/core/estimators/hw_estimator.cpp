@@ -1,7 +1,5 @@
 #include "core/estimators/hw_estimator.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <chrono>
 
 #include "telemetry/registry.hpp"
@@ -15,30 +13,6 @@ hw::ReactionCacheConfig HwEstimatorBase::reaction_cache_config() const {
   rc.max_entries = config_->hw_reaction_cache_max_entries;
   rc.telemetry_prefix = "estimator." + std::string(name()) + ".rcache";
   return rc;
-}
-
-void HwEstimatorBase::build_packed_dff_table(Unit& u) const {
-  // The packed flush seeds every flip-flop lane from the behavioral
-  // pre-state, so it needs each (variable, bit) -> dffs() index — and it
-  // needs the variable registers to account for EVERY flip-flop, else some
-  // register lane would go unseeded. The synthesized FSMDs satisfy this by
-  // construction (all state is variable registers); anything else leaves the
-  // table empty, which marks the unit not packed-capable.
-  const hw::Netlist& nl = *u.image.netlist;
-  std::size_t mapped = 0;
-  std::vector<std::vector<std::int32_t>> table(u.image.var_regs.size());
-  for (std::size_t v = 0; v < u.image.var_regs.size(); ++v) {
-    const auto& q_word = u.image.var_regs[v];
-    table[v].reserve(q_word.size());
-    for (const hw::NetId q : q_word) {
-      const int fi = nl.dff_index_of(q);
-      if (fi < 0) return;  // var bit not a register output: not capable
-      table[v].push_back(fi);
-      ++mapped;
-    }
-  }
-  if (mapped != nl.dff_count()) return;  // unmapped registers: not capable
-  u.packed_dff_of = std::move(table);
 }
 
 void HwEstimatorBase::prepare(const EstimatorContext& ctx) {
@@ -55,14 +29,8 @@ void HwEstimatorBase::prepare(const EstimatorContext& ctx) {
                                            config_->electrical);
     u->rcache = std::make_unique<hw::ReactionCache>(u->sim.get(),
                                                     reaction_cache_config());
-    build_packed_dff_table(*u);
     units_[static_cast<std::size_t>(task)] = std::move(u);
   }
-  const std::string prefix = "estimator." + std::string(name()) + ".packed.";
-  packed_steps_telem_ = &telemetry::registry().counter(prefix + "steps");
-  packed_lanes_telem_ = &telemetry::registry().counter(prefix + "lanes");
-  packed_fallbacks_telem_ =
-      &telemetry::registry().counter(prefix + "scalar_fallbacks");
 }
 
 void HwEstimatorBase::begin_run() {
@@ -127,50 +95,13 @@ ComponentEstimator::FlushResult HwEstimatorBase::drain_into(Unit& u,
     sync_overhead(config_->sync_spin);  // one batch hand-off per component
     u.sim->reset();
   }
-  // Bit-parallel replay prices up to hw_packed_lanes consecutive non-reset
-  // vectors per gate-simulator pass. The reaction cache keeps the scalar
-  // path (its replayed hits beat packed evaluation, and a packed pass
-  // de-anchors it); groups the backend declines — too short, unit not
-  // packed-capable, or seed verification failed — fall back to the scalar
-  // per-entry loop, counted as estimator.<name>.packed.scalar_fallbacks.
-  // Either way each entry's energy lands in out.entries in entry order, so
-  // the master's component-order merge (and therefore every downstream
-  // summation) is untouched.
-  const bool bit_parallel =
-      config_->hw_bit_parallel && !(u.rcache && u.rcache->enabled());
-  const unsigned lanes =
-      std::clamp(config_->hw_packed_lanes, 1u, hw::GateSim::kMaxLanes);
-  std::vector<Joules> energies;
-  std::size_t i = 0;
-  while (i < u.batch.size()) {
-    const BatchEntry& entry = u.batch[i];
+  for (const BatchEntry& entry : u.batch) {
     if (entry.path == cfsm::kNoPath) {
       u.sim->reset();
-      ++i;
       continue;
     }
-    std::size_t j = i + 1;
-    if (bit_parallel)
-      while (j < u.batch.size() && j - i < lanes &&
-             u.batch[j].path != cfsm::kNoPath)
-        ++j;
-    const std::span<const BatchEntry> group(&u.batch[i], j - i);
-    energies.clear();
-    if (bit_parallel && measure_flush_packed(u, task, group, &energies,
-                                             &out.gate_cycles)) {
-      assert(energies.size() == group.size());
-      packed_steps_telem_->add();
-      packed_lanes_telem_->add(group.size());
-      for (std::size_t k = 0; k < group.size(); ++k)
-        out.entries.push_back({group[k].time, group[k].path, energies[k]});
-    } else {
-      if (bit_parallel) packed_fallbacks_telem_->add(group.size());
-      for (const BatchEntry& e : group) {
-        const Joules energy = measure_flush(u, task, e, &out.gate_cycles);
-        out.entries.push_back({e.time, e.path, energy});
-      }
-    }
-    i = j;
+    const Joules energy = measure_flush(u, task, entry, &out.gate_cycles);
+    out.entries.push_back({entry.time, entry.path, energy});
   }
   u.batch.clear();
   return out;

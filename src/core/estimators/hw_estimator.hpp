@@ -12,17 +12,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/estimators/component_estimator.hpp"
 #include "hw/gatesim.hpp"
 #include "hw/reaction_cache.hpp"
 #include "hwsyn/synth.hpp"
-
-namespace socpower::telemetry {
-class Counter;
-}  // namespace socpower::telemetry
 
 namespace socpower::core {
 
@@ -64,10 +59,10 @@ class HwEstimatorBase : public HwBackend {
   /// whole-batch flush; later slices continue from the registers the
   /// previous slice left behind. Concatenating the slices' entries (and
   /// summing their gate_cycles) is bit-identical to flushing the whole
-  /// batch at once — packed-group boundaries can differ across slicings,
-  /// but per-lane energies equal the scalar replay's either way. Used by
-  /// the dist::Worker to evaluate shipped chunks eagerly, overlapping with
-  /// the master's DE loop; serialize calls per unit like flush jobs.
+  /// batch at once: every entry goes through the same measure_flush() in
+  /// the same order. Used by the dist::Worker to evaluate shipped chunks
+  /// eagerly, overlapping with the master's DE loop; serialize calls per
+  /// unit like flush jobs.
   [[nodiscard]] FlushResult drain_batch(cfsm::CfsmId task, bool first);
 
  protected:
@@ -75,8 +70,8 @@ class HwEstimatorBase : public HwBackend {
     sim::SimTime time = 0;
     cfsm::ReactionInputs inputs;
     cfsm::PathId path = cfsm::kNoPath;  // kNoPath == reset transition
-    /// Behavioral state before the reaction: the bit-parallel flush seeds
-    /// packed register lanes from it.
+    /// Behavioral state before the reaction: hw.analytical prices its
+    /// flush entries from it.
     cfsm::CfsmState pre;
   };
   struct Unit {
@@ -88,12 +83,6 @@ class HwEstimatorBase : public HwBackend {
     std::unique_ptr<hw::ReactionCache> rcache;
     bool registers_dirty = false;  // gate sim skipped; state needs resync
     std::vector<BatchEntry> batch;
-    /// Bit-parallel register seeding table: packed_dff_of[v][b] is the index
-    /// into netlist dffs() of variable v's bit-b register. Empty when the
-    /// netlist's registers are not exactly the variable registers — then the
-    /// behavioral pre-state cannot seed every flip-flop and the unit is not
-    /// packed-capable.
-    std::vector<std::vector<std::int32_t>> packed_dff_of;
   };
 
   /// Price one online transition (sync overhead already charged).
@@ -104,20 +93,6 @@ class HwEstimatorBase : public HwBackend {
   virtual Joules measure_flush(Unit& unit, cfsm::CfsmId task,
                                const BatchEntry& entry,
                                std::uint64_t* gate_cycles) = 0;
-  /// Price a run of consecutive non-reset buffered vectors in one packed
-  /// pass, appending one energy per entry (in entry order, each bit-identical
-  /// to what the scalar replay would have produced). Returns false when this
-  /// backend or this unit cannot evaluate the group bit-parallel — run_flush
-  /// then falls back to the per-entry scalar path. Same worker-thread rules
-  /// as measure_flush. The default declines (the RTL backend never steps the
-  /// gate simulator during a flush).
-  virtual bool measure_flush_packed(Unit& /*unit*/, cfsm::CfsmId /*task*/,
-                                    std::span<const BatchEntry> /*entries*/,
-                                    std::vector<Joules>* /*energies*/,
-                                    std::uint64_t* /*gate_cycles*/) {
-    return false;
-  }
-
   [[nodiscard]] Unit& unit(cfsm::CfsmId task) {
     return *units_[static_cast<std::size_t>(task)];
   }
@@ -142,14 +117,6 @@ class HwEstimatorBase : public HwBackend {
   [[nodiscard]] FlushResult run_flush(Unit& u, cfsm::CfsmId task);
   [[nodiscard]] FlushResult drain_into(Unit& u, cfsm::CfsmId task, bool first);
   [[nodiscard]] hw::ReactionCacheConfig reaction_cache_config() const;
-  void build_packed_dff_table(Unit& u) const;
-
-  // Bit-parallel flush telemetry ("estimator.<name>.packed.*"), resolved in
-  // prepare() because the names depend on the backend name. Counters are
-  // atomic; concurrent flush workers add to them directly.
-  telemetry::Counter* packed_steps_telem_ = nullptr;
-  telemetry::Counter* packed_lanes_telem_ = nullptr;
-  telemetry::Counter* packed_fallbacks_telem_ = nullptr;
 };
 
 }  // namespace socpower::core

@@ -1,6 +1,5 @@
 #include "core/estimators/hw_gate_estimator.hpp"
 
-#include <array>
 #include <cassert>
 
 #include "telemetry/registry.hpp"
@@ -42,42 +41,6 @@ Joules HwGateEstimator::measure_flush(Unit& unit, cfsm::CfsmId,
   const Joules e = step_unit(unit).energy;
   ++*gate_cycles;
   return e;
-}
-
-bool HwGateEstimator::measure_flush_packed(Unit& unit, cfsm::CfsmId,
-                                           std::span<const BatchEntry> entries,
-                                           std::vector<Joules>* energies,
-                                           std::uint64_t* gate_cycles) {
-  // One lane per consecutive buffered vector: inputs from the recorded
-  // reaction, register state from the recorded behavioral pre-state (the
-  // same trajectory the scalar replay walks, since behavioral and gate-level
-  // next-state agree — and step_packed refuses the pass, mutating nothing,
-  // if they ever did not, so the scalar fallback below us recomputes the
-  // truth rather than trusting the seeds).
-  const unsigned n = static_cast<unsigned>(entries.size());
-  if (n < 2 || n > hw::GateSim::kMaxLanes) return false;
-  if (unit.packed_dff_of.empty()) return false;
-  hw::GateSim& sim = *unit.sim;
-  sim.begin_packed_stage();
-  for (unsigned l = 0; l < n; ++l) {
-    hwsyn::stage_hw_reaction_lane(sim, unit.image, entries[l].inputs, l);
-    const auto& vars = entries[l].pre.vars;
-    if (vars.size() != unit.packed_dff_of.size()) return false;
-    for (std::size_t v = 0; v < vars.size(); ++v) {
-      const auto raw = static_cast<std::uint32_t>(vars[v]);
-      const auto& bits = unit.packed_dff_of[v];
-      if (bits.size() > 32) return false;  // register wider than the var word
-      for (std::size_t b = 0; b < bits.size(); ++b)
-        sim.seed_packed_dff(static_cast<std::size_t>(bits[b]), l,
-                            ((raw >> b) & 1u) != 0);
-    }
-  }
-  std::array<hw::CycleResult, hw::GateSim::kMaxLanes> per_lane;
-  if (!sim.step_packed(n, per_lane.data())) return false;
-  energies->reserve(n);
-  for (unsigned l = 0; l < n; ++l) energies->push_back(per_lane[l].energy);
-  *gate_cycles += n;
-  return true;
 }
 
 }  // namespace socpower::core

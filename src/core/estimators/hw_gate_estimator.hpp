@@ -16,10 +16,6 @@ class HwGateEstimator final : public HwEstimatorBase {
   Joules measure(Unit& unit, const TransitionRequest& req) override;
   Joules measure_flush(Unit& unit, cfsm::CfsmId task, const BatchEntry& entry,
                        std::uint64_t* gate_cycles) override;
-  bool measure_flush_packed(Unit& unit, cfsm::CfsmId task,
-                            std::span<const BatchEntry> entries,
-                            std::vector<Joules>* energies,
-                            std::uint64_t* gate_cycles) override;
 };
 
 }  // namespace socpower::core

@@ -68,8 +68,7 @@ std::string render_report(const cfsm::Network& network,
     // counters under "estimator.<registry-name>.*", so the report can show
     // how many lower-level invocations each backend actually served
     // (invocations dodged by the acceleration layer simply never arrive).
-    // This includes the reaction-cache rows (rcache.*) and the bit-parallel
-    // flush rows (packed.steps / packed.lanes / packed.scalar_fallbacks).
+    // This includes the reaction-cache rows (rcache.*).
     TextTable bt({"backend", "metric", "value"});
     bool any_backend_counters = false;
     for (const ComponentEstimator* b : estimator.backends()) {

@@ -192,8 +192,6 @@ PerRunKnobs knobs_from(const core::CoEstimatorConfig& cfg) {
   k.verify_lowlevel = cfg.verify_lowlevel;
   k.hw_reaction_cache = cfg.hw_reaction_cache;
   k.hw_reaction_cache_max_entries = cfg.hw_reaction_cache_max_entries;
-  k.hw_bit_parallel = cfg.hw_bit_parallel;
-  k.hw_packed_lanes = cfg.hw_packed_lanes;
   return k;
 }
 
@@ -204,8 +202,6 @@ void apply_knobs(const PerRunKnobs& k, core::CoEstimatorConfig* cfg) {
   cfg->hw_reaction_cache = k.hw_reaction_cache;
   cfg->hw_reaction_cache_max_entries =
       static_cast<std::size_t>(k.hw_reaction_cache_max_entries);
-  cfg->hw_bit_parallel = k.hw_bit_parallel;
-  cfg->hw_packed_lanes = k.hw_packed_lanes;
 }
 
 void put_knobs(WireWriter& w, const PerRunKnobs& k) {
@@ -214,8 +210,6 @@ void put_knobs(WireWriter& w, const PerRunKnobs& k) {
   w.put_u8(k.verify_lowlevel ? 1 : 0);
   w.put_u8(k.hw_reaction_cache ? 1 : 0);
   w.put_u64(k.hw_reaction_cache_max_entries);
-  w.put_u8(k.hw_bit_parallel ? 1 : 0);
-  w.put_u32(k.hw_packed_lanes);
 }
 
 bool get_knobs(WireReader& r, PerRunKnobs* out) {
@@ -224,8 +218,6 @@ bool get_knobs(WireReader& r, PerRunKnobs* out) {
   out->verify_lowlevel = r.get_u8() != 0;
   out->hw_reaction_cache = r.get_u8() != 0;
   out->hw_reaction_cache_max_entries = r.get_u64();
-  out->hw_bit_parallel = r.get_u8() != 0;
-  out->hw_packed_lanes = r.get_u32();
   return r.ok();
 }
 

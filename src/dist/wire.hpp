@@ -149,8 +149,6 @@ struct PerRunKnobs {
   bool verify_lowlevel = false;
   bool hw_reaction_cache = true;
   std::uint64_t hw_reaction_cache_max_entries = 4096;
-  bool hw_bit_parallel = false;
-  unsigned hw_packed_lanes = 64;
 };
 [[nodiscard]] PerRunKnobs knobs_from(const core::CoEstimatorConfig& cfg);
 void apply_knobs(const PerRunKnobs& k, core::CoEstimatorConfig* cfg);

@@ -1,7 +1,6 @@
 #include "hw/gatesim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -96,21 +95,16 @@ void GateSim::set_input_word(std::size_t first_input_index,
     set_input(first_input_index + b, (value >> b) & 1u);
 }
 
-void GateSim::mark_consumers_walk(NetId net, std::vector<std::uint8_t>& dirty,
-                                  std::vector<std::vector<std::size_t>>& work) {
+void GateSim::mark_consumers_dirty(NetId net) {
   const std::uint32_t begin = consumer_offsets_[static_cast<std::size_t>(net)];
   const std::uint32_t end = consumer_offsets_[static_cast<std::size_t>(net) + 1];
   for (std::uint32_t ci = begin; ci < end; ++ci) {
     const std::uint32_t gi = consumer_gates_[ci];
-    if (!dirty[gi]) {
-      dirty[gi] = 1;
-      work[gate_level_[gi]].push_back(gi);
+    if (!gate_dirty_[gi]) {
+      gate_dirty_[gi] = 1;
+      level_dirty_[gate_level_[gi]].push_back(gi);
     }
   }
-}
-
-void GateSim::mark_consumers_dirty(NetId net) {
-  mark_consumers_walk(net, gate_dirty_, level_dirty_);
 }
 
 CycleResult GateSim::step() {
@@ -281,336 +275,6 @@ void GateSim::reset() {
   gate_dirty_.assign(gate_dirty_.size(), 0);
   // const1 consumers must still be (re)evaluated once after a reset if any
   // input changes; the settle above already fixed their values.
-}
-
-// -- bit-parallel evaluation -------------------------------------------------
-
-namespace {
-constexpr std::uint64_t lane_mask_of(unsigned n_lanes) {
-  return n_lanes >= 64 ? ~0ull : (1ull << n_lanes) - 1;
-}
-constexpr std::uint64_t broadcast(std::uint8_t v) { return v ? ~0ull : 0ull; }
-}  // namespace
-
-void GateSim::ensure_packed_buffers() {
-  if (!packed_value_.empty()) return;
-  packed_value_.assign(netlist_->net_count(), 0);
-  packed_toggle_.assign(netlist_->net_count(), 0);
-  packed_input_.assign(netlist_->primary_inputs().size(), 0);
-  packed_dff_seed_.assign(netlist_->dffs().size(), 0);
-  probe_dirty_.assign(netlist_->gates().size(), 0);
-  probe_work_.assign(num_levels_, {});
-}
-
-void GateSim::begin_packed_stage() {
-  ensure_packed_buffers();
-  const auto& pis = netlist_->primary_inputs();
-  for (std::size_t i = 0; i < pis.size(); ++i)
-    packed_input_[i] = broadcast(input_next_[i]);
-  const auto& dffs = netlist_->dffs();
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    packed_dff_seed_[i] =
-        broadcast(value_[static_cast<std::size_t>(dffs[i].q)]);
-}
-
-void GateSim::stage_packed_input(std::size_t input_index, unsigned lane,
-                                 bool value) {
-  // Same drop-and-count convention as set_input(): bad indices must never
-  // become out-of-bounds writes, in any build type.
-  if (input_index >= packed_input_.size() || lane >= kMaxLanes) {
-    ++dropped_input_writes_;
-    return;
-  }
-  const std::uint64_t bit = 1ull << lane;
-  if (value)
-    packed_input_[input_index] |= bit;
-  else
-    packed_input_[input_index] &= ~bit;
-}
-
-void GateSim::stage_packed_input_word(std::size_t first_input_index,
-                                      std::uint64_t value, unsigned width,
-                                      unsigned lane) {
-  for (unsigned b = 0; b < width; ++b)
-    stage_packed_input(first_input_index + b, lane, (value >> b) & 1u);
-}
-
-void GateSim::seed_packed_dff(std::size_t dff_index, unsigned lane,
-                              bool value) {
-  if (dff_index >= packed_dff_seed_.size() || lane >= kMaxLanes) {
-    ++dropped_input_writes_;
-    return;
-  }
-  const std::uint64_t bit = 1ull << lane;
-  if (value)
-    packed_dff_seed_[dff_index] |= bit;
-  else
-    packed_dff_seed_[dff_index] &= ~bit;
-}
-
-void GateSim::packed_seed_and_sweep(bool use_dff_seeds) {
-  // Seed every lane from the scalar state, overlay the staged PI lanes (and,
-  // in chain mode, the seeded register lanes), then evaluate every gate once
-  // in level order with the shared word kernel — 64 pattern lanes per gate
-  // evaluation.
-  for (std::size_t n = 0; n < packed_value_.size(); ++n)
-    packed_value_[n] = broadcast(value_[n]);
-  const auto& pis = netlist_->primary_inputs();
-  for (std::size_t i = 0; i < pis.size(); ++i)
-    packed_value_[static_cast<std::size_t>(pis[i])] = packed_input_[i];
-  if (use_dff_seeds) {
-    const auto& dffs = netlist_->dffs();
-    for (std::size_t i = 0; i < dffs.size(); ++i)
-      packed_value_[static_cast<std::size_t>(dffs[i].q)] = packed_dff_seed_[i];
-  }
-  const auto& gates = netlist_->gates();
-  for (const std::size_t gi : topo_) {
-    const Gate& g = gates[gi];
-    const std::uint64_t a = packed_value_[static_cast<std::size_t>(g.in[0])];
-    const std::uint64_t b =
-        g.in[1] == kNoNet ? 0 : packed_value_[static_cast<std::size_t>(g.in[1])];
-    const std::uint64_t c =
-        g.in[2] == kNoNet ? 0 : packed_value_[static_cast<std::size_t>(g.in[2])];
-    packed_value_[static_cast<std::size_t>(g.out)] =
-        eval_gate_w<std::uint64_t>(g.type, a, b, c);
-  }
-}
-
-void GateSim::evaluate_packed(unsigned n_lanes) {
-  if (n_lanes == 0 || n_lanes > kMaxLanes) return;
-  ensure_packed_buffers();
-  packed_seed_and_sweep(/*use_dff_seeds=*/true);
-}
-
-CycleResult GateSim::bill_lane(unsigned lane, std::vector<std::uint8_t>& dirty,
-                               std::vector<std::vector<std::size_t>>& work) {
-  // Replay the scalar event-driven commit sequence for one lane, with the
-  // toggle-mask bit test standing in for gate evaluation: primary inputs in
-  // index order, then marked gates in work-list insertion order level by
-  // level (marks propagate from toggles exactly as scalar commits mark
-  // consumers), then DFF Qs in declaration order. Energy terms therefore
-  // accumulate in precisely the scalar order — the property that makes
-  // per-lane doubles bit-identical despite FP non-associativity.
-  const std::uint64_t bit = 1ull << lane;
-  CycleResult r;
-  for (const NetId net : netlist_->primary_inputs()) {
-    if (packed_toggle_[static_cast<std::size_t>(net)] & bit) {
-      r.energy += net_energy_[static_cast<std::size_t>(net)];
-      ++r.toggles;
-      mark_consumers_walk(net, dirty, work);
-    }
-  }
-  const auto& gates = netlist_->gates();
-  for (unsigned lvl = 0; lvl < num_levels_; ++lvl) {
-    auto& w = work[lvl];
-    for (std::size_t wi = 0; wi < w.size(); ++wi) {
-      const std::size_t gi = w[wi];
-      dirty[gi] = 0;
-      const NetId out = gates[gi].out;
-      if (packed_toggle_[static_cast<std::size_t>(out)] & bit) {
-        r.energy += net_energy_[static_cast<std::size_t>(out)];
-        ++r.toggles;
-        mark_consumers_walk(out, dirty, work);
-      }
-    }
-    w.clear();
-  }
-  // Clock edge: Q toggles bill this cycle; their consumer marks outlive the
-  // lane (consumed by the next lane, or left pending after the last one).
-  for (const Dff& ff : netlist_->dffs()) {
-    if (packed_toggle_[static_cast<std::size_t>(ff.q)] & bit) {
-      r.energy += net_energy_[static_cast<std::size_t>(ff.q)];
-      ++r.toggles;
-      mark_consumers_walk(ff.q, dirty, work);
-    }
-  }
-  r.energy += clock_energy_per_cycle_;
-  return r;
-}
-
-bool GateSim::step_packed(unsigned n_lanes, CycleResult* per_lane) {
-  if (n_lanes == 0 || n_lanes > kMaxLanes || per_lane == nullptr) return false;
-  ensure_packed_buffers();
-  const std::uint64_t mask = lane_mask_of(n_lanes);
-  packed_seed_and_sweep(/*use_dff_seeds=*/true);
-
-  // Verify the register seeds against the netlist's own next-state chain:
-  // lane 0 must hold the current Q and lane l+1 the D lane l just computed.
-  // A mismatch means the caller's (behavioral) seed source disagrees with
-  // gate-level next-state — refuse, with no observable state touched, so the
-  // caller's scalar fallback recomputes the truth.
-  const auto& dffs = netlist_->dffs();
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const std::uint64_t d = packed_value_[static_cast<std::size_t>(dffs[i].d)];
-    const std::uint64_t q = packed_value_[static_cast<std::size_t>(dffs[i].q)];
-    const std::uint64_t want =
-        (d << 1) | (value_[static_cast<std::size_t>(dffs[i].q)] & 1u);
-    if ((q ^ want) & mask) {
-      ++packed_seed_rejects_;
-      return false;
-    }
-  }
-
-  // Toggle masks. Combinational and PI nets compare lane l against lane l-1
-  // (lane 0 against the pre-pass scalar value); Q nets toggle where the
-  // newly latched D differs from the pre-edge Q of the same lane. popcount
-  // gives the aggregate toggle count across lanes, later cross-checked
-  // against the per-lane billing walk.
-  std::uint64_t mask_toggles = 0;
-  const auto& pis = netlist_->primary_inputs();
-  auto chain_toggle = [&](NetId net) {
-    const std::size_t n = static_cast<std::size_t>(net);
-    const std::uint64_t v = packed_value_[n];
-    const std::uint64_t t = (v ^ ((v << 1) | (value_[n] & 1u))) & mask;
-    packed_toggle_[n] = t;
-    mask_toggles += static_cast<std::uint64_t>(std::popcount(t));
-  };
-  for (const NetId net : pis) chain_toggle(net);
-  const auto& gates = netlist_->gates();
-  for (const std::size_t gi : topo_) chain_toggle(gates[gi].out);
-  for (const Dff& ff : dffs) {
-    const std::size_t qn = static_cast<std::size_t>(ff.q);
-    const std::uint64_t t =
-        (packed_value_[static_cast<std::size_t>(ff.d)] ^ packed_value_[qn]) &
-        mask;
-    packed_toggle_[qn] = t;
-    mask_toggles += static_cast<std::uint64_t>(std::popcount(t));
-  }
-
-  // Bill each lane in the scalar commit order, against the REAL dirty
-  // structures: lane 0 consumes the marks pending from before the pass, each
-  // clock edge's marks feed the next lane, and the last edge's marks stay
-  // pending exactly as after a scalar step.
-  std::uint64_t walk_toggles = 0;
-  for (unsigned l = 0; l < n_lanes; ++l) {
-    per_lane[l] = bill_lane(l, gate_dirty_, level_dirty_);
-    walk_toggles += per_lane[l].toggles;
-    ++cycles_;
-    total_energy_ += per_lane[l].energy;
-  }
-  assert(walk_toggles == mask_toggles &&
-         "billing walk diverged from packed toggle masks");
-  (void)walk_toggles;
-
-  // Commit the final lane's state. Registers latch their last-lane D (and
-  // packed_value_ mirrors it so per-lane Q reads are post-edge); staged
-  // scalar inputs become the last lane's inputs, mirroring how scalar
-  // stagings persist across steps.
-  const unsigned last = n_lanes - 1;
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    const std::uint8_t v =
-        static_cast<std::uint8_t>((packed_input_[i] >> last) & 1u);
-    value_[static_cast<std::size_t>(pis[i])] = v;
-    input_next_[i] = v;
-  }
-  for (const std::size_t gi : topo_) {
-    const std::size_t out = static_cast<std::size_t>(gates[gi].out);
-    value_[out] =
-        static_cast<std::uint8_t>((packed_value_[out] >> last) & 1u);
-  }
-  for (const Dff& ff : dffs) {
-    const std::uint64_t d = packed_value_[static_cast<std::size_t>(ff.d)];
-    packed_value_[static_cast<std::size_t>(ff.q)] = d;
-    value_[static_cast<std::size_t>(ff.q)] =
-        static_cast<std::uint8_t>((d >> last) & 1u);
-  }
-  // The last scalar step's toggle capture no longer describes the state; the
-  // forced flag de-anchors any reaction cache (a packed pass cannot be
-  // content-addressed), reusing the force_net() invalidation path.
-  toggled_.clear();
-  latch_begin_ = 0;
-  forced_ = true;
-
-  ++packed_steps_;
-  packed_lane_steps_ += n_lanes;
-  static telemetry::Counter& steps =
-      telemetry::registry().counter("gatesim.steps");
-  static telemetry::Counter& toggles =
-      telemetry::registry().counter("gatesim.toggles");
-  static telemetry::Counter& passes =
-      telemetry::registry().counter("gatesim.packed_passes");
-  steps.add(n_lanes);
-  toggles.add(mask_toggles);
-  passes.add();
-  return true;
-}
-
-void GateSim::probe_packed(unsigned n_lanes, CycleResult* per_lane) {
-  if (n_lanes == 0 || n_lanes > kMaxLanes || per_lane == nullptr) return;
-  ensure_packed_buffers();
-  const std::uint64_t mask = lane_mask_of(n_lanes);
-  // Independent lanes: every lane starts from the current state (registers
-  // broadcast), so toggles compare each lane against the broadcast scalar
-  // value — and Q nets against the current Q.
-  packed_seed_and_sweep(/*use_dff_seeds=*/false);
-
-  std::uint64_t mask_toggles = 0;
-  auto probe_toggle = [&](std::size_t n, std::uint64_t next) {
-    const std::uint64_t t = (next ^ broadcast(value_[n])) & mask;
-    packed_toggle_[n] = t;
-    mask_toggles += static_cast<std::uint64_t>(std::popcount(t));
-  };
-  const auto& pis = netlist_->primary_inputs();
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    const std::size_t n = static_cast<std::size_t>(pis[i]);
-    probe_toggle(n, packed_value_[n]);
-  }
-  const auto& gates = netlist_->gates();
-  for (const std::size_t gi : topo_) {
-    const std::size_t n = static_cast<std::size_t>(gates[gi].out);
-    probe_toggle(n, packed_value_[n]);
-  }
-  const auto& dffs = netlist_->dffs();
-  for (const Dff& ff : dffs)
-    probe_toggle(static_cast<std::size_t>(ff.q),
-                 packed_value_[static_cast<std::size_t>(ff.d)]);
-
-  // Bill each lane against SCRATCH dirty structures seeded from a snapshot
-  // of the real pending marks — each hypothetical step must consume the same
-  // pending work a real step() would, and the real structures must survive
-  // the probe untouched.
-  probe_pending_.clear();
-  for (const auto& w : level_dirty_)
-    probe_pending_.insert(probe_pending_.end(), w.begin(), w.end());
-  std::uint64_t walk_toggles = 0;
-  for (unsigned l = 0; l < n_lanes; ++l) {
-    for (const std::size_t gi : probe_pending_) {
-      if (!probe_dirty_[gi]) {
-        probe_dirty_[gi] = 1;
-        probe_work_[gate_level_[gi]].push_back(gi);
-      }
-    }
-    per_lane[l] = bill_lane(l, probe_dirty_, probe_work_);
-    walk_toggles += per_lane[l].toggles;
-    // Drop the lane's residual clock-edge marks; the next lane re-seeds from
-    // the snapshot.
-    for (auto& w : probe_work_) {
-      for (const std::size_t gi : w) probe_dirty_[gi] = 0;
-      w.clear();
-    }
-  }
-  assert(walk_toggles == mask_toggles &&
-         "probe billing walk diverged from packed toggle masks");
-  (void)walk_toggles;
-  (void)mask_toggles;
-}
-
-bool GateSim::packed_net_value(NetId n, unsigned lane) const {
-  assert(n >= 0 && static_cast<std::size_t>(n) < packed_value_.size());
-  assert(lane < kMaxLanes);
-  return (packed_value_[static_cast<std::size_t>(n)] >> lane) & 1u;
-}
-
-std::uint64_t GateSim::read_word_lane(std::size_t first_output_index,
-                                      unsigned width, unsigned lane) const {
-  const auto& outs = netlist_->outputs();
-  std::uint64_t v = 0;
-  for (unsigned b = 0; b < width; ++b) {
-    if (first_output_index + b >= outs.size()) break;
-    if (packed_net_value(outs[first_output_index + b].first, lane))
-      v |= 1ull << b;
-  }
-  return v;
 }
 
 }  // namespace socpower::hw

@@ -73,93 +73,6 @@ class GateSim {
     return gates_evaluated_;
   }
 
-  // -- bit-parallel evaluation (64 stimulus patterns per word) ---------------
-  // Packed mode evaluates up to kMaxLanes patterns per pass: every net holds
-  // a uint64_t whose bit l is its value in pattern lane l, and each gate is
-  // evaluated once per pass with the shared word kernel (eval_gate_w). Two
-  // entry points share the machinery:
-  //
-  //  * step_packed(n): n CONSECUTIVE clock cycles — lane l+1 is the cycle
-  //    after lane l. The caller seeds each lane's register state (from the
-  //    behavioral model it is co-simulating); step_packed verifies the seeds
-  //    against the netlist's own next-state chain (lane l+1's Q must equal
-  //    lane l's D) and refuses — without touching any observable state — if
-  //    they disagree, so results are bit-identical to n scalar step()s or
-  //    nothing.
-  //  * probe_packed(n): n INDEPENDENT hypothetical next cycles, all from the
-  //    current state (candidate-pattern pricing). Observable state, staged
-  //    scalar inputs and pending dirty marks are left untouched.
-  //
-  // Per-lane energies are billed in exactly the scalar commit order (PIs in
-  // index order, then marked gates in work-list insertion order level by
-  // level, then DFF Qs in declaration order) by replaying the event-driven
-  // marking walk against the packed toggle masks — FP summation order is
-  // what makes per-lane results bit-identical to scalar, and aggregate
-  // toggle telemetry uses std::popcount over the same masks.
-
-  static constexpr unsigned kMaxLanes = 64;
-
-  /// Begin staging a packed pass: every input lane defaults to the currently
-  /// staged scalar value (input_next_) and every register lane to the current
-  /// Q value, i.e. an unstaged packed pass replays the scalar broadcast.
-  void begin_packed_stage();
-  /// Stage one input bit for one lane. Out-of-range input indices are dropped
-  /// and counted like set_input(); out-of-range lanes likewise.
-  void stage_packed_input(std::size_t input_index, unsigned lane, bool value);
-  /// Stage a whole input word for one lane, LSB first.
-  void stage_packed_input_word(std::size_t first_input_index,
-                               std::uint64_t value, unsigned width,
-                               unsigned lane);
-  /// Seed flip-flop dffs()[dff_index]'s Q for one lane (chain mode only; the
-  /// lane-0 seed must match the current Q, and lane l+1 must equal the D that
-  /// lane l computes — step_packed checks both). Out-of-range drops count.
-  void seed_packed_dff(std::size_t dff_index, unsigned lane, bool value);
-
-  /// Evaluate n_lanes consecutive cycles in one packed pass. On success fills
-  /// per_lane[0..n_lanes) with each cycle's CycleResult (bit-identical to the
-  /// scalar step() sequence), commits the final lane's state (registers hold
-  /// the last lane's D, pending dirty marks are the last clock edge's, staged
-  /// scalar inputs become the last lane's inputs), advances cycle/energy
-  /// counters, and de-anchors any reaction cache via the forced-state flag
-  /// (the cache cannot content-address a 64-cycle jump). Returns false — with
-  /// NO observable state change — when the seeded register lanes contradict
-  /// the netlist's next-state chain; the caller then falls back to scalar.
-  [[nodiscard]] bool step_packed(unsigned n_lanes, CycleResult* per_lane);
-
-  /// Evaluate n_lanes independent hypothetical next cycles, all from the
-  /// current state, in one packed pass. Fills per_lane[l] with exactly what
-  /// step() would return if lane l's staged inputs were applied now. Purely
-  /// speculative: no observable simulator state changes.
-  void probe_packed(unsigned n_lanes, CycleResult* per_lane);
-
-  /// Evaluate the staged packed lanes (seed + bitwise sweep) without billing
-  /// or committing — the raw evaluation loop, exposed for functional what-if
-  /// reads and eval-throughput benchmarking. Lane values are then readable
-  /// via packed_net_value()/read_word_lane().
-  void evaluate_packed(unsigned n_lanes);
-
-  /// Re-evaluate every gate once in level order from current net values (the
-  /// scalar evaluation loop; reset path and eval-throughput benchmarking).
-  /// Does not apply staged inputs and bills nothing.
-  void settle();
-
-  /// Value of net n in lane `lane` of the most recent packed pass. After
-  /// step_packed, DFF Q nets read post-edge (lane l's newly latched D).
-  [[nodiscard]] bool packed_net_value(NetId n, unsigned lane) const;
-  /// Read an output word for one lane of the most recent packed pass.
-  [[nodiscard]] std::uint64_t read_word_lane(std::size_t first_output_index,
-                                             unsigned width,
-                                             unsigned lane) const;
-
-  [[nodiscard]] std::uint64_t packed_steps() const { return packed_steps_; }
-  [[nodiscard]] std::uint64_t packed_lane_steps() const {
-    return packed_lane_steps_;
-  }
-  /// step_packed() calls rejected for inconsistent register seeds.
-  [[nodiscard]] std::uint64_t packed_seed_rejects() const {
-    return packed_seed_rejects_;
-  }
-
   // -- reaction-cache protocol (hw/reaction_cache.hpp) -----------------------
   // The cache memoizes full reactions; these accessors expose exactly what it
   // needs to key a lookup (the staged input vector), to detect state breaks
@@ -199,17 +112,9 @@ class GateSim {
 
  private:
   void mark_consumers_dirty(NetId net);
-  // Packed internals: lazy buffer allocation, lane seeding + bitwise sweep,
-  // toggle-mask derivation, and the per-lane commit-order billing walk (the
-  // event-driven marking discipline replayed against toggle masks instead of
-  // gate evaluations — `dirty`/`work` select the real structures in chain
-  // mode or the probe scratch copies).
-  void ensure_packed_buffers();
-  void packed_seed_and_sweep(bool use_dff_seeds);
-  CycleResult bill_lane(unsigned lane, std::vector<std::uint8_t>& dirty,
-                        std::vector<std::vector<std::size_t>>& work);
-  void mark_consumers_walk(NetId net, std::vector<std::uint8_t>& dirty,
-                           std::vector<std::vector<std::size_t>>& work);
+  /// Re-evaluate every gate once in level order from current net values
+  /// (reset path). Does not apply staged inputs and bills nothing.
+  void settle();
 
   const Netlist* netlist_;
   TechParams tech_;
@@ -237,19 +142,6 @@ class GateSim {
   std::uint64_t dropped_input_writes_ = 0;
   std::uint64_t resets_ = 0;
   bool forced_ = false;
-
-  // -- packed-mode state (allocated lazily on first begin_packed_stage) ------
-  std::vector<std::uint64_t> packed_value_;   // per-net lane values
-  std::vector<std::uint64_t> packed_toggle_;  // per-net lane toggle masks
-  std::vector<std::uint64_t> packed_input_;   // staged per-PI lane values
-  std::vector<std::uint64_t> packed_dff_seed_;  // staged per-DFF Q lane seeds
-  // Probe-mode scratch (the real dirty structures must survive a probe).
-  std::vector<std::uint8_t> probe_dirty_;
-  std::vector<std::vector<std::size_t>> probe_work_;
-  std::vector<std::size_t> probe_pending_;  // snapshot of pending marks
-  std::uint64_t packed_steps_ = 0;
-  std::uint64_t packed_lane_steps_ = 0;
-  std::uint64_t packed_seed_rejects_ = 0;
 };
 
 }  // namespace socpower::hw

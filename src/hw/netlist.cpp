@@ -126,15 +126,6 @@ std::size_t Netlist::fanout(NetId n) const {
   return fanout_[static_cast<std::size_t>(n)];
 }
 
-int Netlist::dff_index_of(NetId q) const {
-  if (q < 0 || static_cast<std::size_t>(q) >= n_nets_ ||
-      driver_gate_[static_cast<std::size_t>(q)] != -2)
-    return -1;
-  for (std::size_t fi = 0; fi < dffs_.size(); ++fi)
-    if (dffs_[fi].q == q) return static_cast<int>(fi);
-  return -1;
-}
-
 std::vector<std::size_t> Netlist::levelize(std::string* error) const {
   // Kahn's algorithm over gate->gate dependencies. PI, constant and DFF Q
   // nets are sources.

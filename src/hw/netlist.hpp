@@ -34,65 +34,21 @@ inline constexpr std::size_t kNumGateTypes =
 [[nodiscard]] const char* gate_type_name(GateType t);
 [[nodiscard]] int gate_arity(GateType t);
 
-// -- shared gate-semantics kernel --------------------------------------------
-// One truth-function definition drives every evaluation path: the scalar
-// event-driven step(), the reset-time settle, and the 64-lane bit-parallel
-// sweep. `GateWord` maps the boolean connectives onto the word type — `bool`
-// evaluates one pattern, `std::uint64_t` evaluates 64 independent stimulus
-// lanes per call (bit l of every operand belongs to pattern lane l). Keeping
-// the switch in one template guarantees the packed path cannot drift from
-// scalar semantics: there is no second copy to get out of sync.
-template <typename W>
-struct GateWord;
-
-template <>
-struct GateWord<bool> {
-  static constexpr bool zero() { return false; }
-  static constexpr bool not_(bool a) { return !a; }
-  static constexpr bool and_(bool a, bool b) { return a && b; }
-  static constexpr bool or_(bool a, bool b) { return a || b; }
-  static constexpr bool xor_(bool a, bool b) { return a != b; }
-};
-
-template <>
-struct GateWord<std::uint64_t> {
-  static constexpr std::uint64_t zero() { return 0; }
-  static constexpr std::uint64_t not_(std::uint64_t a) { return ~a; }
-  static constexpr std::uint64_t and_(std::uint64_t a, std::uint64_t b) {
-    return a & b;
-  }
-  static constexpr std::uint64_t or_(std::uint64_t a, std::uint64_t b) {
-    return a | b;
-  }
-  static constexpr std::uint64_t xor_(std::uint64_t a, std::uint64_t b) {
-    return a ^ b;
-  }
-};
-
-/// Combinational function of the cell over word type W (bool: one pattern,
-/// uint64_t: 64 lanes at once). MUX2 lowers to (sel & b) | (~sel & a), which
-/// for bool is exactly `c ? b : a`.
-template <typename W>
-[[nodiscard]] constexpr W eval_gate_w(GateType t, W a, W b, W c) {
-  using G = GateWord<W>;
+/// Combinational function of the cell. MUX2 selects b when sel (c) is set.
+[[nodiscard]] constexpr bool eval_gate(GateType t, bool a, bool b, bool c) {
   switch (t) {
-    case GateType::kInv: return G::not_(a);
+    case GateType::kInv: return !a;
     case GateType::kBuf: return a;
-    case GateType::kAnd2: return G::and_(a, b);
-    case GateType::kOr2: return G::or_(a, b);
-    case GateType::kNand2: return G::not_(G::and_(a, b));
-    case GateType::kNor2: return G::not_(G::or_(a, b));
-    case GateType::kXor2: return G::xor_(a, b);
-    case GateType::kXnor2: return G::not_(G::xor_(a, b));
-    case GateType::kMux2: return G::or_(G::and_(c, b), G::and_(G::not_(c), a));
+    case GateType::kAnd2: return a && b;
+    case GateType::kOr2: return a || b;
+    case GateType::kNand2: return !(a && b);
+    case GateType::kNor2: return !(a || b);
+    case GateType::kXor2: return a != b;
+    case GateType::kXnor2: return a == b;
+    case GateType::kMux2: return c ? b : a;
     case GateType::kGateTypeCount: break;
   }
-  return G::zero();
-}
-
-/// Combinational function of the cell (scalar convenience wrapper).
-[[nodiscard]] constexpr bool eval_gate(GateType t, bool a, bool b, bool c) {
-  return eval_gate_w<bool>(t, a, b, c);
+  return false;
 }
 
 struct Gate {
@@ -161,10 +117,6 @@ class Netlist {
     return outputs_;
   }
   [[nodiscard]] std::size_t fanout(NetId n) const;
-  /// Index into dffs() of the flip-flop driving net `q`, or -1 if `q` is not
-  /// a DFF output. Linear scan — meant for construction-time mapping (e.g.
-  /// building a register-lane seeding table), not for hot paths.
-  [[nodiscard]] int dff_index_of(NetId q) const;
 
   /// Gates in topological (level) order; empty + error message if the
   /// combinational part has a cycle.

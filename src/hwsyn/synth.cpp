@@ -300,22 +300,6 @@ void stage_hw_reaction(hw::GateSim& sim, const HwImage& img,
   }
 }
 
-void stage_hw_reaction_lane(hw::GateSim& sim, const HwImage& img,
-                            const cfsm::ReactionInputs& inputs,
-                            unsigned lane) {
-  // Packed counterpart of stage_hw_reaction: same PI layout, one lane of the
-  // packed staging buffers. begin_packed_stage() must already have run.
-  for (std::size_t i = 0; i < img.n_inputs; ++i) {
-    const cfsm::EventId e = img.local_inputs[i];
-    const bool present = inputs.present(e);
-    sim.stage_packed_input(i, lane, present);
-    sim.stage_packed_input_word(
-        img.n_inputs + i * img.width,
-        present ? static_cast<std::uint32_t>(inputs.value(e)) : 0u, img.width,
-        lane);
-  }
-}
-
 std::vector<cfsm::EmittedEvent> read_hw_emissions(const hw::GateSim& sim,
                                                   const HwImage& img) {
   std::vector<cfsm::EmittedEvent> out;

@@ -58,12 +58,6 @@ struct HwImage {
 void stage_hw_reaction(hw::GateSim& sim, const HwImage& img,
                        const cfsm::ReactionInputs& inputs);
 
-/// Stage one reaction's input events onto one LANE of the packed (bit-
-/// parallel) staging buffers — the 64-wide counterpart of
-/// stage_hw_reaction. Call GateSim::begin_packed_stage() first.
-void stage_hw_reaction_lane(hw::GateSim& sim, const HwImage& img,
-                            const cfsm::ReactionInputs& inputs, unsigned lane);
-
 /// Read the emission flags/values after a step(). Order follows
 /// local_outputs (synthesis order), which matches s-graph emission order for
 /// single-emit-per-event reactions.

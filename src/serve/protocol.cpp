@@ -165,8 +165,6 @@ RunRequest RunRequest::from(const core::CoEstimatorConfig& cfg) {
   rr.hw_flush_threads = cfg.hw_flush_threads;
   rr.hw_reaction_cache = cfg.hw_reaction_cache;
   rr.hw_reaction_cache_max_entries = cfg.hw_reaction_cache_max_entries;
-  rr.hw_bit_parallel = cfg.hw_bit_parallel;
-  rr.hw_packed_lanes = cfg.hw_packed_lanes;
   rr.sync_spin = cfg.sync_spin;
   rr.cache_hit_spin = cfg.cache_hit_spin;
   rr.ecache_thresh_variance = cfg.energy_cache.thresh_variance;
@@ -188,8 +186,6 @@ void RunRequest::apply(core::CoEstimatorConfig* cfg) const {
   cfg->hw_reaction_cache = hw_reaction_cache;
   cfg->hw_reaction_cache_max_entries =
       static_cast<std::size_t>(hw_reaction_cache_max_entries);
-  cfg->hw_bit_parallel = hw_bit_parallel;
-  cfg->hw_packed_lanes = hw_packed_lanes;
   cfg->sync_spin = sync_spin;
   cfg->cache_hit_spin = cache_hit_spin;
   cfg->energy_cache.thresh_variance = ecache_thresh_variance;
@@ -211,8 +207,6 @@ void put_run_request(WireWriter& w, const RunRequest& rr) {
   w.put_u32(rr.hw_flush_threads);
   w.put_u8(rr.hw_reaction_cache ? 1 : 0);
   w.put_u64(rr.hw_reaction_cache_max_entries);
-  w.put_u8(rr.hw_bit_parallel ? 1 : 0);
-  w.put_u32(rr.hw_packed_lanes);
   w.put_u32(rr.sync_spin);
   w.put_u32(rr.cache_hit_spin);
   w.put_f64(rr.ecache_thresh_variance);
@@ -238,8 +232,6 @@ bool get_run_request(WireReader& r, RunRequest* out) {
   out->hw_flush_threads = r.get_u32();
   out->hw_reaction_cache = r.get_u8() != 0;
   out->hw_reaction_cache_max_entries = r.get_u64();
-  out->hw_bit_parallel = r.get_u8() != 0;
-  out->hw_packed_lanes = r.get_u32();
   out->sync_spin = r.get_u32();
   out->cache_hit_spin = r.get_u32();
   out->ecache_thresh_variance = r.get_f64();

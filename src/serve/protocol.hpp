@@ -31,7 +31,9 @@ namespace socpower::serve {
 /// coherence_enabled, RunResults gained coherence totals.
 /// v3: analytical tier — RunRequest gained the calibration-vector and
 /// leakage knobs, RunResults gained the static-power split.
-inline constexpr std::uint32_t kServeProtocolVersion = 3;
+/// v4: RunRequest lost the two bit-parallel flush knobs when packed gate
+/// evaluation was deleted.
+inline constexpr std::uint32_t kServeProtocolVersion = 4;
 
 // ---- system selection ------------------------------------------------------
 
@@ -96,8 +98,6 @@ struct RunRequest {
   std::uint32_t hw_flush_threads = 1;
   bool hw_reaction_cache = true;
   std::uint64_t hw_reaction_cache_max_entries = 4096;
-  bool hw_bit_parallel = false;
-  std::uint32_t hw_packed_lanes = 64;
   std::uint32_t sync_spin = 0;
   std::uint32_t cache_hit_spin = 0;
   double ecache_thresh_variance = 0.0;

@@ -362,16 +362,6 @@ TEST(AnalyticalDeathTest, BadTemperatureAndChannelLengthAbortPrepare) {
   EXPECT_DEATH(est.prepare(), "hw_temperature_k");
 }
 
-TEST(AnalyticalDeathTest, PrefilterWithoutAnalyticalBackendAbortsPrepare) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  systems::TcpIpSystem sys(hw_heavy_params());
-  CoEstimatorConfig cfg;  // hw_gate stays "hw.gate"
-  cfg.analytical_prefilter = 8;
-  CoEstimator est(&sys.network(), cfg);
-  sys.configure(est);
-  EXPECT_DEATH(est.prepare(), "analytical_prefilter");
-}
-
 // ---- three-tier exploration funnel -----------------------------------------
 
 RunResults energy_only(double joules) {

@@ -247,8 +247,6 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         k.verify_lowlevel = rng() % 2 == 0;
         k.hw_reaction_cache = rng() % 2 == 0;
         k.hw_reaction_cache_max_entries = rng();
-        k.hw_bit_parallel = rng() % 2 == 0;
-        k.hw_packed_lanes = static_cast<unsigned>(1 + rng() % 64);
         WireWriter w;
         put_knobs(w, k);
         WireReader r(w.bytes());
@@ -261,8 +259,6 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         EXPECT_EQ(k.hw_reaction_cache, back.hw_reaction_cache);
         EXPECT_EQ(k.hw_reaction_cache_max_entries,
                   back.hw_reaction_cache_max_entries);
-        EXPECT_EQ(k.hw_bit_parallel, back.hw_bit_parallel);
-        EXPECT_EQ(k.hw_packed_lanes, back.hw_packed_lanes);
       }
     }
   }

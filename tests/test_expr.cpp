@@ -57,7 +57,12 @@ TEST(Expr, EventValueZeroWhenAbsent) {
 }
 
 struct OpCase {
+  OpCase(ExprOp op_, std::int32_t a_, std::int32_t b_, std::int32_t expect_)
+      : op(op_), a(a_), b(b_), expect(expect_) {}
   ExprOp op;
+  // gtest names each case after the raw bytes of its parameter; explicit zero
+  // bytes in place of padding keep those names the same from run to run.
+  std::uint8_t zero[3] = {};
   std::int32_t a;
   std::int32_t b;
   std::int32_t expect;

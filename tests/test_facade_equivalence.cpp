@@ -40,11 +40,10 @@ TEST(FacadeEquivalence, BitIdenticalToPreRefactorGoldens) {
   }
 }
 
-TEST(FacadeEquivalence, BitParallelFlushMatchesGoldens) {
-  // The bit-parallel flush must reproduce every golden bit-identically. The
-  // reaction cache is turned off so the packed path actually runs (with the
-  // cache on it defers to replayed hits); batch0 rows keep the knob off
-  // because packed evaluation only exists in the offline flush (validated).
+TEST(FacadeEquivalence, ReactionCacheOffMatchesGoldens) {
+  // With the reaction cache off every reaction, online and in the offline
+  // flush, is priced by a real GateSim::step(); the goldens must still
+  // reproduce bit-identically.
   for (const Golden& golden : kGoldens) {
     SCOPED_TRACE(golden.tag);
     const std::string tag = golden.tag;
@@ -53,7 +52,6 @@ TEST(FacadeEquivalence, BitParallelFlushMatchesGoldens) {
     bool separate = false;
     CoEstimatorConfig cfg = config_for(tag.substr(slash + 1), &separate);
     cfg.hw_reaction_cache = false;
-    cfg.hw_bit_parallel = cfg.hw_batch;
     CoEstimator est(&sys.network(), cfg);
     sys.configure(est);
     est.prepare();

@@ -273,5 +273,23 @@ TEST(GateSim, ReadWordAssemblesBits) {
   EXPECT_EQ(sim.read_word(0, 8), 0xA5u);
 }
 
+TEST(GateSim, WideInputWord48RoundTrips) {
+  // 48-bit pass-through port: set_input_word/read_word carry the full
+  // uint64_t, so ports wider than 32 bits round-trip without truncation.
+  Netlist nl;
+  std::vector<NetId> pis;
+  for (int i = 0; i < 48; ++i)
+    pis.push_back(nl.add_primary_input("in" + std::to_string(i)));
+  for (int i = 0; i < 48; ++i)
+    nl.mark_output(nl.add_gate(GateType::kBuf, pis[i]), "out");
+  ASSERT_EQ(nl.validate(), "");
+
+  GateSim sim(&nl);
+  const std::uint64_t value = 0x123456789ABCull;
+  sim.set_input_word(0, value, 48);
+  (void)sim.step();
+  EXPECT_EQ(sim.read_word(0, 48), value);
+}
+
 }  // namespace
 }  // namespace socpower::hw

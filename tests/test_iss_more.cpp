@@ -16,6 +16,13 @@ struct BranchCase {
   bool taken;
 };
 
+// Printed in place of gtest's byte dump, which would put the address of
+// `mnemonic` (different in every run) into the test names.
+void PrintTo(const BranchCase& c, std::ostream* os) {
+  *os << c.mnemonic << ' ' << c.a << ',' << c.b
+      << (c.taken ? " taken" : " not taken");
+}
+
 class BranchMatrix : public ::testing::TestWithParam<BranchCase> {};
 
 TEST_P(BranchMatrix, OutcomeFollowsComparison) {
