@@ -72,8 +72,18 @@ class CacheSim {
     std::uint64_t lru = 0;  // last-use stamp
   };
 
+  /// last_base_ when no line was touched since construction or flush():
+  /// no 32-bit address lies within line_bytes above it.
+  static constexpr std::uint64_t kNoLine = std::uint64_t{1} << 63;
+
   CacheConfig config_;
+  std::uint32_t num_sets_;
   std::vector<Line> lines_;  // sets * associativity, set-major
+  // The line the previous access touched (an index, so copies stay valid)
+  // and the byte address it starts at. A reference within it is a hit on
+  // the set's most recently used way, priced without a set lookup.
+  std::size_t last_line_ = 0;
+  std::uint64_t last_base_ = kNoLine;
   std::uint64_t tick_ = 0;
   AccessStats totals_;
 };

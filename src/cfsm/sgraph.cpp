@@ -5,14 +5,16 @@
 namespace socpower::cfsm {
 
 PathId PathTable::intern(const std::vector<NodeId>& trace) {
-  std::string key;
-  key.reserve(trace.size() * sizeof(NodeId));
-  for (NodeId n : trace)
-    key.append(reinterpret_cast<const char*>(&n), sizeof n);
-  const auto [it, inserted] =
-      index_.try_emplace(key, static_cast<PathId>(paths_.size()));
-  if (inserted) paths_.push_back(trace);
-  return it->second;
+  // The key is built in a reused buffer, so a known path allocates nothing;
+  // only a new path copies it into the index.
+  key_scratch_.assign(reinterpret_cast<const char*>(trace.data()),
+                      trace.size() * sizeof(NodeId));
+  if (const auto it = index_.find(key_scratch_); it != index_.end())
+    return it->second;
+  const auto id = static_cast<PathId>(paths_.size());
+  index_.emplace(key_scratch_, id);
+  paths_.push_back(trace);
+  return id;
 }
 
 const std::vector<NodeId>& PathTable::path(PathId id) const {

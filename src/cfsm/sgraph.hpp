@@ -71,6 +71,7 @@ class PathTable {
  private:
   std::unordered_map<std::string, PathId> index_;
   std::vector<std::vector<NodeId>> paths_;
+  std::string key_scratch_;  // intern()'s lookup key, reused across calls
 };
 
 class SGraph {

@@ -186,6 +186,7 @@ void CoSimMaster::prepare() {
     receivers_by_event_.push_back(
         net_->receivers(static_cast<cfsm::EventId>(e)));
   mm_memo_.assign(net_->cfsm_count(), {});
+  addr_memo_.assign(net_->cfsm_count(), {});
 
   structural_baseline_ = config_;
   prepared_ = true;
@@ -620,8 +621,15 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
       // (Section 3), so they are issued whether or not the ISS ran. Each
       // core references its own private instruction cache.
       if (config_.enable_icache) {
-        const auto addrs = swsyn::address_trace(
-            *sw_for_core_[cpu_core]->image(task), reaction.trace);
+        // A path's address trace is fixed once the images are built, so it
+        // is computed on the path's first execution and replayed after.
+        auto& memo = addr_memo_[static_cast<std::size_t>(task)];
+        if (static_cast<std::size_t>(path) >= memo.size())
+          memo.resize(static_cast<std::size_t>(path) + 1);
+        auto& addrs = memo[static_cast<std::size_t>(path)];
+        if (addrs.empty())
+          addrs = swsyn::address_trace(*sw_for_core_[cpu_core]->image(task),
+                                       reaction.trace);
         const cache::AccessStats cs = cache_->access_core(cpu_core, addrs);
         cycles += static_cast<double>(cs.penalty_cycles);
         trace_.record(cache_component_, now, cs.energy);

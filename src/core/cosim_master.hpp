@@ -238,6 +238,9 @@ class CoSimMaster {
   /// behavioral model once per path makes macro-modeled co-simulation O(1)
   /// per transition, as in POLIS (costs are annotated before simulation).
   std::vector<std::vector<std::optional<PathEstimate>>> mm_memo_;
+  /// Instruction byte-address trace per (task, path), memoized on the
+  /// path's first software execution (images are fixed after prepare()).
+  std::vector<std::vector<std::vector<std::uint32_t>>> addr_memo_;
 
   std::vector<std::vector<cfsm::CfsmId>> receivers_by_event_;
 

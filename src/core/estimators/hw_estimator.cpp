@@ -166,6 +166,7 @@ hw::ReactionCacheStats HwEstimatorBase::reaction_cache_stats() const {
     sum.evicted_entries += s.evicted_entries;
     sum.invalidations += s.invalidations;
     sum.skipped_gate_evals += s.skipped_gate_evals;
+    sum.rejected_imports += s.rejected_imports;
   }
   return sum;
 }

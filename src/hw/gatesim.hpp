@@ -49,6 +49,8 @@ class GateSim {
   CycleResult step();
 
   [[nodiscard]] bool net_value(NetId n) const;
+  /// Every net's current value (0 or 1), indexed by NetId.
+  [[nodiscard]] std::span<const std::uint8_t> values() const { return value_; }
   /// Read an output word (as marked by mark_output order), LSB first.
   /// Out-of-range output indices are clamped in every build type: the
   /// missing bits read as 0 rather than indexing past the output table.
@@ -62,7 +64,8 @@ class GateSim {
   /// Overwrite a net's value WITHOUT billing switching energy. Used by the
   /// co-estimation master to resynchronize register state after acceleration
   /// techniques skipped gate-level evaluation of some reactions (the skipped
-  /// activity is what the cache/sampling estimate stands in for).
+  /// activity is what the cache/sampling estimate stands in for). The two
+  /// constant nets must not be forced: absent gate inputs read const0().
   void force_net(NetId n, bool value);
 
   [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
@@ -111,7 +114,30 @@ class GateSim {
                                     std::size_t latch_begin, Joules energy);
 
  private:
-  void mark_consumers_dirty(NetId net);
+  // The evaluation kernel's data is precomputed from the netlist at
+  // construction so step() runs without a type switch or absent-input test.
+  /// A gate as the kernel sees it: three input nets (absent inputs read
+  /// Netlist::const0()) and `out << 8 | truth table`, where bit
+  /// (a | b << 1 | c << 2) of the 8-bit table is the output for inputs a, b,
+  /// c.
+  struct FlatGate {
+    std::uint32_t in[3];
+    std::uint32_t out_tt;
+  };
+  /// One consumer of a net, with the level that owns its work slots.
+  struct Consumer {
+    std::uint32_t gate;
+    std::uint32_t level;
+  };
+  static constexpr std::uint32_t kNoLevel = 0xffffffffu;
+
+  void mark_consumers_dirty(std::uint32_t net);
+  /// Lay down the dirty marks of the last clock edge's Q toggles (queued in
+  /// latch_marks_) before any other mark.
+  void mark_latch_consumers();
+  /// Drop every pending dirty mark, laid down or queued, without evaluating
+  /// (cache replay, reset).
+  void drain_dirty();
   /// Re-evaluate every gate once in level order from current net values
   /// (reset path). Does not apply staged inputs and bills nothing.
   void settle();
@@ -119,16 +145,25 @@ class GateSim {
   const Netlist* netlist_;
   TechParams tech_;
   ElectricalParams params_;
-  std::vector<std::size_t> topo_;        // gate evaluation order
-  std::vector<unsigned> gate_level_;     // topological level per gate
-  // net -> consuming gate indices, CSR-flattened: the gates consuming net n
-  // are consumer_gates_[consumer_offsets_[n] .. consumer_offsets_[n+1]).
+  std::vector<FlatGate> gates_;  // in level order
+  // net -> consumers, CSR-flattened: the consumers of net n are
+  // consumers_[consumer_offsets_[n] .. consumer_offsets_[n+1]).
   std::vector<std::uint32_t> consumer_offsets_;
-  std::vector<std::uint32_t> consumer_gates_;
-  std::vector<std::vector<std::size_t>> level_dirty_;  // work lists per level
+  std::vector<Consumer> consumers_;
+  // Work lists: level l owns work_[level_begin_[l] .. level_begin_[l+1]),
+  // one slot per gate of that level plus one spare, filled from the front up
+  // to level_fill_[l]. Marking stores unconditionally and advances the fill
+  // only for a gate not yet dirty; the spare slot absorbs the store when
+  // every gate of the level is already queued.
+  std::vector<std::uint32_t> work_;
+  std::vector<std::uint32_t> level_begin_;
+  std::vector<std::uint32_t> level_fill_;
   std::vector<std::uint8_t> gate_dirty_;
-  unsigned num_levels_ = 0;
-  std::vector<double> net_cap_;          // cached Ceff per net
+  std::uint32_t dirty_lo_ = kNoLevel;  // lowest level holding a dirty mark
+  std::uint32_t dirty_hi_ = 0;         // highest (valid when dirty_lo_ is)
+  // Q nets the last clock edge toggled, in commit order, whose consumers are
+  // not marked yet: the next step(), force_net() or replay deals with them.
+  std::vector<std::uint32_t> latch_marks_;
   std::vector<double> net_energy_;       // cached switch energy per net
   std::vector<std::uint8_t> value_;      // current net values
   std::vector<std::uint8_t> input_next_; // pending PI values

@@ -1,5 +1,6 @@
 #include "hw/netlist.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace socpower::hw {
@@ -126,31 +127,47 @@ std::size_t Netlist::fanout(NetId n) const {
   return fanout_[static_cast<std::size_t>(n)];
 }
 
-std::vector<std::size_t> Netlist::levelize(std::string* error) const {
+Levelization Netlist::levelize(std::string* error) const {
   // Kahn's algorithm over gate->gate dependencies. PI, constant and DFF Q
-  // nets are sources.
+  // nets are sources. Consumer lists are built CSR-flattened (one offset
+  // array, one flat gate array) rather than as a vector per net.
+  Levelization lv;
+  lv.consumer_offsets.assign(n_nets_ + 1, 0);
+  for (const Gate& g : gates_)
+    for (int i = 0; i < gate_arity(g.type); ++i)
+      ++lv.consumer_offsets[static_cast<std::size_t>(g.in[i]) + 1];
+  for (std::size_t n = 1; n <= n_nets_; ++n)
+    lv.consumer_offsets[n] += lv.consumer_offsets[n - 1];
+  lv.consumers.resize(lv.consumer_offsets.back());
   std::vector<std::uint32_t> pending(gates_.size(), 0);
-  std::vector<std::vector<std::size_t>> consumers(n_nets_);
-  for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
-    const Gate& g = gates_[gi];
-    for (int i = 0; i < gate_arity(g.type); ++i) {
-      const auto drv = driver_gate_[static_cast<std::size_t>(g.in[i])];
-      if (drv >= 0) {
-        ++pending[gi];
-        consumers[static_cast<std::size_t>(g.in[i])].push_back(gi);
+  {
+    std::vector<std::uint32_t> fill(lv.consumer_offsets.begin(),
+                                    lv.consumer_offsets.end() - 1);
+    for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
+      const Gate& g = gates_[gi];
+      for (int i = 0; i < gate_arity(g.type); ++i) {
+        const auto in = static_cast<std::size_t>(g.in[i]);
+        lv.consumers[fill[in]++] = static_cast<std::uint32_t>(gi);
+        if (driver_gate_[in] >= 0) ++pending[gi];
       }
     }
   }
-  std::vector<std::size_t> order;
-  order.reserve(gates_.size());
+  lv.level.assign(gates_.size(), 0);
+  lv.order.reserve(gates_.size());
   for (std::size_t gi = 0; gi < gates_.size(); ++gi)
-    if (pending[gi] == 0) order.push_back(gi);
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const Gate& g = gates_[order[head]];
-    for (const std::size_t ci : consumers[static_cast<std::size_t>(g.out)])
-      if (--pending[ci] == 0) order.push_back(ci);
+    if (pending[gi] == 0) lv.order.push_back(static_cast<std::uint32_t>(gi));
+  for (std::size_t head = 0; head < lv.order.size(); ++head) {
+    const std::uint32_t gi = lv.order[head];
+    const auto out = static_cast<std::size_t>(gates_[gi].out);
+    const std::uint32_t next_level = lv.level[gi] + 1;
+    for (std::uint32_t c = lv.consumer_offsets[out];
+         c < lv.consumer_offsets[out + 1]; ++c) {
+      const std::uint32_t ci = lv.consumers[c];
+      lv.level[ci] = std::max(lv.level[ci], next_level);
+      if (--pending[ci] == 0) lv.order.push_back(ci);
+    }
   }
-  if (order.size() != gates_.size()) {
+  if (lv.order.size() != gates_.size()) {
     if (error) {
       // Name one gate stuck on the cycle so the failing netlist is
       // identifiable from the abort message alone.
@@ -164,10 +181,13 @@ std::vector<std::size_t> Netlist::levelize(std::string* error) const {
         }
       }
     }
-    return {};
+    lv.order.clear();
+    return lv;
   }
+  for (const std::uint32_t l : lv.level)
+    lv.num_levels = std::max(lv.num_levels, l + 1);
   if (error) error->clear();
-  return order;
+  return lv;
 }
 
 double Netlist::net_capacitance(NetId n, const TechParams& tech) const {

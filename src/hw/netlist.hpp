@@ -75,6 +75,20 @@ struct TechParams {
   static TechParams generic_250nm();
 };
 
+/// Result of Netlist::levelize().
+struct Levelization {
+  std::vector<std::uint32_t> order;  ///< gates in topological order
+  /// Per gate: 0 when no input is gate-driven, else 1 + the highest level
+  /// among the gates driving its inputs.
+  std::vector<std::uint32_t> level;
+  std::uint32_t num_levels = 0;
+  /// net -> consuming gates, CSR-flattened: the gates consuming net n are
+  /// consumers[consumer_offsets[n] .. consumer_offsets[n+1]), ascending by
+  /// gate index, a gate listed once per input it reads n on.
+  std::vector<std::uint32_t> consumer_offsets;
+  std::vector<std::uint32_t> consumers;
+};
+
 class Netlist {
  public:
   Netlist();
@@ -118,9 +132,11 @@ class Netlist {
   }
   [[nodiscard]] std::size_t fanout(NetId n) const;
 
-  /// Gates in topological (level) order; empty + error message if the
-  /// combinational part has a cycle.
-  [[nodiscard]] std::vector<std::size_t> levelize(std::string* error) const;
+  /// Kahn's topological order of the gates plus what an event-driven
+  /// simulator needs next to it: each gate's level and the consumer lists.
+  /// `order` is empty (and `*error` set) if the combinational part has a
+  /// cycle.
+  [[nodiscard]] Levelization levelize(std::string* error) const;
 
   /// Effective capacitance of a net under `tech`.
   [[nodiscard]] double net_capacitance(NetId n, const TechParams& tech) const;

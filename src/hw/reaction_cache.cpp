@@ -1,6 +1,8 @@
 #include "hw/reaction_cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -19,23 +21,50 @@ std::size_t hash_words(const std::vector<std::uint64_t>& k) {
   return static_cast<std::size_t>(h);
 }
 
-void pack_bit(std::vector<std::uint64_t>* out, std::uint64_t* word,
-              std::size_t* n, bool bit) {
-  *word |= static_cast<std::uint64_t>(bit) << (*n & 63u);
-  if ((*n & 63u) == 63u) {
-    out->push_back(*word);
-    *word = 0;
+/// Appends the bits of a 0/1 byte array, 64 per word, LSB first; a partial
+/// last word is zero-padded. Eight bytes at a time: multiplying 0/1 bytes by
+/// 0x0102040810204080 gathers byte i's bit into bit 56 + i, carry-free.
+void pack_bytes(const std::vector<std::uint8_t>& bytes,
+                std::vector<std::uint64_t>* out) {
+  static_assert(std::endian::native == std::endian::little,
+                "pack_bytes reads byte i of a word at bits 8i");
+  for (std::size_t base = 0; base < bytes.size(); base += 64) {
+    const std::size_t n = std::min<std::size_t>(64, bytes.size() - base);
+    std::uint64_t word = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t x;
+      std::memcpy(&x, bytes.data() + base + i, sizeof x);
+      word |= ((x * 0x0102040810204080ull) >> 56) << i;
+    }
+    for (; i < n; ++i)
+      word |= static_cast<std::uint64_t>(bytes[base + i]) << i;
+    out->push_back(word);
   }
-  ++*n;
-}
-
-void pack_flush(std::vector<std::uint64_t>* out, std::uint64_t* word,
-                std::size_t n) {
-  if (n % 64 != 0) out->push_back(*word);
-  *word = 0;
 }
 
 }  // namespace
+
+std::vector<ReactionCache::NetRun> ReactionCache::runs_of(
+    const std::vector<NetId>& nets) {
+  std::vector<NetRun> runs;
+  for (const NetId n : nets) {
+    if (!runs.empty() && runs.back().first + runs.back().count == n)
+      ++runs.back().count;
+    else
+      runs.push_back({n, 1});
+  }
+  return runs;
+}
+
+void ReactionCache::gather(const std::vector<NetRun>& runs) {
+  const std::span<const std::uint8_t> v = sim_->values();
+  bytes_scratch_.clear();
+  for (const NetRun& r : runs) {
+    const auto first = v.begin() + r.first;
+    bytes_scratch_.insert(bytes_scratch_.end(), first, first + r.count);
+  }
+}
 
 std::size_t ReactionCache::KeyHash::operator()(
     const std::vector<std::uint64_t>& k) const {
@@ -45,6 +74,10 @@ std::size_t ReactionCache::KeyHash::operator()(
 ReactionCache::ReactionCache(GateSim* sim, ReactionCacheConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)) {
   if (cfg_.max_entries == 0) cfg_.max_entries = 1;
+  std::vector<NetId> qs;
+  for (const Dff& d : sim_->netlist().dffs()) qs.push_back(d.q);
+  pi_runs_ = runs_of(sim_->netlist().primary_inputs());
+  q_runs_ = runs_of(qs);
   // Adopt the simulator as-is: anchored only if no force_net() has touched
   // it since its last reset() (freshly constructed simulators qualify, and
   // their state is the canonical post-reset one: the constructor settles
@@ -81,9 +114,20 @@ std::vector<ExportedReaction> ReactionCache::export_entries() const {
 
 void ReactionCache::import_entries(std::vector<ExportedReaction> entries) {
   table_.clear();
-  for (ExportedReaction& x : entries) {
+  const std::size_t key_len = key_words();
+  const auto net_count = static_cast<NetId>(sim_->netlist().net_count());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    ExportedReaction& x = entries[i];
+    const bool fits =
+        x.key.size() == key_len && x.latch_begin <= x.toggles.size() &&
+        std::all_of(x.toggles.begin(), x.toggles.end(),
+                    [net_count](NetId n) { return n >= 0 && n < net_count; });
+    if (!fits) {
+      ++stats_.rejected_imports;
+      continue;
+    }
     if (table_.size() >= cfg_.max_entries) {
-      stats_.evicted_entries += entries.size() - table_.size();
+      stats_.evicted_entries += entries.size() - i;
       break;
     }
     Entry e;
@@ -135,13 +179,16 @@ void ReactionCache::observe_sim_state() {
   }
 }
 
-void ReactionCache::capture_regs(std::vector<std::uint64_t>* out) const {
+void ReactionCache::capture_regs(std::vector<std::uint64_t>* out) {
   out->clear();
-  std::uint64_t word = 0;
-  std::size_t n = 0;
-  for (const Dff& d : sim_->netlist().dffs())
-    pack_bit(out, &word, &n, sim_->net_value(d.q));
-  pack_flush(out, &word, n);
+  gather(q_runs_);
+  pack_bytes(bytes_scratch_, out);
+}
+
+std::size_t ReactionCache::key_words() const {
+  const auto words = [](std::size_t bits) { return (bits + 63) / 64; };
+  return 1 + 2 * words(sim_->netlist().primary_inputs().size()) +
+         words(sim_->netlist().dff_count());
 }
 
 void ReactionCache::build_key() {
@@ -149,20 +196,13 @@ void ReactionCache::build_key() {
   // Word 0 distinguishes the post-reset state: it is the one state whose
   // (empty) pending-mark set is not implied by the value words that follow.
   key_scratch_.push_back(after_reset_ ? 1u : 0u);
-  std::uint64_t word = 0;
-  std::size_t n = 0;
   // PI vector the previous step applied (the input nets hold it).
-  for (const NetId pi : sim_->netlist().primary_inputs())
-    pack_bit(&key_scratch_, &word, &n, sim_->net_value(pi));
-  pack_flush(&key_scratch_, &word, n);
+  gather(pi_runs_);
+  pack_bytes(bytes_scratch_, &key_scratch_);
   // Register values at the previous step's entry (tracked, not readable).
   key_scratch_.insert(key_scratch_.end(), q_prev_.begin(), q_prev_.end());
   // Staged PI vector the upcoming step will apply.
-  const std::vector<std::uint8_t>& staged = sim_->staged_inputs();
-  n = 0;
-  for (const std::uint8_t b : staged)
-    pack_bit(&key_scratch_, &word, &n, b != 0);
-  pack_flush(&key_scratch_, &word, n);
+  pack_bytes(sim_->staged_inputs(), &key_scratch_);
 }
 
 CycleResult ReactionCache::step() {

@@ -85,6 +85,9 @@ struct ReactionCacheStats {
   std::uint64_t evicted_entries = 0;  ///< entries dropped by those clears
   std::uint64_t invalidations = 0;    ///< forced-write de-anchors
   std::uint64_t skipped_gate_evals = 0;  ///< gate evaluations hits avoided
+  /// Imported entries dropped as malformed for this netlist (wrong key
+  /// length, a toggle outside the net range, latch_begin past the toggles).
+  std::uint64_t rejected_imports = 0;
 };
 
 /// Wraps one GateSim; step() is a drop-in replacement for GateSim::step().
@@ -117,7 +120,9 @@ class ReactionCache {
   /// entries are dropped, counted as evictions). Tracking state is left
   /// alone: the cache re-anchors at the owner's next reset(), which is when
   /// the imported entries become servable — exactly the warm-across-runs
-  /// lifecycle a live table already has.
+  /// lifecycle a live table already has. Entries that do not fit this
+  /// netlist are dropped and counted in stats().rejected_imports: a replay
+  /// writes net values at the stored toggles, so none may be trusted.
   void import_entries(std::vector<ExportedReaction> entries);
 
  private:
@@ -142,11 +147,25 @@ class ReactionCache {
   };
   TelemetryCounters* counters();
 
+  /// A stretch of consecutive NetIds: key material is read from the
+  /// simulator's value bytes a run at a time.
+  struct NetRun {
+    NetId first;
+    NetId count;
+  };
+  static std::vector<NetRun> runs_of(const std::vector<NetId>& nets);
+  /// The value bytes of `runs`' nets, in order, into bytes_scratch_.
+  void gather(const std::vector<NetRun>& runs);
+
   void observe_sim_state();  // detect resets / forced writes since last step
   void build_key();          // into key_scratch_
-  void capture_regs(std::vector<std::uint64_t>* out) const;
+  void capture_regs(std::vector<std::uint64_t>* out);
+  [[nodiscard]] std::size_t key_words() const;
 
   GateSim* sim_;
+  std::vector<NetRun> pi_runs_;  // primary-input nets, in index order
+  std::vector<NetRun> q_runs_;   // DFF Q nets, in declaration order
+  std::vector<std::uint8_t> bytes_scratch_;
   ReactionCacheConfig cfg_;
   ReactionCacheStats stats_;
   // Key layout: [post-reset flag, applied-PI words, previous-entry register

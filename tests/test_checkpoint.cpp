@@ -260,6 +260,51 @@ TEST(Checkpoint, RejectsBadMagicVersionTruncationAndCorruption) {
   }
 }
 
+TEST(Checkpoint, CraftedReactionEntryIsDroppedOnRestore) {
+  // The SPCK hash is an unkeyed FNV-1a, so a tampered payload can be
+  // resealed. A reaction entry whose toggle list names a net outside the
+  // netlist must be dropped at import, not replayed out of bounds by the
+  // next cache hit.
+  std::string error;
+  std::unique_ptr<Session> session =
+      Session::create(fuzz_system(2), StructuralConfig{}, &error);
+  ASSERT_NE(session, nullptr) << error;
+  const RunRequest rr;
+  core::RunResults res;
+  ASSERT_TRUE(session->estimate(rr, &res, nullptr, &error)) << error;
+  const Checkpoint good = session->checkpoint();
+
+  Checkpoint crafted = good;
+  std::size_t backend = 0;
+  while (backend < crafted.warm.backends.size() &&
+         (crafted.warm.backends[backend].reactions.empty() ||
+          crafted.warm.backends[backend].reactions[0].entries.empty()))
+    ++backend;
+  ASSERT_LT(backend, crafted.warm.backends.size()) << "no reaction entries";
+  auto& entries = crafted.warm.backends[backend].reactions[0].entries;
+  const std::size_t good_count = entries.size();
+  entries[0].toggles.push_back(hw::NetId{1} << 28);
+
+  Checkpoint decoded;
+  ASSERT_TRUE(decode_checkpoint(encode_checkpoint(crafted), &decoded, &error))
+      << error;  // encode_checkpoint reseals the hash
+  std::unique_ptr<Session> restored = Session::restore(decoded, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->checkpoint()
+                .warm.backends[backend]
+                .reactions[0]
+                .entries.size(),
+            good_count - 1);
+
+  // The restored session keeps serving, bit-identical to a clean restore.
+  std::unique_ptr<Session> clean = Session::restore(good, &error);
+  ASSERT_NE(clean, nullptr) << error;
+  core::RunResults got, want;
+  ASSERT_TRUE(restored->estimate(rr, &got, nullptr, &error)) << error;
+  ASSERT_TRUE(clean->estimate(rr, &want, nullptr, &error)) << error;
+  EXPECT_EQ(result_bits(got), result_bits(want));
+}
+
 TEST(Checkpoint, UnknownSystemDecodesButCannotRestore) {
   // A well-formed checkpoint whose system this build does not know: the
   // container layer accepts it, the session layer rejects it.

@@ -4,6 +4,8 @@
 // coverage for the emission-ring capacity guard.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "systems/tcpip.hpp"
 
 namespace socpower::core {
@@ -13,6 +15,9 @@ struct MatrixCase {
   Acceleration accel;
   bool rtl_checksum;
   bool ip_check_hw;
+  // gtest names each case after the raw bytes of its parameter; explicit zero
+  // bytes in place of padding keep those names the same from run to run.
+  std::uint8_t zero[2] = {};
 };
 
 class ConfigMatrix : public ::testing::TestWithParam<MatrixCase> {};

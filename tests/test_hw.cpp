@@ -62,7 +62,7 @@ TEST(Netlist, LevelizeOrdersDependencies) {
   const NetId y = nl.add_gate(GateType::kInv, x);
   (void)y;
   std::string err;
-  const auto order = nl.levelize(&err);
+  const auto order = nl.levelize(&err).order;
   EXPECT_TRUE(err.empty());
   ASSERT_EQ(order.size(), 2u);
   EXPECT_LT(order[0], order[1]);
@@ -184,7 +184,7 @@ TEST(GateSim, EventDrivenMatchesFullEvaluation) {
     ref[static_cast<std::size_t>(nl.dffs()[i].q)] =
         nl.dffs()[i].init ? 1 : 0;
   std::string err;
-  const auto topo = nl.levelize(&err);
+  const auto topo = nl.levelize(&err).order;
   auto settle_ref = [&] {
     for (const std::size_t gi : topo) {
       const Gate& g = nl.gates()[gi];
@@ -267,7 +267,7 @@ TEST(GateSim, ReadWordAssemblesBits) {
   hwsyn::RtlBuilder rtl(&nl);
   const auto w = rtl.constant(0xA5, 8);
   for (unsigned b = 0; b < 8; ++b)
-    nl.mark_output(w[b], "w" + std::to_string(b));
+    nl.mark_output(w[b], std::string("w") + std::to_string(b));
   GateSim sim(&nl);
   sim.step();
   EXPECT_EQ(sim.read_word(0, 8), 0xA5u);

@@ -233,6 +233,58 @@ TEST(HwReactionCache, ResetReanchorsAndWarmHits) {
   EXPECT_GE(cache.stats().hits, 16u);
 }
 
+TEST(HwReactionCache, ImportRejectsEntriesThatDoNotFitTheNetlist) {
+  // A replay writes net values at the stored toggles, so an imported entry
+  // must fit this netlist before a hit may apply it.
+  Counter c;
+  GateSim donor(&c.nl);
+  ReactionCache warm(&donor, {});
+  donor.set_input(0, true);
+  (void)warm.step();
+  const std::vector<ExportedReaction> exported = warm.export_entries();
+  ASSERT_EQ(exported.size(), 1u);
+  const ExportedReaction& good = exported[0];
+  ExportedReaction far_net = good;
+  far_net.toggles.push_back(NetId{1} << 28);
+  ExportedReaction negative_net = good;
+  negative_net.toggles.push_back(-7);
+  ExportedReaction long_key = good;
+  long_key.key.push_back(0);
+  ExportedReaction late_latch = good;
+  late_latch.latch_begin = static_cast<std::uint32_t>(good.toggles.size() + 1);
+
+  auto step_both = [&](GateSim& ref, GateSim& sim, ReactionCache& cache) {
+    ref.set_input(0, true);
+    sim.set_input(0, true);
+    const CycleResult re = ref.step();
+    const CycleResult ce = cache.step();
+    EXPECT_EQ(re.energy, ce.energy);  // bitwise
+    EXPECT_EQ(re.toggles, ce.toggles);
+    expect_same_nets(c.nl, ref, sim);
+  };
+  {  // only malformed entries: all dropped, the step simulates
+    GateSim ref(&c.nl);
+    GateSim sim(&c.nl);
+    ReactionCache cache(&sim, {});
+    cache.import_entries({far_net, negative_net, long_key, late_latch});
+    EXPECT_EQ(cache.stats().rejected_imports, 4u);
+    EXPECT_EQ(cache.size(), 0u);
+    step_both(ref, sim, cache);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+  }
+  {  // a malformed entry next to the good one: the good one still serves
+    GateSim ref(&c.nl);
+    GateSim sim(&c.nl);
+    ReactionCache cache(&sim, {});
+    cache.import_entries({far_net, good});
+    EXPECT_EQ(cache.stats().rejected_imports, 1u);
+    EXPECT_EQ(cache.size(), 1u);
+    step_both(ref, sim, cache);
+    EXPECT_EQ(cache.stats().hits, 1u);
+  }
+}
+
 TEST(HwReactionCache, DisabledBypassesAndStaysIdentical) {
   Counter c;
   GateSim ref(&c.nl);
