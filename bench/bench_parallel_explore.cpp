@@ -56,7 +56,8 @@ std::vector<core::ExplorationPoint> make_points() {
       std::snprintf(label, sizeof label, "dma=%u prio=%d/%d/%d", dma, pr[0],
                     pr[1], pr[2]);
       pts.push_back({label, make_run(core::Acceleration::kCaching),
-                     make_run(core::Acceleration::kNone)});
+                     make_run(core::Acceleration::kNone),
+                     /*run_analytical=*/nullptr});
     }
   }
   return pts;

@@ -54,8 +54,9 @@ bool run_sweep(serve::Client& client, const std::string& key, Sweep* out,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint8_t accel = 0; accel < 4; ++accel) {
     serve::RunRequest rr;
-    rr.accel = accel;
-    if (accel == 1) rr.ecache_thresh_variance = 0.5;  // caching threshold
+    rr.config.accel = static_cast<core::Acceleration>(accel);
+    if (accel == 1)  // caching threshold
+      rr.config.energy_cache.thresh_variance = 0.5;
     core::RunResults res;
     serve::RequestStats stats;
     if (!client.estimate(key, rr, &res, &stats, error)) return false;

@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
       pts.push_back({std::string(core::interconnect_name(ic)) + " x" +
                          std::to_string(cores),
                      make_run(core::Acceleration::kMacroModel),
-                     make_run(core::Acceleration::kNone)});
+                     make_run(core::Acceleration::kNone),
+                     /*run_analytical=*/nullptr});
     }
   }
   const auto outcome =

@@ -162,7 +162,7 @@ std::string ExprArena::to_string(ExprId id) const {
     case ExprOp::kConst:
       return std::to_string(n.value);
     case ExprOp::kVar:
-      return "v" + std::to_string(n.value);
+      return std::string("v").append(std::to_string(n.value));
     case ExprOp::kEventValue:
       return "val(e" + std::to_string(n.value) + ")";
     case ExprOp::kEventPresent:

@@ -234,35 +234,25 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
   return errs;
 }
 
+void copy_knobs(const CoEstimatorConfig& src, CoEstimatorConfig* dst,
+                KnobScope scope) {
+  detail::visit_knobs(
+      [scope](const char*, KnobScope s, const auto& from, auto& to) {
+        if (s == scope) to = from;
+      },
+      src, *dst);
+}
+
 const char* structural_mismatch(const CoEstimatorConfig& a,
                                 const CoEstimatorConfig& b) {
-  if (a.electrical.vdd_volts != b.electrical.vdd_volts ||
-      a.electrical.clock_hz != b.electrical.clock_hz)
-    return "electrical";
-  if (a.data_nj_per_toggle != b.data_nj_per_toggle)
-    return "data_nj_per_toggle";
-  if (a.iss.memory_bytes != b.iss.memory_bytes ||
-      a.iss.pipeline_fill_cycles != b.iss.pipeline_fill_cycles ||
-      a.iss.taken_branch_penalty != b.iss.taken_branch_penalty ||
-      a.iss.default_max_instructions != b.iss.default_max_instructions ||
-      a.iss.block_cache != b.iss.block_cache ||
-      a.iss.block_cache_max_blocks != b.iss.block_cache_max_blocks ||
-      a.iss.block_cache_max_ops != b.iss.block_cache_max_ops)
-    return "iss";
-  if (a.rtos.dispatch_cycles != b.rtos.dispatch_cycles ||
-      a.rtos.dispatch_current_ma != b.rtos.dispatch_current_ma)
-    return "rtos";
-  if (a.hw_remote != b.hw_remote) return "hw_remote";
-  if (a.cores != b.cores) return "cores";
-  if (a.interconnect != b.interconnect) return "interconnect";
-  if (a.estimators.sw != b.estimators.sw ||
-      a.estimators.hw_gate != b.estimators.hw_gate ||
-      a.estimators.hw_rtl != b.estimators.hw_rtl ||
-      a.estimators.cache != b.estimators.cache ||
-      a.estimators.bus != b.estimators.bus ||
-      a.estimators.noc != b.estimators.noc)
-    return "estimators";
-  return nullptr;
+  const char* first = nullptr;
+  detail::visit_knobs(
+      [&first](const char* name, KnobScope scope, const auto& x,
+               const auto& y) {
+        if (!first && scope == KnobScope::kStructural && x != y) first = name;
+      },
+      a, b);
+  return first;
 }
 
 }  // namespace socpower::core

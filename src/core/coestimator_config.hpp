@@ -63,45 +63,49 @@ struct EstimatorSelection {
   std::string noc = "bus.noc";
 };
 
+/// Latency, in cycles, of one hardware transition before its bus traffic.
+/// Constant: that is what lets the gate-level power simulator run in batch
+/// mode without ever feeding timing back to the master (Section 5.1).
+inline constexpr unsigned kHwReactionCycles = 1;
+
 // Configuration of one co-estimation setup.
 //
-// Mutability contract: the fields marked [structural] below are consumed
-// when the simulators are built — by the CoEstimator constructor or by
-// prepare() — and are frozen from prepare() on; mutating one through the
-// config() accessor afterwards aborts at the next run() with the offending
-// field named (see structural_mismatch()). Every other field is a per-run
-// knob, (re)read by each run()/run_separate(), and may be changed freely
-// between runs — that is what the acceleration-mode sweeps in the benches
-// and examples do.
+// Mutability contract: the knob table (for_each_knob(), below the struct)
+// declares each field's scope once. kStructural knobs are consumed when the
+// simulators are built — by the CoEstimator constructor or by prepare() —
+// and are frozen from prepare() on; mutating one through the config()
+// accessor afterwards aborts at the next run() with the knob named (see
+// structural_mismatch()). Every other field is (re)read by each
+// run()/run_separate() and may be changed freely between runs — that is
+// what the acceleration-mode sweeps in the benches and examples do.
 struct CoEstimatorConfig {
-  ElectricalParams electrical;    // [structural]
-  iss::IssConfig iss;             // [structural]
+  ElectricalParams electrical;
+  iss::IssConfig iss;
   /// Data-dependent (DSP-style) term of the instruction power model; the
   /// default 0 models the SPARClite (data-independent, caching is exact).
-  double data_nj_per_toggle = 0.0;  // [structural]
+  double data_nj_per_toggle = 0.0;
 
   /// Number of embedded CPU cores. Software tasks are mapped to a core via
   /// map_sw(task, core, priority); each core gets its own RTOS ready queue,
   /// its own SW estimator instance (ISS + block cache + macro library) and
   /// its own instruction cache. 1 reproduces the paper's single-CPU setup
   /// exactly.
-  unsigned cores = 1;             // [structural]
+  unsigned cores = 1;
 
   bool enable_icache = true;
   cache::CacheConfig icache;
 
-  /// Which interconnect carries shared-memory traffic (frozen at prepare():
-  /// it selects the bus backend instance).
-  InterconnectKind interconnect = InterconnectKind::kBus;  // [structural]
+  /// Which interconnect carries shared-memory traffic (it selects the bus
+  /// backend instance).
+  InterconnectKind interconnect = InterconnectKind::kBus;
   bus::BusParams bus;
   /// Mesh geometry/energy knobs, consumed when interconnect == kNoc.
-  /// Per-run like `bus`: the NoC model is rebuilt at every begin_run().
+  /// Like `bus`, re-read at every begin_run(), which rebuilds the NoC model.
   bus::NocParams noc;
   /// MSI-coherent private-L1/shared-L2 model for the cores' shared-data
-  /// traffic. Off by default (single-CPU configs don't pay for it); per-run.
+  /// traffic. Off by default (single-CPU configs don't pay for it).
   cache::CoherenceConfig coherence;
-  swsyn::RtosConfig rtos;         // [structural]
-  unsigned hw_reaction_cycles = 1;  // latency of a HW transition, pre-bus
+  swsyn::RtosConfig rtos;
   /// Supply current (mA) the CPU draws while blocked on its shared-memory
   /// transfers (low-power wait state; lower than a pipeline stall).
   double bus_wait_current_ma = 70.0;
@@ -142,8 +146,7 @@ struct CoEstimatorConfig {
   /// and a state restore instead of a levelized sweep. Bit-identical to the
   /// uncached path — the cached energy is the double the first evaluation
   /// computed and the restored simulator state is exact (see
-  /// hw/reaction_cache.hpp for the keying and invalidation rules). Per-run
-  /// knob.
+  /// hw/reaction_cache.hpp for the keying and invalidation rules).
   bool hw_reaction_cache = true;
   /// Entry bound per hardware unit; reaching it drops that unit's table
   /// wholesale (generation clear), like the ISS block cache's bound.
@@ -161,14 +164,14 @@ struct CoEstimatorConfig {
   /// samples accumulate; the unit's coefficients are least-squares-fitted
   /// when the target is reached and every later reaction is pure arithmetic.
   /// An imported AnalyticalModel (warm checkpoint, prefilter sweep) skips
-  /// the phase entirely. Per-run knob.
+  /// the phase entirely.
   unsigned hw_analytical_calibration_vectors = 256;
   /// Static-power knobs of the analytical backend (per McPAT: per-gate
   /// leakage at the 300 K / 250 nm reference, scaled by channel length and
   /// exponentially by temperature — see hw::analytical_leakage_watts).
   /// Leakage integrates over each reaction's latency and is billed into the
   /// unit's energy, with the static share reported separately
-  /// (RunResults::process_leakage). Per-run knobs.
+  /// (RunResults::process_leakage).
   double hw_leakage_nw_per_gate = 2.0;
   double hw_temperature_k = 300.0;
   double hw_channel_length_nm = 250.0;
@@ -180,7 +183,7 @@ struct CoEstimatorConfig {
   /// on fork failure or worker death the proxy degrades to an in-process
   /// fallback (telemetry "dist.fallbacks"). No-op for platforms without
   /// fork/socketpair.
-  bool hw_remote = false;  // [structural]
+  bool hw_remote = false;
   /// Worker processes for explore_sharded(). 1 = serial explore, 0 = one
   /// per hardware thread.
   unsigned dist_workers = 0;
@@ -195,7 +198,7 @@ struct CoEstimatorConfig {
   unsigned dist_flush_chunk = 256;
 
   /// Which registered backend serves each estimator role.
-  EstimatorSelection estimators;  // [structural]
+  EstimatorSelection estimators;
 
   /// Retain per-sample power waveforms (needed for waveform()/peak reports;
   /// disable for long batch sweeps).
@@ -215,10 +218,91 @@ struct CoEstimatorConfig {
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
-/// Compares only the [structural] fields of two configs; returns the name
-/// of the first field that differs, or nullptr when they match. The master
-/// snapshots the config at prepare() and runs this check at every run() to
-/// catch post-prepare mutation of baked-in options.
+/// Scope of a knob in the table below.
+enum class KnobScope {
+  /// Frozen at prepare(); the session identity of the serve layer.
+  kStructural,
+  /// Travels with each run: a serve RunRequest and the dist kBeginRun frame
+  /// carry exactly these.
+  kRun,
+};
+
+namespace detail {
+
+/// The knob table, visiting the same field of every config in `cfgs`:
+/// calls f(name, scope, cfgs.<field>...) once per knob. Structural knobs
+/// come in the byte order of serve::put_structural (checkpoints and session
+/// keys depend on it), run knobs in the order of the serve RunRequest.
+/// Fields left out do not travel: the serve layer takes them from the
+/// system's config template, and a dist worker inherits them when forked.
+template <class F, class... Cfg>
+void visit_knobs(F&& f, Cfg&... cfgs) {
+  constexpr KnobScope S = KnobScope::kStructural;
+  f("electrical.vdd_volts", S, cfgs.electrical.vdd_volts...);
+  f("electrical.clock_hz", S, cfgs.electrical.clock_hz...);
+  f("iss.memory_bytes", S, cfgs.iss.memory_bytes...);
+  f("iss.pipeline_fill_cycles", S, cfgs.iss.pipeline_fill_cycles...);
+  f("iss.taken_branch_penalty", S, cfgs.iss.taken_branch_penalty...);
+  f("iss.default_max_instructions", S, cfgs.iss.default_max_instructions...);
+  f("iss.block_cache", S, cfgs.iss.block_cache...);
+  f("iss.block_cache_max_blocks", S, cfgs.iss.block_cache_max_blocks...);
+  f("iss.block_cache_max_ops", S, cfgs.iss.block_cache_max_ops...);
+  f("rtos.dispatch_cycles", S, cfgs.rtos.dispatch_cycles...);
+  f("rtos.dispatch_current_ma", S, cfgs.rtos.dispatch_current_ma...);
+  f("data_nj_per_toggle", S, cfgs.data_nj_per_toggle...);
+  f("estimators.sw", S, cfgs.estimators.sw...);
+  f("estimators.hw_gate", S, cfgs.estimators.hw_gate...);
+  f("estimators.hw_rtl", S, cfgs.estimators.hw_rtl...);
+  f("estimators.cache", S, cfgs.estimators.cache...);
+  f("estimators.bus", S, cfgs.estimators.bus...);
+  f("estimators.noc", S, cfgs.estimators.noc...);
+  f("hw_remote", S, cfgs.hw_remote...);
+  f("cores", S, cfgs.cores...);
+  f("interconnect", S, cfgs.interconnect...);
+  f("coherence.enabled", S, cfgs.coherence.enabled...);
+
+  constexpr KnobScope R = KnobScope::kRun;
+  f("accel", R, cfgs.accel...);
+  f("verify_lowlevel", R, cfgs.verify_lowlevel...);
+  f("accelerate_hw", R, cfgs.accelerate_hw...);
+  f("hw_batch", R, cfgs.hw_batch...);
+  f("hw_flush_threads", R, cfgs.hw_flush_threads...);
+  f("hw_reaction_cache", R, cfgs.hw_reaction_cache...);
+  f("hw_reaction_cache_max_entries", R, cfgs.hw_reaction_cache_max_entries...);
+  f("sync_spin", R, cfgs.sync_spin...);
+  f("cache_hit_spin", R, cfgs.cache_hit_spin...);
+  f("energy_cache.thresh_variance", R, cfgs.energy_cache.thresh_variance...);
+  f("energy_cache.thresh_iss_calls", R, cfgs.energy_cache.thresh_iss_calls...);
+  f("max_reactions", R, cfgs.max_reactions...);
+  f("hw_analytical_calibration_vectors", R,
+    cfgs.hw_analytical_calibration_vectors...);
+  f("hw_leakage_nw_per_gate", R, cfgs.hw_leakage_nw_per_gate...);
+  f("hw_temperature_k", R, cfgs.hw_temperature_k...);
+  f("hw_channel_length_nm", R, cfgs.hw_channel_length_nm...);
+}
+
+}  // namespace detail
+
+/// Calls f(name, field, scope) once per knob of `cfg` (a const or mutable
+/// CoEstimatorConfig), in table order.
+template <class Cfg, class F>
+void for_each_knob(Cfg& cfg, F&& f) {
+  detail::visit_knobs(
+      [&f](const char* name, KnobScope scope, auto& field) {
+        f(name, field, scope);
+      },
+      cfg);
+}
+
+/// Copies the knobs of `scope` from `src` into `*dst`; every other field of
+/// `*dst` is left as it was.
+void copy_knobs(const CoEstimatorConfig& src, CoEstimatorConfig* dst,
+                KnobScope scope);
+
+/// Compares the structural knobs of two configs; returns the name of the
+/// first one that differs (e.g. "iss.memory_bytes"), or nullptr when they
+/// match. The master snapshots the config at prepare() and runs this check
+/// at every run() to catch post-prepare mutation of baked-in options.
 [[nodiscard]] const char* structural_mismatch(const CoEstimatorConfig& a,
                                               const CoEstimatorConfig& b);
 

@@ -537,7 +537,7 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
         // for its last transfer when it has any.
         std::vector<bus::BusRequest> reqs;
         if (traffic_hook_) reqs = traffic_hook_(task, reaction, pre_state);
-        sim::SimTime latency = now + config_.hw_reaction_cycles;
+        sim::SimTime latency = now + kHwReactionCycles;
         if (config_.coherence.enabled && !reqs.empty()) {
           // Hardware masters are uncached agents: their accesses invalidate
           // (writes) or flush (reads) matching dirty lines in the cores'
@@ -720,7 +720,7 @@ void CoSimMaster::flush_hw_batches(RunResults& res) {
       res.hw_energy += e.energy;
       if (transition_hook_)
         transition_hook_({task, e.path, e.time,
-                          static_cast<double>(config_.hw_reaction_cycles),
+                          static_cast<double>(kHwReactionCycles),
                           e.energy, true});
     }
     flush_gate_cycles_ += flushed[i].gate_cycles;

@@ -203,8 +203,8 @@ class CoSimMaster {
 
   const cfsm::Network* net_;
   CoEstimatorConfig config_;
-  /// Frozen copy of the [structural] fields, taken at prepare(); see
-  /// structural_mismatch().
+  /// The config as of prepare(); structural_mismatch() compares its
+  /// structural knobs with config_ at every run().
   CoEstimatorConfig structural_baseline_;
   std::vector<std::optional<bool>> impl_is_sw_;  // per CfsmId; nullopt unmapped
   std::vector<HwEstimatorKind> hw_kind_;         // per CfsmId

@@ -29,8 +29,8 @@ void HwAnalyticalEstimator::begin_run() {
     c.leakage_watts = hw::analytical_leakage_watts(
         unit(task).image.netlist->gate_count(), lp);
     c.leak_per_reaction =
-        c.leakage_watts * config_->electrical.seconds(
-                              static_cast<double>(config_->hw_reaction_cycles));
+        c.leakage_watts *
+        config_->electrical.seconds(static_cast<double>(kHwReactionCycles));
     c.run_leakage = 0.0;
     // Keep the exported model's static power current with this run's knobs.
     if (c.fitted) c.model.leakage_watts = c.leakage_watts;

@@ -49,7 +49,7 @@ void HwEstimatorBase::begin_run() {
 TransitionCost HwEstimatorBase::cost(const TransitionRequest& req) {
   sync_overhead(config_->sync_spin);
   const Joules e = measure(unit(req.task), req);
-  return {static_cast<double>(config_->hw_reaction_cycles), e, true};
+  return {static_cast<double>(kHwReactionCycles), e, true};
 }
 
 void HwEstimatorBase::flush(std::vector<FlushJob>& jobs) {

@@ -264,7 +264,7 @@ void RemoteHwEstimator::begin_run() {
     log_.push_back(Frame{MsgType::kEnqueueChunk, w.take()});
   }
   WireWriter w;
-  put_knobs(w, knobs_from(*config_));
+  put_knobs(w, *config_, core::KnobScope::kRun);
   log_.push_back(Frame{MsgType::kBeginRun, w.take()});
   (void)transact(MsgType::kBeginRun, log_.back().payload);
 }

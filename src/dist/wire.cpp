@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 namespace socpower::dist {
 
@@ -185,39 +186,68 @@ bool get_emissions(WireReader& r, std::vector<cfsm::EmittedEvent>* out) {
   return r.ok();
 }
 
-PerRunKnobs knobs_from(const core::CoEstimatorConfig& cfg) {
-  PerRunKnobs k;
-  k.sync_spin = cfg.sync_spin;
-  k.hw_reaction_cycles = cfg.hw_reaction_cycles;
-  k.verify_lowlevel = cfg.verify_lowlevel;
-  k.hw_reaction_cache = cfg.hw_reaction_cache;
-  k.hw_reaction_cache_max_entries = cfg.hw_reaction_cache_max_entries;
-  return k;
+namespace {
+
+void put_knob(WireWriter& w, bool v) { w.put_u8(v ? 1 : 0); }
+void put_knob(WireWriter& w, double v) { w.put_f64(v); }
+void put_knob(WireWriter& w, const std::string& v) { put_string(w, v); }
+template <class E>
+  requires std::is_enum_v<E>
+void put_knob(WireWriter& w, E v) {
+  w.put_u8(static_cast<std::uint8_t>(v));
+}
+/// unsigned / uint32_t -> u32, uint64_t / size_t -> u64.
+template <class T>
+  requires std::is_unsigned_v<T>
+void put_knob(WireWriter& w, T v) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (sizeof(T) == 4)
+    w.put_u32(v);
+  else
+    w.put_u64(v);
 }
 
-void apply_knobs(const PerRunKnobs& k, core::CoEstimatorConfig* cfg) {
-  cfg->sync_spin = k.sync_spin;
-  cfg->hw_reaction_cycles = k.hw_reaction_cycles;
-  cfg->verify_lowlevel = k.verify_lowlevel;
-  cfg->hw_reaction_cache = k.hw_reaction_cache;
-  cfg->hw_reaction_cache_max_entries =
-      static_cast<std::size_t>(k.hw_reaction_cache_max_entries);
+void get_knob(WireReader& r, bool* v) { *v = r.get_u8() != 0; }
+void get_knob(WireReader& r, double* v) { *v = r.get_f64(); }
+void get_knob(WireReader& r, std::string* v) { (void)get_string(r, v); }
+/// Enum bytes beyond the last enumerator `last` mark the reader bad.
+template <class E>
+void get_enum(WireReader& r, E* v, E last) {
+  const std::uint8_t b = r.get_u8();
+  if (b > static_cast<std::uint8_t>(last)) r.mark_bad();
+  if (r.ok()) *v = static_cast<E>(b);
+}
+void get_knob(WireReader& r, core::Acceleration* v) {
+  get_enum(r, v, core::Acceleration::kSampling);
+}
+void get_knob(WireReader& r, core::InterconnectKind* v) {
+  get_enum(r, v, core::InterconnectKind::kNoc);
+}
+template <class T>
+  requires std::is_unsigned_v<T>
+void get_knob(WireReader& r, T* v) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if constexpr (sizeof(T) == 4)
+    *v = r.get_u32();
+  else
+    *v = r.get_u64();
 }
 
-void put_knobs(WireWriter& w, const PerRunKnobs& k) {
-  w.put_u32(k.sync_spin);
-  w.put_u32(k.hw_reaction_cycles);
-  w.put_u8(k.verify_lowlevel ? 1 : 0);
-  w.put_u8(k.hw_reaction_cache ? 1 : 0);
-  w.put_u64(k.hw_reaction_cache_max_entries);
+}  // namespace
+
+void put_knobs(WireWriter& w, const core::CoEstimatorConfig& cfg,
+               core::KnobScope scope) {
+  core::for_each_knob(cfg, [&](const char*, const auto& v,
+                               core::KnobScope s) {
+    if (s == scope) put_knob(w, v);
+  });
 }
 
-bool get_knobs(WireReader& r, PerRunKnobs* out) {
-  out->sync_spin = r.get_u32();
-  out->hw_reaction_cycles = r.get_u32();
-  out->verify_lowlevel = r.get_u8() != 0;
-  out->hw_reaction_cache = r.get_u8() != 0;
-  out->hw_reaction_cache_max_entries = r.get_u64();
+bool get_knobs(WireReader& r, core::CoEstimatorConfig* cfg,
+               core::KnobScope scope) {
+  core::for_each_knob(*cfg, [&](const char*, auto& v, core::KnobScope s) {
+    if (s == scope) get_knob(r, &v);
+  });
   return r.ok();
 }
 

@@ -29,7 +29,7 @@ namespace socpower::dist {
 
 enum class MsgType : std::uint8_t {
   // master -> estimator worker
-  kBeginRun = 1,       // per-run knob blob; resets worker batch state
+  kBeginRun = 1,       // run knob block; resets worker batch state
   kResync = 2,         // task + behavioral state (resync_if_dirty)
   kMarkSkipped = 3,    // task + flag
   kResetUnit = 4,      // task
@@ -140,20 +140,16 @@ void put_emissions(WireWriter& w, const std::vector<cfsm::EmittedEvent>& ems);
 [[nodiscard]] bool get_emissions(WireReader& r,
                                  std::vector<cfsm::EmittedEvent>* out);
 
-/// The per-run config knobs the hardware backends read during a run. Shipped
-/// in kBeginRun so the worker's config copy tracks the master's per-run
-/// mutations (structural fields are frozen at prepare on both sides).
-struct PerRunKnobs {
-  unsigned sync_spin = 0;
-  unsigned hw_reaction_cycles = 1;
-  bool verify_lowlevel = false;
-  bool hw_reaction_cache = true;
-  std::uint64_t hw_reaction_cache_max_entries = 4096;
-};
-[[nodiscard]] PerRunKnobs knobs_from(const core::CoEstimatorConfig& cfg);
-void apply_knobs(const PerRunKnobs& k, core::CoEstimatorConfig* cfg);
-void put_knobs(WireWriter& w, const PerRunKnobs& k);
-[[nodiscard]] bool get_knobs(WireReader& r, PerRunKnobs* out);
+/// The knobs of `scope` (core::for_each_knob), in table order: unsigned
+/// 32/64-bit integers as u32/u64, bools and enums as u8, doubles bit-exact,
+/// strings length-prefixed. The run block rides in kBeginRun so the worker's
+/// config copy tracks the master's per-run mutations; the structural block
+/// is the serve layer's session identity. get_knobs overwrites only the
+/// knobs of `scope` and rejects an out-of-range enum byte.
+void put_knobs(WireWriter& w, const core::CoEstimatorConfig& cfg,
+               core::KnobScope scope);
+[[nodiscard]] bool get_knobs(WireReader& r, core::CoEstimatorConfig* cfg,
+                             core::KnobScope scope);
 
 /// One shipped batch slice for one hardware unit. `base_paths` is the size
 /// the worker's path table for `task` must have before interning

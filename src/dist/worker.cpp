@@ -109,9 +109,8 @@ std::optional<std::vector<std::uint8_t>> Worker::dispatch(
   WireReader r(payload);
   switch (type) {
     case MsgType::kBeginRun: {
-      PerRunKnobs k;
-      if (!get_knobs(r, &k) || !r.at_end()) protocol_abort("begin_run");
-      apply_knobs(k, &cfg_);
+      if (!get_knobs(r, &cfg_, core::KnobScope::kRun) || !r.at_end())
+        protocol_abort("begin_run");
       inner_->begin_run();
       for (auto& a : accum_) a = {};
       return std::nullopt;

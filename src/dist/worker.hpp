@@ -10,8 +10,8 @@
 //     fallback's energies are bit-identical to what the worker would have
 //     produced.
 //
-// The worker owns its own CoEstimatorConfig copy (kBeginRun knob blobs are
-// applied to it, never to the master's config) and its own per-process
+// The worker owns its own CoEstimatorConfig copy (kBeginRun run-knob blocks
+// are applied to it, never to the master's config) and its own per-process
 // PathTables, kept in sync by the explicit path deltas the master embeds in
 // chunk/flush frames — path ids are dense interning order, so replaying the
 // deltas reproduces the master's tables exactly.

@@ -64,7 +64,9 @@ std::string VcdRecorder::render(const std::string& module_name,
       }
     }
     if (!changes.empty() || s == 0) {
-      out += "#" + std::to_string(times_[s]) + "\n";
+      out += '#';
+      out += std::to_string(times_[s]);
+      out += '\n';
       out += changes;
     }
   }

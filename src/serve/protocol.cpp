@@ -57,85 +57,21 @@ bool get_system(WireReader& r, SystemParams* out) {
 
 StructuralConfig StructuralConfig::from(const core::CoEstimatorConfig& cfg) {
   StructuralConfig s;
-  s.electrical = cfg.electrical;
-  s.iss = cfg.iss;
-  s.rtos = cfg.rtos;
-  s.data_nj_per_toggle = cfg.data_nj_per_toggle;
-  s.estimators = cfg.estimators;
-  s.hw_remote = cfg.hw_remote;
-  s.cores = cfg.cores;
-  s.interconnect = static_cast<std::uint8_t>(cfg.interconnect);
-  s.coherence_enabled = cfg.coherence.enabled;
+  core::copy_knobs(cfg, &s.config, core::KnobScope::kStructural);
   return s;
 }
 
 void StructuralConfig::apply(core::CoEstimatorConfig* cfg) const {
-  cfg->electrical = electrical;
-  cfg->iss = iss;
-  cfg->rtos = rtos;
-  cfg->data_nj_per_toggle = data_nj_per_toggle;
-  cfg->estimators = estimators;
-  cfg->hw_remote = hw_remote;
-  cfg->cores = cores;
-  cfg->interconnect = static_cast<core::InterconnectKind>(interconnect);
-  cfg->coherence.enabled = coherence_enabled;
+  core::copy_knobs(config, cfg, core::KnobScope::kStructural);
 }
 
 void put_structural(WireWriter& w, const StructuralConfig& s) {
-  w.put_f64(s.electrical.vdd_volts);
-  w.put_f64(s.electrical.clock_hz);
-  w.put_u32(s.iss.memory_bytes);
-  w.put_u32(s.iss.pipeline_fill_cycles);
-  w.put_u32(s.iss.taken_branch_penalty);
-  w.put_u64(s.iss.default_max_instructions);
-  w.put_u8(s.iss.block_cache ? 1 : 0);
-  w.put_u32(s.iss.block_cache_max_blocks);
-  w.put_u32(s.iss.block_cache_max_ops);
-  w.put_u64(s.rtos.dispatch_cycles);
-  w.put_f64(s.rtos.dispatch_current_ma);
-  w.put_f64(s.data_nj_per_toggle);
-  dist::put_string(w, s.estimators.sw);
-  dist::put_string(w, s.estimators.hw_gate);
-  dist::put_string(w, s.estimators.hw_rtl);
-  dist::put_string(w, s.estimators.cache);
-  dist::put_string(w, s.estimators.bus);
-  dist::put_string(w, s.estimators.noc);
-  w.put_u8(s.hw_remote ? 1 : 0);
-  w.put_u32(s.cores);
-  w.put_u8(s.interconnect);
-  w.put_u8(s.coherence_enabled ? 1 : 0);
+  dist::put_knobs(w, s.config, core::KnobScope::kStructural);
 }
 
 bool get_structural(WireReader& r, StructuralConfig* out) {
   *out = {};
-  out->electrical.vdd_volts = r.get_f64();
-  out->electrical.clock_hz = r.get_f64();
-  out->iss.memory_bytes = r.get_u32();
-  out->iss.pipeline_fill_cycles = r.get_u32();
-  out->iss.taken_branch_penalty = r.get_u32();
-  out->iss.default_max_instructions = r.get_u64();
-  out->iss.block_cache = r.get_u8() != 0;
-  out->iss.block_cache_max_blocks = r.get_u32();
-  out->iss.block_cache_max_ops = r.get_u32();
-  out->rtos.dispatch_cycles = r.get_u64();
-  out->rtos.dispatch_current_ma = r.get_f64();
-  out->data_nj_per_toggle = r.get_f64();
-  if (!dist::get_string(r, &out->estimators.sw)) return false;
-  if (!dist::get_string(r, &out->estimators.hw_gate)) return false;
-  if (!dist::get_string(r, &out->estimators.hw_rtl)) return false;
-  if (!dist::get_string(r, &out->estimators.cache)) return false;
-  if (!dist::get_string(r, &out->estimators.bus)) return false;
-  if (!dist::get_string(r, &out->estimators.noc)) return false;
-  out->hw_remote = r.get_u8() != 0;
-  out->cores = r.get_u32();
-  out->interconnect = r.get_u8();
-  if (out->interconnect >
-      static_cast<std::uint8_t>(core::InterconnectKind::kNoc)) {
-    r.mark_bad();
-    return false;
-  }
-  out->coherence_enabled = r.get_u8() != 0;
-  return r.ok();
+  return dist::get_knobs(r, &out->config, core::KnobScope::kStructural);
 }
 
 std::string session_key(const SystemParams& system,
@@ -158,90 +94,23 @@ std::string session_key(const SystemParams& system,
 
 RunRequest RunRequest::from(const core::CoEstimatorConfig& cfg) {
   RunRequest rr;
-  rr.accel = static_cast<std::uint8_t>(cfg.accel);
-  rr.verify_lowlevel = cfg.verify_lowlevel;
-  rr.accelerate_hw = cfg.accelerate_hw;
-  rr.hw_batch = cfg.hw_batch;
-  rr.hw_flush_threads = cfg.hw_flush_threads;
-  rr.hw_reaction_cache = cfg.hw_reaction_cache;
-  rr.hw_reaction_cache_max_entries = cfg.hw_reaction_cache_max_entries;
-  rr.sync_spin = cfg.sync_spin;
-  rr.cache_hit_spin = cfg.cache_hit_spin;
-  rr.ecache_thresh_variance = cfg.energy_cache.thresh_variance;
-  rr.ecache_thresh_iss_calls = cfg.energy_cache.thresh_iss_calls;
-  rr.max_reactions = cfg.max_reactions;
-  rr.hw_analytical_calibration_vectors = cfg.hw_analytical_calibration_vectors;
-  rr.hw_leakage_nw_per_gate = cfg.hw_leakage_nw_per_gate;
-  rr.hw_temperature_k = cfg.hw_temperature_k;
-  rr.hw_channel_length_nm = cfg.hw_channel_length_nm;
+  core::copy_knobs(cfg, &rr.config, core::KnobScope::kRun);
   return rr;
 }
 
 void RunRequest::apply(core::CoEstimatorConfig* cfg) const {
-  cfg->accel = static_cast<core::Acceleration>(accel);
-  cfg->verify_lowlevel = verify_lowlevel;
-  cfg->accelerate_hw = accelerate_hw;
-  cfg->hw_batch = hw_batch;
-  cfg->hw_flush_threads = hw_flush_threads;
-  cfg->hw_reaction_cache = hw_reaction_cache;
-  cfg->hw_reaction_cache_max_entries =
-      static_cast<std::size_t>(hw_reaction_cache_max_entries);
-  cfg->sync_spin = sync_spin;
-  cfg->cache_hit_spin = cache_hit_spin;
-  cfg->energy_cache.thresh_variance = ecache_thresh_variance;
-  cfg->energy_cache.thresh_iss_calls =
-      static_cast<std::size_t>(ecache_thresh_iss_calls);
-  cfg->max_reactions = max_reactions;
-  cfg->hw_analytical_calibration_vectors = hw_analytical_calibration_vectors;
-  cfg->hw_leakage_nw_per_gate = hw_leakage_nw_per_gate;
-  cfg->hw_temperature_k = hw_temperature_k;
-  cfg->hw_channel_length_nm = hw_channel_length_nm;
+  core::copy_knobs(config, cfg, core::KnobScope::kRun);
 }
 
 void put_run_request(WireWriter& w, const RunRequest& rr) {
-  w.put_u8(rr.accel);
   w.put_u8(rr.separate ? 1 : 0);
-  w.put_u8(rr.verify_lowlevel ? 1 : 0);
-  w.put_u8(rr.accelerate_hw ? 1 : 0);
-  w.put_u8(rr.hw_batch ? 1 : 0);
-  w.put_u32(rr.hw_flush_threads);
-  w.put_u8(rr.hw_reaction_cache ? 1 : 0);
-  w.put_u64(rr.hw_reaction_cache_max_entries);
-  w.put_u32(rr.sync_spin);
-  w.put_u32(rr.cache_hit_spin);
-  w.put_f64(rr.ecache_thresh_variance);
-  w.put_u64(rr.ecache_thresh_iss_calls);
-  w.put_u64(rr.max_reactions);
-  w.put_u32(rr.hw_analytical_calibration_vectors);
-  w.put_f64(rr.hw_leakage_nw_per_gate);
-  w.put_f64(rr.hw_temperature_k);
-  w.put_f64(rr.hw_channel_length_nm);
+  dist::put_knobs(w, rr.config, core::KnobScope::kRun);
 }
 
 bool get_run_request(WireReader& r, RunRequest* out) {
   *out = {};
-  out->accel = r.get_u8();
-  if (out->accel > static_cast<std::uint8_t>(core::Acceleration::kSampling)) {
-    r.mark_bad();
-    return false;
-  }
   out->separate = r.get_u8() != 0;
-  out->verify_lowlevel = r.get_u8() != 0;
-  out->accelerate_hw = r.get_u8() != 0;
-  out->hw_batch = r.get_u8() != 0;
-  out->hw_flush_threads = r.get_u32();
-  out->hw_reaction_cache = r.get_u8() != 0;
-  out->hw_reaction_cache_max_entries = r.get_u64();
-  out->sync_spin = r.get_u32();
-  out->cache_hit_spin = r.get_u32();
-  out->ecache_thresh_variance = r.get_f64();
-  out->ecache_thresh_iss_calls = r.get_u64();
-  out->max_reactions = r.get_u64();
-  out->hw_analytical_calibration_vectors = r.get_u32();
-  out->hw_leakage_nw_per_gate = r.get_f64();
-  out->hw_temperature_k = r.get_f64();
-  out->hw_channel_length_nm = r.get_f64();
-  return r.ok();
+  return dist::get_knobs(r, &out->config, core::KnobScope::kRun);
 }
 
 // ---- RequestStats ----------------------------------------------------------

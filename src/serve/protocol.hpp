@@ -4,11 +4,10 @@
 // CoEstimator (compiled SW images, synthesized netlists, characterized
 // macro-op library) plus its warm caches. Everything a request may vary
 // without rebuilding — acceleration mode, batch/thread knobs, verification —
-// travels as a RunRequest of per-run knobs, mirroring the repo-wide
-// structural-freeze contract (core::structural_mismatch): the session key
-// hashes exactly the fields that are frozen at prepare(), so two requests
-// that could legally share a prepared estimator always land in the same
-// session.
+// travels as a RunRequest of run knobs. Both sides come from the config's
+// knob table (core::for_each_knob): the session key hashes exactly the
+// knobs that are frozen at prepare(), so two requests that could legally
+// share a prepared estimator always land in the same session.
 //
 // All payloads ride the dist wire codec (length-prefixed LE integers,
 // doubles as IEEE-754 bit patterns), so estimation results round-trip
@@ -33,7 +32,9 @@ namespace socpower::serve {
 /// leakage knobs, RunResults gained the static-power split.
 /// v4: RunRequest lost the two bit-parallel flush knobs when packed gate
 /// evaluation was deleted.
-inline constexpr std::uint32_t kServeProtocolVersion = 4;
+/// v5: RunRequest is [u8 separate][run knob block], generated from the knob
+/// table; the structural bytes are unchanged.
+inline constexpr std::uint32_t kServeProtocolVersion = 5;
 
 // ---- system selection ------------------------------------------------------
 
@@ -54,22 +55,12 @@ void put_system(dist::WireWriter& w, const SystemParams& s);
 
 // ---- structural configuration ----------------------------------------------
 
-/// The [structural] subset of CoEstimatorConfig — the fields consumed when
-/// the simulators are built and frozen from prepare() on. This is the
-/// session identity (together with SystemParams); see coestimator_config.hpp
-/// for the field semantics.
+/// The structural knobs of a CoEstimatorConfig — the ones consumed when the
+/// simulators are built and frozen from prepare() on. This is the session
+/// identity (together with SystemParams). Only the kStructural knobs of
+/// `config` are encoded or applied; its other fields are ignored.
 struct StructuralConfig {
-  ElectricalParams electrical;
-  iss::IssConfig iss;
-  swsyn::RtosConfig rtos;
-  double data_nj_per_toggle = 0.0;
-  core::EstimatorSelection estimators;
-  bool hw_remote = false;
-  std::uint32_t cores = 1;
-  std::uint8_t interconnect = 0;  // core::InterconnectKind
-  /// Not frozen at prepare(), but part of the session identity: warm state
-  /// accumulated with coherence on is not comparable to coherence-off runs.
-  bool coherence_enabled = false;
+  core::CoEstimatorConfig config;
 
   [[nodiscard]] static StructuralConfig from(
       const core::CoEstimatorConfig& cfg);
@@ -86,27 +77,13 @@ void put_structural(dist::WireWriter& w, const StructuralConfig& s);
 
 // ---- per-run request -------------------------------------------------------
 
-/// The per-run knobs one estimation request may set. Defaults match
-/// CoEstimatorConfig's; apply() writes only these fields, so a session's
-/// structural config is untouchable through a request by construction.
+/// One estimation request: the run knobs of `config` plus the choice of
+/// run() or run_separate(). apply() writes only the run knobs, so a
+/// session's structural config is untouchable through a request by
+/// construction.
 struct RunRequest {
-  std::uint8_t accel = 0;  // core::Acceleration
-  bool separate = false;   // run_separate() instead of run()
-  bool verify_lowlevel = false;
-  bool accelerate_hw = false;
-  bool hw_batch = true;
-  std::uint32_t hw_flush_threads = 1;
-  bool hw_reaction_cache = true;
-  std::uint64_t hw_reaction_cache_max_entries = 4096;
-  std::uint32_t sync_spin = 0;
-  std::uint32_t cache_hit_spin = 0;
-  double ecache_thresh_variance = 0.0;
-  std::uint64_t ecache_thresh_iss_calls = 3;
-  std::uint64_t max_reactions = 20'000'000;
-  std::uint32_t hw_analytical_calibration_vectors = 256;
-  double hw_leakage_nw_per_gate = 2.0;
-  double hw_temperature_k = 300.0;
-  double hw_channel_length_nm = 250.0;
+  core::CoEstimatorConfig config;
+  bool separate = false;  // run_separate() instead of run()
 
   [[nodiscard]] static RunRequest from(const core::CoEstimatorConfig& cfg);
   void apply(core::CoEstimatorConfig* cfg) const;

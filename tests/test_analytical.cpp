@@ -296,14 +296,15 @@ TEST(Analytical, ServeSessionRestoreContinuesBitIdentically) {
     sp.set("ip_check_in_hw", 1);
     sp.set("seed", 5);
     serve::StructuralConfig sc;
-    sc.estimators.hw_gate = "hw.analytical";
+    sc.config.estimators.hw_gate = "hw.analytical";
 
     std::string error;
     std::unique_ptr<serve::Session> hot =
         serve::Session::create(sp, sc, &error);
     ASSERT_NE(hot, nullptr) << error;
     serve::RunRequest rr;
-    rr.hw_analytical_calibration_vectors = calib;  // rides the wire per run
+    // A run knob: rides the wire with every request.
+    rr.config.hw_analytical_calibration_vectors = calib;
     RunResults r1, r2;
     ASSERT_TRUE(hot->estimate(rr, &r1, nullptr, &error)) << error;
     EXPECT_GT(r1.gate_sim_cycles, 0u);  // cold session calibrates
@@ -323,7 +324,9 @@ TEST(Analytical, ServeSessionRestoreContinuesBitIdentically) {
               std::bit_cast<std::uint64_t>(r2.total_energy));
     EXPECT_EQ(r2b.end_time, r2.end_time);
     EXPECT_EQ(r2b.gate_sim_cycles, r2.gate_sim_cycles);
-    if (calib == 4) EXPECT_EQ(r2b.gate_sim_cycles, 0u);
+    if (calib == 4) {
+      EXPECT_EQ(r2b.gate_sim_cycles, 0u);
+    }
   }
 }
 
@@ -378,7 +381,7 @@ std::vector<ExplorationPoint> synthetic_points(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double coarse = 1e-6 * static_cast<double>((i * 5 + 3) % n + 1);
     ExplorationPoint p;
-    p.label = "p" + std::to_string(i);
+    p.label = std::string("p").append(std::to_string(i));
     p.run_coarse = [coarse] { return energy_only(coarse); };
     p.run_exact = [coarse] { return energy_only(coarse * 0.875); };
     p.run_analytical = [coarse] { return energy_only(coarse * 1.25); };
@@ -398,9 +401,10 @@ void expect_top_entries_equal(const ExplorationOutcome& full,
         std::bit_cast<std::uint64_t>(full.ranked[i].coarse_energy));
     ASSERT_EQ(funneled.ranked[i].exact_energy.has_value(),
               full.ranked[i].exact_energy.has_value());
-    if (funneled.ranked[i].exact_energy)
+    if (funneled.ranked[i].exact_energy) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(*funneled.ranked[i].exact_energy),
                 std::bit_cast<std::uint64_t>(*full.ranked[i].exact_energy));
+    }
   }
   EXPECT_EQ(funneled.best().label, full.best().label);
   EXPECT_EQ(funneled.winner_confirmed, full.winner_confirmed);

@@ -35,12 +35,11 @@ std::vector<RunRequest> workload() {
   std::vector<RunRequest> reqs;
   for (int i = 0; i < 6; ++i) {
     RunRequest rr;
-    rr.accel = static_cast<std::uint8_t>(i % 4);  // none..sampling
-    if (static_cast<core::Acceleration>(rr.accel) ==
-        core::Acceleration::kCaching)
-      rr.ecache_thresh_variance = 0.5;
-    rr.hw_batch = i % 2 == 0;
-    rr.hw_flush_threads = 1;
+    rr.config.accel = static_cast<core::Acceleration>(i % 4);  // none..sampling
+    if (rr.config.accel == core::Acceleration::kCaching)
+      rr.config.energy_cache.thresh_variance = 0.5;
+    rr.config.hw_batch = i % 2 == 0;
+    rr.config.hw_flush_threads = 1;
     reqs.push_back(rr);
   }
   return reqs;
@@ -163,8 +162,8 @@ TEST(Checkpoint, RoundTripPreservesEveryField) {
   std::unique_ptr<Session> session = Session::create(sp, sc, &error);
   ASSERT_NE(session, nullptr) << error;
   RunRequest rr;
-  rr.accel = static_cast<std::uint8_t>(core::Acceleration::kCaching);
-  rr.ecache_thresh_variance = 0.5;
+  rr.config.accel = core::Acceleration::kCaching;
+  rr.config.energy_cache.thresh_variance = 0.5;
   core::RunResults res;
   ASSERT_TRUE(session->estimate(rr, &res, nullptr, &error)) << error;
 
@@ -316,6 +315,91 @@ TEST(Checkpoint, UnknownSystemDecodesButCannotRestore) {
   ASSERT_TRUE(decode_checkpoint(blob, &out, &error)) << error;
   EXPECT_EQ(Session::restore(out, &error), nullptr);
   EXPECT_NE(error.find("unknown system"), std::string::npos) << error;
+}
+
+// ---- byte stability --------------------------------------------------------
+//
+// Checkpoints embed put_structural() bytes and sessions are keyed by a hash
+// of them, so both must stay byte-identical across refactors: a checkpoint
+// written by an older build has to restore under the same key. The expected
+// values below were captured from the hand-written encoder that predates the
+// config's knob table.
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+std::string structural_hex(const StructuralConfig& sc) {
+  dist::WireWriter w;
+  put_structural(w, sc);
+  return hex(w.bytes());
+}
+
+/// Every structural field moved off its default.
+StructuralConfig every_structural_field_changed() {
+  StructuralConfig sc;
+  sc.config.electrical.vdd_volts = 1.8;
+  sc.config.electrical.clock_hz = 250.0e6;
+  sc.config.iss.memory_bytes = 1u << 20;
+  sc.config.iss.pipeline_fill_cycles = 5;
+  sc.config.iss.taken_branch_penalty = 2;
+  sc.config.iss.default_max_instructions = 123'456'789;
+  sc.config.iss.block_cache = false;
+  sc.config.iss.block_cache_max_blocks = 512;
+  sc.config.iss.block_cache_max_ops = 32;
+  sc.config.rtos.dispatch_cycles = 40;
+  sc.config.rtos.dispatch_current_ma = 190.5;
+  sc.config.data_nj_per_toggle = 0.125;
+  sc.config.estimators.sw = "sw.x";
+  sc.config.estimators.hw_gate = "hw.gate.x";
+  sc.config.estimators.hw_rtl = "hw.rtl.x";
+  sc.config.estimators.cache = "cache.x";
+  sc.config.estimators.bus = "bus.x";
+  sc.config.estimators.noc = "noc.x";
+  sc.config.hw_remote = true;
+  sc.config.cores = 4;
+  sc.config.interconnect = core::InterconnectKind::kNoc;
+  sc.config.coherence.enabled = true;
+  return sc;
+}
+
+TEST(Checkpoint, StructuralBytesAndSessionKeyAreStable) {
+  SystemParams sp;
+  sp.name = "tcpip";
+  sp.set("num_packets", 3);
+
+  const StructuralConfig plain;
+  EXPECT_EQ(structural_hex(plain),
+            "6666666666660a400000000084d7974100000100030000000000000080969800"
+            "0000000001000800004000000018000000000000000000000000e06f40000000"
+            "00000000000600000073772e6973730700000068772e67617465060000006877"
+            "2e72746c0c00000063616368652e6963616368650b0000006275732e61726269"
+            "746572070000006275732e6e6f6300010000000000");
+  EXPECT_EQ(session_key(sp, plain), "447be1b8382df34c");
+
+  const StructuralConfig changed = every_structural_field_changed();
+  EXPECT_EQ(structural_hex(changed),
+            "cdccccccccccfc3f0000000065cdad4100001000050000000200000015cd5b07"
+            "0000000000000200002000000028000000000000000000000000d06740000000"
+            "000000c03f0400000073772e780900000068772e676174652e78080000006877"
+            "2e72746c2e780700000063616368652e78050000006275732e78050000006e6f"
+            "632e7801040000000101");
+  EXPECT_EQ(session_key(sp, changed), "04e76e6dba73043e");
+
+  // The encoding decodes back to itself.
+  dist::WireWriter w;
+  put_structural(w, changed);
+  dist::WireReader r(w.bytes());
+  StructuralConfig back;
+  ASSERT_TRUE(get_structural(r, &back));
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(structural_hex(back), structural_hex(changed));
 }
 
 TEST(Checkpoint, FileRoundTrip) {

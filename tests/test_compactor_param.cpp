@@ -87,9 +87,14 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{128, 0.75, 4, 2}, SweepCase{256, 0.25, 16, 3}),
     [](const auto& info) {
       const SweepCase& c = info.param;
-      return "k" + std::to_string(c.k) + "_r" +
-             std::to_string(static_cast<int>(c.ratio * 10000)) + "_w" +
-             std::to_string(c.window) + "_s" + std::to_string(c.shape);
+      return std::string("k")
+          .append(std::to_string(c.k))
+          .append("_r")
+          .append(std::to_string(static_cast<int>(c.ratio * 10000)))
+          .append("_w")
+          .append(std::to_string(c.window))
+          .append("_s")
+          .append(std::to_string(c.shape));
     });
 
 TEST(CompactorSweep, DeterministicSelection) {

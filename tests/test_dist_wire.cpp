@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "dist/wire.hpp"
+#include "dist/worker.hpp"
+#include "serve/protocol.hpp"
 
 namespace socpower::dist {
 namespace {
@@ -80,6 +82,56 @@ ChunkPayload random_chunk(std::mt19937_64& rng) {
     c.entries.push_back(e);
   }
   return c;
+}
+
+/// A config with every run knob drawn at random (structural knobs default).
+core::CoEstimatorConfig random_run_knobs(std::mt19937_64& rng) {
+  core::CoEstimatorConfig c;
+  c.accel = static_cast<core::Acceleration>(rng() % 4);
+  c.verify_lowlevel = rng() % 2 == 0;
+  c.accelerate_hw = rng() % 2 == 0;
+  c.hw_batch = rng() % 2 == 0;
+  c.hw_flush_threads = static_cast<unsigned>(rng());
+  c.hw_reaction_cache = rng() % 2 == 0;
+  c.hw_reaction_cache_max_entries = rng();
+  c.sync_spin = static_cast<unsigned>(rng());
+  c.cache_hit_spin = static_cast<unsigned>(rng());
+  c.energy_cache.thresh_variance = tricky_double(rng);
+  c.energy_cache.thresh_iss_calls = rng();
+  c.max_reactions = rng();
+  c.hw_analytical_calibration_vectors = static_cast<unsigned>(rng());
+  c.hw_leakage_nw_per_gate = tricky_double(rng);
+  c.hw_temperature_k = tricky_double(rng);
+  c.hw_channel_length_nm = tricky_double(rng);
+  return c;
+}
+
+void expect_run_knobs_equal(const core::CoEstimatorConfig& a,
+                            const core::CoEstimatorConfig& b) {
+  EXPECT_EQ(a.accel, b.accel);
+  EXPECT_EQ(a.verify_lowlevel, b.verify_lowlevel);
+  EXPECT_EQ(a.accelerate_hw, b.accelerate_hw);
+  EXPECT_EQ(a.hw_batch, b.hw_batch);
+  EXPECT_EQ(a.hw_flush_threads, b.hw_flush_threads);
+  EXPECT_EQ(a.hw_reaction_cache, b.hw_reaction_cache);
+  EXPECT_EQ(a.hw_reaction_cache_max_entries, b.hw_reaction_cache_max_entries);
+  EXPECT_EQ(a.sync_spin, b.sync_spin);
+  EXPECT_EQ(a.cache_hit_spin, b.cache_hit_spin);
+  EXPECT_TRUE(bits_equal(a.energy_cache.thresh_variance,
+                         b.energy_cache.thresh_variance));
+  EXPECT_EQ(a.energy_cache.thresh_iss_calls, b.energy_cache.thresh_iss_calls);
+  EXPECT_EQ(a.max_reactions, b.max_reactions);
+  EXPECT_EQ(a.hw_analytical_calibration_vectors,
+            b.hw_analytical_calibration_vectors);
+  EXPECT_TRUE(bits_equal(a.hw_leakage_nw_per_gate, b.hw_leakage_nw_per_gate));
+  EXPECT_TRUE(bits_equal(a.hw_temperature_k, b.hw_temperature_k));
+  EXPECT_TRUE(bits_equal(a.hw_channel_length_nm, b.hw_channel_length_nm));
+}
+
+std::vector<std::uint8_t> run_block(const core::CoEstimatorConfig& cfg) {
+  WireWriter w;
+  put_knobs(w, cfg, core::KnobScope::kRun);
+  return w.take();
 }
 
 void expect_inputs_equal(const cfsm::ReactionInputs& a,
@@ -239,26 +291,18 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         EXPECT_TRUE(bits_equal(res.wall_seconds, back.wall_seconds));
         EXPECT_EQ(res.truncated, back.truncated);
       }
-      // Per-run knobs.
+      // Run knob block (the kBeginRun payload).
       {
-        PerRunKnobs k;
-        k.sync_spin = static_cast<unsigned>(rng());
-        k.hw_reaction_cycles = static_cast<unsigned>(rng() % 100);
-        k.verify_lowlevel = rng() % 2 == 0;
-        k.hw_reaction_cache = rng() % 2 == 0;
-        k.hw_reaction_cache_max_entries = rng();
-        WireWriter w;
-        put_knobs(w, k);
-        WireReader r(w.bytes());
-        PerRunKnobs back;
-        ASSERT_TRUE(get_knobs(r, &back));
+        const core::CoEstimatorConfig k = random_run_knobs(rng);
+        const std::vector<std::uint8_t> bytes = run_block(k);
+        WireReader r(bytes);
+        core::CoEstimatorConfig back;
+        ASSERT_TRUE(get_knobs(r, &back, core::KnobScope::kRun));
         ASSERT_TRUE(r.at_end());
-        EXPECT_EQ(k.sync_spin, back.sync_spin);
-        EXPECT_EQ(k.hw_reaction_cycles, back.hw_reaction_cycles);
-        EXPECT_EQ(k.verify_lowlevel, back.verify_lowlevel);
-        EXPECT_EQ(k.hw_reaction_cache, back.hw_reaction_cache);
-        EXPECT_EQ(k.hw_reaction_cache_max_entries,
-                  back.hw_reaction_cache_max_entries);
+        expect_run_knobs_equal(k, back);
+        // Decoding the run block never reaches structural state.
+        EXPECT_EQ(core::structural_mismatch(back, core::CoEstimatorConfig{}),
+                  nullptr);
       }
     }
   }
@@ -291,6 +335,54 @@ TEST(DistWire, TruncatedFramesAreRejected) {
     CostPayload out;
     EXPECT_FALSE(get_cost(r, &out) && r.at_end());
   }
+}
+
+TEST(DistWire, TruncatedRunBlocksAreRejected) {
+  std::mt19937_64 rng(44);
+  const std::vector<std::uint8_t> full = run_block(random_run_knobs(rng));
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    WireReader r(full.data(), cut);
+    core::CoEstimatorConfig out;
+    EXPECT_FALSE(get_knobs(r, &out, core::KnobScope::kRun))
+        << "prefix of length " << cut << " decoded";
+  }
+}
+
+// The accel byte leads the run block; 4 is one past kSampling.
+constexpr std::uint8_t kBadAccel = 4;
+
+TEST(DistWire, OutOfRangeAccelIsRejected) {
+  std::vector<std::uint8_t> block = run_block(core::CoEstimatorConfig{});
+  block[0] = kBadAccel;
+  WireReader r(block);
+  core::CoEstimatorConfig out;
+  EXPECT_FALSE(get_knobs(r, &out, core::KnobScope::kRun));
+
+  // Same byte inside a serve RunRequest: [u8 separate][run block].
+  WireWriter w;
+  serve::put_run_request(w, serve::RunRequest{});
+  std::vector<std::uint8_t> request = w.take();
+  request[1] = kBadAccel;
+  WireReader rr(request);
+  serve::RunRequest decoded;
+  EXPECT_FALSE(serve::get_run_request(rr, &decoded));
+}
+
+using DistWireDeathTest = ::testing::Test;
+
+TEST(DistWireDeathTest, WorkerAbortsOnMalformedBeginRun) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const cfsm::Network net;
+  Worker worker("hw.gate", &net, core::CoEstimatorConfig{}, {});
+  std::vector<std::uint8_t> block = run_block(core::CoEstimatorConfig{});
+  EXPECT_FALSE(worker.dispatch(MsgType::kBeginRun, block).has_value());
+  block[0] = kBadAccel;
+  EXPECT_DEATH((void)worker.dispatch(MsgType::kBeginRun, block),
+               "malformed begin_run");
+  block[0] = 0;
+  block.push_back(0);  // trailing byte
+  EXPECT_DEATH((void)worker.dispatch(MsgType::kBeginRun, block),
+               "malformed begin_run");
 }
 
 TEST(DistWire, TrailingGarbageIsDetectable) {

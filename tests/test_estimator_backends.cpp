@@ -192,6 +192,16 @@ TEST(EstimatorBackendsDeathTest, StructuralMutationAfterPrepareAborts) {
   EXPECT_DEATH(est.run(sys.stimulus()), "structural");
 }
 
+TEST(EstimatorBackendsDeathTest, CoherenceFlipAfterPrepareAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  systems::TcpIpSystem sys(small_params());
+  CoEstimator est(&sys.network());
+  sys.configure(est);
+  est.prepare();
+  est.config().coherence.enabled = !est.config().coherence.enabled;
+  EXPECT_DEATH(est.run(sys.stimulus()), "coherence.enabled");
+}
+
 TEST(EstimatorBackendsDeathTest, BackendSwapAfterPrepareAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   systems::TcpIpSystem sys(small_params());
@@ -203,8 +213,8 @@ TEST(EstimatorBackendsDeathTest, BackendSwapAfterPrepareAborts) {
 }
 
 TEST(EstimatorBackends, PerRunKnobsStayMutable) {
-  // The documented contract: everything not marked [structural] may change
-  // between runs on the same instance.
+  // The documented contract: everything outside the structural scope may
+  // change between runs on the same instance.
   systems::TcpIpSystem sys(small_params());
   CoEstimator est(&sys.network());
   sys.configure(est);
@@ -218,6 +228,141 @@ TEST(EstimatorBackends, PerRunKnobsStayMutable) {
   est.config().accel = Acceleration::kNone;
   const RunResults again = est.run(sys.stimulus());
   EXPECT_EQ(again.iss_invocations, plain.iss_invocations);
+}
+
+// ---- knob scopes -----------------------------------------------------------
+//
+// The scopes are written out by hand here, independently of the knob table
+// in coestimator_config.hpp, so a table edit that moves a knob between
+// scopes (or drops one) fails a test instead of silently changing what is
+// frozen at prepare() or what travels with a run.
+
+struct KnobMutation {
+  const char* name;
+  void (*mutate)(CoEstimatorConfig&);
+};
+
+const KnobMutation kStructuralKnobs[] = {
+    {"electrical.vdd_volts",
+     [](CoEstimatorConfig& c) { c.electrical.vdd_volts += 1.0; }},
+    {"electrical.clock_hz",
+     [](CoEstimatorConfig& c) { c.electrical.clock_hz *= 2.0; }},
+    {"iss.memory_bytes", [](CoEstimatorConfig& c) { c.iss.memory_bytes *= 2; }},
+    {"iss.pipeline_fill_cycles",
+     [](CoEstimatorConfig& c) { ++c.iss.pipeline_fill_cycles; }},
+    {"iss.taken_branch_penalty",
+     [](CoEstimatorConfig& c) { ++c.iss.taken_branch_penalty; }},
+    {"iss.default_max_instructions",
+     [](CoEstimatorConfig& c) { ++c.iss.default_max_instructions; }},
+    {"iss.block_cache",
+     [](CoEstimatorConfig& c) { c.iss.block_cache = !c.iss.block_cache; }},
+    {"iss.block_cache_max_blocks",
+     [](CoEstimatorConfig& c) { ++c.iss.block_cache_max_blocks; }},
+    {"iss.block_cache_max_ops",
+     [](CoEstimatorConfig& c) { ++c.iss.block_cache_max_ops; }},
+    {"rtos.dispatch_cycles",
+     [](CoEstimatorConfig& c) { ++c.rtos.dispatch_cycles; }},
+    {"rtos.dispatch_current_ma",
+     [](CoEstimatorConfig& c) { c.rtos.dispatch_current_ma += 1.0; }},
+    {"data_nj_per_toggle",
+     [](CoEstimatorConfig& c) { c.data_nj_per_toggle += 0.5; }},
+    {"estimators.sw", [](CoEstimatorConfig& c) { c.estimators.sw += "x"; }},
+    {"estimators.hw_gate",
+     [](CoEstimatorConfig& c) { c.estimators.hw_gate += "x"; }},
+    {"estimators.hw_rtl",
+     [](CoEstimatorConfig& c) { c.estimators.hw_rtl += "x"; }},
+    {"estimators.cache",
+     [](CoEstimatorConfig& c) { c.estimators.cache += "x"; }},
+    {"estimators.bus", [](CoEstimatorConfig& c) { c.estimators.bus += "x"; }},
+    {"estimators.noc", [](CoEstimatorConfig& c) { c.estimators.noc += "x"; }},
+    {"hw_remote", [](CoEstimatorConfig& c) { c.hw_remote = !c.hw_remote; }},
+    {"cores", [](CoEstimatorConfig& c) { ++c.cores; }},
+    {"interconnect",
+     [](CoEstimatorConfig& c) { c.interconnect = InterconnectKind::kNoc; }},
+    {"coherence.enabled",
+     [](CoEstimatorConfig& c) { c.coherence.enabled = !c.coherence.enabled; }},
+};
+
+const KnobMutation kRunKnobs[] = {
+    {"accel", [](CoEstimatorConfig& c) { c.accel = Acceleration::kSampling; }},
+    {"verify_lowlevel",
+     [](CoEstimatorConfig& c) { c.verify_lowlevel = !c.verify_lowlevel; }},
+    {"accelerate_hw",
+     [](CoEstimatorConfig& c) { c.accelerate_hw = !c.accelerate_hw; }},
+    {"hw_batch", [](CoEstimatorConfig& c) { c.hw_batch = !c.hw_batch; }},
+    {"hw_flush_threads", [](CoEstimatorConfig& c) { ++c.hw_flush_threads; }},
+    {"hw_reaction_cache",
+     [](CoEstimatorConfig& c) { c.hw_reaction_cache = !c.hw_reaction_cache; }},
+    {"hw_reaction_cache_max_entries",
+     [](CoEstimatorConfig& c) { ++c.hw_reaction_cache_max_entries; }},
+    {"sync_spin", [](CoEstimatorConfig& c) { ++c.sync_spin; }},
+    {"cache_hit_spin", [](CoEstimatorConfig& c) { ++c.cache_hit_spin; }},
+    {"energy_cache.thresh_variance",
+     [](CoEstimatorConfig& c) { c.energy_cache.thresh_variance += 0.5; }},
+    {"energy_cache.thresh_iss_calls",
+     [](CoEstimatorConfig& c) { ++c.energy_cache.thresh_iss_calls; }},
+    {"max_reactions", [](CoEstimatorConfig& c) { ++c.max_reactions; }},
+    {"hw_analytical_calibration_vectors",
+     [](CoEstimatorConfig& c) { ++c.hw_analytical_calibration_vectors; }},
+    {"hw_leakage_nw_per_gate",
+     [](CoEstimatorConfig& c) { c.hw_leakage_nw_per_gate += 1.0; }},
+    {"hw_temperature_k",
+     [](CoEstimatorConfig& c) { c.hw_temperature_k += 1.0; }},
+    {"hw_channel_length_nm",
+     [](CoEstimatorConfig& c) { c.hw_channel_length_nm += 1.0; }},
+};
+
+TEST(EstimatorBackends, StructuralMismatchNamesEachStructuralKnob) {
+  const CoEstimatorConfig base;
+  for (const KnobMutation& k : kStructuralKnobs) {
+    CoEstimatorConfig changed = base;
+    k.mutate(changed);
+    const char* got = structural_mismatch(changed, base);
+    ASSERT_NE(got, nullptr) << k.name;
+    EXPECT_STREQ(got, k.name);
+  }
+}
+
+TEST(EstimatorBackends, RunKnobsAreNotStructural) {
+  const CoEstimatorConfig base;
+  for (const KnobMutation& k : kRunKnobs) {
+    CoEstimatorConfig changed = base;
+    k.mutate(changed);
+    EXPECT_EQ(structural_mismatch(changed, base), nullptr) << k.name;
+  }
+}
+
+TEST(EstimatorBackends, KnobTableMatchesTheHandWrittenScopes) {
+  std::vector<std::string> structural, run;
+  const CoEstimatorConfig cfg;
+  for_each_knob(cfg, [&](const char* name, const auto&, KnobScope scope) {
+    (scope == KnobScope::kStructural ? structural : run).emplace_back(name);
+  });
+  std::vector<std::string> want_structural, want_run;
+  for (const KnobMutation& k : kStructuralKnobs)
+    want_structural.emplace_back(k.name);
+  for (const KnobMutation& k : kRunKnobs) want_run.emplace_back(k.name);
+  EXPECT_EQ(structural, want_structural);
+  EXPECT_EQ(run, want_run);
+}
+
+TEST(EstimatorBackends, CopyKnobsCopiesOnlyItsScope) {
+  CoEstimatorConfig src;
+  for (const KnobMutation& k : kStructuralKnobs) k.mutate(src);
+  for (const KnobMutation& k : kRunKnobs) k.mutate(src);
+  src.bus.data_bits *= 2;  // in neither scope: never copied
+
+  CoEstimatorConfig run_only;
+  copy_knobs(src, &run_only, KnobScope::kRun);
+  EXPECT_EQ(structural_mismatch(run_only, CoEstimatorConfig{}), nullptr);
+  EXPECT_EQ(run_only.accel, Acceleration::kSampling);
+  EXPECT_EQ(run_only.hw_channel_length_nm, src.hw_channel_length_nm);
+
+  CoEstimatorConfig structural_only;
+  copy_knobs(src, &structural_only, KnobScope::kStructural);
+  EXPECT_EQ(structural_mismatch(structural_only, src), nullptr);
+  EXPECT_EQ(structural_only.accel, Acceleration::kNone);
+  EXPECT_EQ(structural_only.bus.data_bits, CoEstimatorConfig{}.bus.data_bits);
 }
 
 // ---- introspection ---------------------------------------------------------

@@ -269,7 +269,7 @@ TEST(HwSyn, RandomizedEquivalenceSweep) {
     TestCfsm t;
     const int n_vars = 2;
     for (int v = 0; v < n_vars; ++v)
-      t.c.add_var("v" + std::to_string(v),
+      t.c.add_var(std::string("v").append(std::to_string(v)),
                   static_cast<std::int32_t>(rng.range(-9, 9)));
     auto& g = t.c.graph();
     auto& a = t.c.arena();

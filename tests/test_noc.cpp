@@ -21,11 +21,18 @@ using bus::NocParams;
 using cache::CoherenceConfig;
 using cache::CoherentMemoryModel;
 
+NocParams mesh(unsigned cols, unsigned rows) {
+  NocParams p;
+  p.mesh_cols = cols;
+  p.mesh_rows = rows;
+  return p;
+}
+
 // ---- NoC routing ----------------------------------------------------------
 
 TEST(Noc, XyRoutingGoesXFirstThenY) {
   // 3x3 mesh, node ids row-major:  0 1 2 / 3 4 5 / 6 7 8.
-  NocModel noc({.mesh_cols = 3, .mesh_rows = 3});
+  NocModel noc(mesh(3, 3));
   // 0 -> 8: X to column 2 (0->1->2), then Y down (2->5->8).
   const std::vector<std::pair<unsigned, unsigned>> want = {
       {0, 1}, {1, 2}, {2, 5}, {5, 8}};
@@ -38,7 +45,7 @@ TEST(Noc, XyRoutingGoesXFirstThenY) {
 }
 
 TEST(Noc, MastersMapModuloNodesAndMemoryDefaultsToLastNode) {
-  NocParams p{.mesh_cols = 2, .mesh_rows = 2};
+  NocParams p = mesh(2, 2);
   EXPECT_EQ(p.resolved_memory_node(), 3u);
   NocModel noc(p);
   EXPECT_EQ(noc.master_node(0), 0u);
@@ -48,7 +55,7 @@ TEST(Noc, MastersMapModuloNodesAndMemoryDefaultsToLastNode) {
 }
 
 TEST(Noc, TransferBillsEnergyOnEveryTraversedLink) {
-  NocModel noc({.mesh_cols = 2, .mesh_rows = 2});
+  NocModel noc(mesh(2, 2));
   // Master 0 (node 0) writes to memory (node 3): route 0->1->3, 2 links.
   const auto id = noc.submit(0, BusRequest{.master = 0,
                                            .priority = 0,
@@ -79,9 +86,12 @@ TEST(Noc, ReadBillsTheReplyPathToo) {
   // Same route, one write vs one read of the same payload size: the read
   // additionally carries the reply packet back, so it touches more links.
   auto run = [](bool write) {
-    NocModel noc({.mesh_cols = 2, .mesh_rows = 2});
-    BusRequest rq{.master = 0, .priority = 0, .write = write, .addr = 0x40};
-    rq.data.assign(8, 0xaa);
+    NocModel noc(mesh(2, 2));
+    const BusRequest rq{.master = 0,
+                        .priority = 0,
+                        .write = write,
+                        .addr = 0x40,
+                        .data = std::vector<std::uint8_t>(8, 0xaa)};
     (void)noc.submit(0, rq);
     (void)noc.advance(noc.next_boundary());
     std::uint64_t flits = 0;
@@ -95,11 +105,14 @@ TEST(Noc, SharedLinkContentionSerializesPackets) {
   // Masters 0 (node 0) and 1 (node 1) both target memory at node 3; both
   // routes share the link 1->3. Submitted at the same instant, one packet
   // must queue behind the other — strictly later completion.
-  NocModel noc({.mesh_cols = 2, .mesh_rows = 2});
-  BusRequest a{.master = 0, .priority = 0, .write = true, .addr = 0x0};
-  BusRequest b{.master = 1, .priority = 0, .write = true, .addr = 0x0};
-  a.data.assign(16, 0x55);
-  b.data.assign(16, 0x55);
+  NocModel noc(mesh(2, 2));
+  const BusRequest a{.master = 0,
+                     .priority = 0,
+                     .write = true,
+                     .addr = 0x0,
+                     .data = std::vector<std::uint8_t>(16, 0x55)};
+  BusRequest b = a;
+  b.master = 1;
   (void)noc.submit(0, a);
   (void)noc.submit(0, b);
   std::vector<std::uint64_t> done_at;
@@ -117,9 +130,12 @@ TEST(Noc, SharedLinkContentionSerializesPackets) {
 }
 
 TEST(Noc, ResetClearsRunStateAndTotals) {
-  NocModel noc({.mesh_cols = 2, .mesh_rows = 2});
-  BusRequest rq{.master = 0, .priority = 0, .write = true, .addr = 0x10};
-  rq.data.assign(4, 0x0f);
+  NocModel noc(mesh(2, 2));
+  const BusRequest rq{.master = 0,
+                      .priority = 0,
+                      .write = true,
+                      .addr = 0x10,
+                      .data = std::vector<std::uint8_t>(4, 0x0f)};
   (void)noc.submit(0, rq);
   (void)noc.advance(noc.next_boundary());
   ASSERT_GT(noc.totals().transfers, 0u);
@@ -133,11 +149,16 @@ TEST(Noc, ResetClearsRunStateAndTotals) {
 
 TEST(Noc, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
-    NocModel noc({.mesh_cols = 3, .mesh_rows = 2});
+    NocModel noc(mesh(3, 2));
     for (int m = 0; m < 4; ++m) {
-      BusRequest rq{.master = m, .priority = 0, .write = (m % 2) == 0,
-                    .addr = static_cast<std::uint32_t>(0x100 * m)};
-      rq.data.assign(8 + m, static_cast<std::uint8_t>(0x11 * m));
+      const BusRequest rq{
+          .master = m,
+          .priority = 0,
+          .write = (m % 2) == 0,
+          .addr = static_cast<std::uint32_t>(0x100 * m),
+          .data = std::vector<std::uint8_t>(
+              static_cast<std::size_t>(8 + m),
+              static_cast<std::uint8_t>(0x11 * m))};
       (void)noc.submit(static_cast<std::uint64_t>(m), rq);
     }
     while (noc.has_work()) (void)noc.advance(noc.next_boundary());

@@ -70,7 +70,8 @@ std::vector<ExplorationPoint> make_points(std::uint64_t seed,
     };
     pts.push_back({"dma=" + std::to_string(dma),
                    make_run(Acceleration::kMacroModel),
-                   make_run(Acceleration::kNone)});
+                   make_run(Acceleration::kNone),
+                   /*run_analytical=*/nullptr});
   }
   return pts;
 }

@@ -94,7 +94,7 @@ TEST(Robustness, ManyProcessesShareTheIssMemorySafely) {
   cfg.verify_lowlevel = true;
   core::CoEstimator est(&net, cfg);
   for (int i = 0; i < 12; ++i)
-    est.map_sw(net.cfsm_id("p" + std::to_string(i)), i);
+    est.map_sw(net.cfsm_id(std::string("p").append(std::to_string(i))), i);
   est.prepare();
   sim::Stimulus stim;
   stim.add(1, net.event_id("GO"));
@@ -102,7 +102,9 @@ TEST(Robustness, ManyProcessesShareTheIssMemorySafely) {
   const auto r = est.run(stim);
   EXPECT_FALSE(r.truncated);
   for (int i = 0; i < 12; ++i)
-    EXPECT_EQ(est.process_state(net.cfsm_id("p" + std::to_string(i))).vars[0],
+    EXPECT_EQ(est.process_state(
+                     net.cfsm_id(std::string("p").append(std::to_string(i))))
+                  .vars[0],
               i + 2 * (i + 1));
 }
 

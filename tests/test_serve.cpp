@@ -391,7 +391,7 @@ TEST_F(ServeTest, ErrorRepliesNameTheProblem) {
                                   &key, nullptr, &error))
       << error;
   RunRequest invalid = golden_request("none/batch0/t1");
-  invalid.hw_flush_threads = 4;  // parallel flush needs hw_batch
+  invalid.config.hw_flush_threads = 4;  // parallel flush needs hw_batch
   EXPECT_FALSE(client.estimate(key, invalid, &res, nullptr, &error));
   EXPECT_NE(error.find("invalid run request"), std::string::npos) << error;
 

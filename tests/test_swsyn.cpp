@@ -194,7 +194,7 @@ TEST(SwSyn, RandomizedSgraphEquivalence) {
     auto& a = b.arena();
     const int n_vars = 3;
     for (int v = 0; v < n_vars; ++v)
-      b.add_var("v" + std::to_string(v),
+      b.add_var(std::string("v").append(std::to_string(v)),
                 static_cast<std::int32_t>(rng.range(-50, 50)));
 
     auto rand_expr = [&](auto&& self, int depth) -> cfsm::ExprId {

@@ -54,8 +54,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(3, 8, 17, 32, 64, 127),
                        ::testing::Values(2u, 4u, 16u, 64u, 128u)),
     [](const auto& info) {
-      return "b" + std::to_string(std::get<0>(info.param)) + "_dma" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("b")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("_dma")
+          .append(std::to_string(std::get<1>(info.param)));
     });
 
 TEST(TcpIp, BackToBackPacketsSurviveQueueing) {

@@ -77,7 +77,7 @@ TEST(Vcd, IdentifiersStayUniqueBeyondAlphabet) {
   GateSim sim(&nl);
   VcdRecorder vcd(&sim);
   for (std::size_t i = 0; i < nets.size(); ++i)
-    vcd.watch(nets[i], "n" + std::to_string(i));
+    vcd.watch(nets[i], std::string("n").append(std::to_string(i)));
   sim.step();
   vcd.sample(0);
   const std::string out = vcd.render();
