@@ -11,17 +11,24 @@ $SOCPOWER_BENCH_JSON_DIR and this script compares the two sets:
     not a slow one);
   * trend: a metric that regresses by more than --threshold (default 25 %)
     against its committed baseline fails the run.  Direction comes from the
-    metric name: seconds/error/overhead-style metrics must not grow,
-    speedup/throughput/hit-rate-style metrics must not shrink, and
-    *identical-style invariants must match exactly.  Everything else
-    (point counts, gate counts, workload sizes) is informational.
+    metric name: the 0/1 invariants named in EXACT_NAMES and *identical-style
+    invariants must match exactly, seconds/error/overhead-style metrics must
+    not grow, speedup/throughput/hit-rate-style metrics must not shrink.
+    Everything else (point counts, gate counts, workload sizes) is
+    informational.
 
 Benchmarks present on only one side are skipped with a note: adding a new
 benchmark must not fail the trend gate, and retiring one is a review
 decision, not a CI decision.
 
+--self-test checks the guard itself instead: every metric of the committed
+BENCH_*.json must get the direction pinned for it in PINNED (so a rename or
+a pattern edit cannot silently turn a gate into "info" or flip it), and a
+few synthetic baselines must pass or fail as expected.
+
 Usage: check_bench_trend.py [--baseline-dir DIR] [--current-dir DIR]
                             [--threshold FRACTION]
+       check_bench_trend.py --self-test [--baseline-dir DIR]
 Exit code 0 when every compared metric holds, 1 otherwise.
 """
 
@@ -36,6 +43,74 @@ LOWER_IS_BETTER = ("seconds", "err", "overhead", "dropped")
 LOWER_SUFFIXES = ("_s", "_ms")
 HIGHER_IS_BETTER = ("speedup", "throughput", "hit_rate", "kreact", "per_sec")
 EXACT = ("identical",)
+# 0/1 invariants whose names the patterns above misread: "zero_energy_error"
+# contains "err" (a 1 -> 0 flip would pass as an improvement) and
+# "iss_profile_monotone" matches nothing (it would only be informational).
+EXACT_NAMES = ("zero_energy_error", "iss_profile_monotone")
+
+# The direction of every metric in the committed BENCH_*.json, as
+# "<bench>.<metric>": direction.  --self-test fails when direction() and
+# this table disagree, or when a committed metric has no entry here.
+PINNED = {
+    "analytical_explore.err_pct_tcpip": "lower",
+    "analytical_explore.err_pct_prodcons": "lower",
+    "analytical_explore.points": "info",
+    "analytical_explore.sampled_gate_points": "info",
+    "analytical_explore.analytical_sweep_s": "lower",
+    "analytical_explore.gate_sweep_est_s": "lower",
+    "analytical_explore.speedup_x": "higher",
+    "analytical_explore.err_pct_dsp_max": "lower",
+    "analytical_explore.engine_gates": "info",
+    "analytical_explore.prefilter_kept": "info",
+    "analytical_explore.prefilter_identical": "exact",
+    "hw_reaction_cache.reactions": "info",
+    "hw_reaction_cache.speedup_counter_datapath": "higher",
+    "hw_reaction_cache.hit_rate_counter_datapath": "higher",
+    "hw_reaction_cache.speedup_pipeline_mix": "higher",
+    "hw_reaction_cache.hit_rate_pipeline_mix": "higher",
+    "hw_reaction_cache.speedup_min": "higher",
+    "hw_reaction_cache.bit_identical": "exact",
+    "iss_throughput.runs": "info",
+    "iss_throughput.speedup_checksum64": "higher",
+    "iss_throughput.cached_mips_checksum64": "info",
+    "iss_throughput.speedup_memfill32": "higher",
+    "iss_throughput.cached_mips_memfill32": "info",
+    "iss_throughput.speedup_alu_mix": "higher",
+    "iss_throughput.cached_mips_alu_mix": "info",
+    "iss_throughput.speedup_min": "higher",
+    "iss_throughput.bit_identical": "exact",
+    "parallel_explore.points": "info",
+    "parallel_explore.max_threads": "info",
+    "parallel_explore.explore_serial_s": "lower",
+    "parallel_explore.explore_best_speedup": "higher",
+    "parallel_explore.flush_serial_s": "lower",
+    "parallel_explore.flush_speedup": "higher",
+    "parallel_explore.bit_identical": "exact",
+    "serve_warm.cold_s": "lower",
+    "serve_warm.warm_s": "lower",
+    "serve_warm.speedup_x": "higher",
+    "serve_warm.cold_hit_rate": "higher",
+    "serve_warm.warm_hit_rate": "higher",
+    "serve_warm.checkpoint_bytes": "info",
+    "serve_warm.bit_identical": "exact",
+    "sharded_explore.points": "info",
+    "sharded_explore.max_workers": "info",
+    "sharded_explore.explore_serial_s": "lower",
+    "sharded_explore.explore_best_speedup": "higher",
+    "sharded_explore.remote_overhead_x": "lower",
+    "sharded_explore.bit_identical": "exact",
+    "table1_caching.speedup_min": "higher",
+    "table1_caching.speedup_max": "higher",
+    "table1_caching.zero_energy_error": "exact",
+    "table1_caching.iss_profile_monotone": "exact",
+}
+for _ic in ("bus", "noc"):
+    for _cores in (1, 2, 4):
+        _p = f"noc_contention.{_ic}_c{_cores}_"
+        PINNED[_p + "sep_error"] = "lower"
+        PINNED[_p + "co_energy_j"] = "info"
+        PINNED[_p + "ic_wait_cycles"] = "info"
+        PINNED[_p + "ic_energy_j"] = "info"
 
 
 def fail(msg):
@@ -68,7 +143,7 @@ def load(path):
 
 def direction(name):
     lowered = name.lower()
-    if any(pat in lowered for pat in EXACT):
+    if lowered in EXACT_NAMES or any(pat in lowered for pat in EXACT):
         return "exact"
     # Speedup-style names win over the "_s" suffix rule ("..._speedup").
     if any(pat in lowered for pat in HIGHER_IS_BETTER):
@@ -77,6 +152,60 @@ def direction(name):
             pat in lowered for pat in LOWER_IS_BETTER):
         return "lower"
     return "info"
+
+
+def verdict_for(kind, base, cur, threshold):
+    """"ok", or why `cur` regresses from `base` for a metric of `kind`."""
+    if kind == "exact":
+        if cur != base:
+            return f"REGRESSION (expected {base}, got {cur})"
+    elif kind == "lower":
+        if cur > base * (1.0 + threshold):
+            return f"REGRESSION (+{100.0 * (cur / base - 1.0):.1f}%)" \
+                if base > 0 else f"REGRESSION ({base} -> {cur})"
+    elif kind == "higher":
+        if cur < base * (1.0 - threshold):
+            return f"REGRESSION (-{100.0 * (1.0 - cur / base):.1f}%)" \
+                if base > 0 else f"REGRESSION ({base} -> {cur})"
+    return "ok"
+
+
+def self_test(baseline_dir):
+    problems = []
+    seen = set()
+    paths = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))
+    if not paths:
+        problems.append(f"no committed BENCH_*.json in {baseline_dir}")
+    for path in paths:
+        bench, metrics = load(path)
+        for name in metrics:
+            key = f"{bench}.{name}"
+            seen.add(key)
+            got = direction(name)
+            want = PINNED.get(key)
+            if want is None:
+                problems.append(f"{key}: no pinned direction "
+                                f"(direction() says {got})")
+            elif got != want:
+                problems.append(f"{key}: direction() says {got}, "
+                                f"pinned {want}")
+    for key in sorted(set(PINNED) - seen):
+        problems.append(f"{key}: pinned but in no committed BENCH file")
+    # The gate itself: flips of the exact invariants fail, a faster run
+    # passes, a 30 % slower one fails.
+    cases = [("exact", 1.0, 0.0, False), ("exact", 1.0, 1.0, True),
+             ("lower", 1.0, 0.5, True), ("lower", 1.0, 1.3, False),
+             ("higher", 10.0, 12.0, True), ("higher", 10.0, 7.0, False),
+             ("info", 1.0, 100.0, True)]
+    for kind, base, cur, passes in cases:
+        if (verdict_for(kind, base, cur, 0.25) == "ok") != passes:
+            problems.append(f"verdict_for({kind}, {base} -> {cur}) should "
+                            f"{'pass' if passes else 'fail'}")
+    for p in problems:
+        print(f"check_bench_trend --self-test: {p}", file=sys.stderr)
+    if problems:
+        sys.exit(1)
+    print(f"check_bench_trend --self-test: OK ({len(seen)} metrics pinned)")
 
 
 def main():
@@ -89,10 +218,16 @@ def main():
                          "(default: $SOCPOWER_BENCH_JSON_DIR, else cwd)")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="allowed fractional regression (default 0.25)")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the pinned metric directions and the "
+                         "verdict rules, then exit")
     args = ap.parse_args()
 
     baseline_dir = args.baseline_dir or os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "..")
+    if args.self_test:
+        self_test(baseline_dir)
+        return
     current_dir = args.current_dir or os.environ.get(
         "SOCPOWER_BENCH_JSON_DIR") or "."
 
@@ -116,21 +251,10 @@ def main():
                 continue
             cur, base = current[name], baseline[name]
             kind = direction(name)
-            verdict = "ok"
-            if kind == "exact":
-                if cur != base:
-                    verdict = f"REGRESSION (expected {base}, got {cur})"
-            elif kind == "lower":
-                if cur > base * (1.0 + args.threshold):
-                    verdict = f"REGRESSION (+{100.0 * (cur / base - 1.0):.1f}%)" \
-                        if base > 0 else f"REGRESSION ({base} -> {cur})"
-            elif kind == "higher":
-                if cur < base * (1.0 - args.threshold):
-                    verdict = f"REGRESSION (-{100.0 * (1.0 - cur / base):.1f}%)" \
-                        if base > 0 else f"REGRESSION ({base} -> {cur})"
-            else:
+            if kind == "info":
                 print(f"  {bench}.{name}: {base:g} -> {cur:g} (info)")
                 continue
+            verdict = verdict_for(kind, base, cur, args.threshold)
             compared += 1
             print(f"  {bench}.{name} [{kind}]: {base:g} -> {cur:g}  {verdict}")
             if verdict != "ok":

@@ -194,6 +194,9 @@ std::size_t BusScheduler::pick(std::uint64_t now) const {
 }
 
 void BusScheduler::start_grant(std::size_t job_index, std::uint64_t start) {
+  static telemetry::Counter& grants =
+      telemetry::registry().counter("bus.grants");
+  static telemetry::Counter& bytes = telemetry::registry().counter("bus.bytes");
   Job& j = pending_[job_index];
   if (!j.started) {
     j.started = true;
@@ -202,7 +205,7 @@ void BusScheduler::start_grant(std::size_t job_index, std::uint64_t start) {
   if (keep_grant_times_) grant_times_.push_back(start);
   ++j.grants;
   ++totals_.grants;
-  telemetry::registry().counter("bus.grants").add();
+  grants.add();
   master_grant_counter(j.request.master).add();
   const std::size_t grant_byte0 = j.next_byte;
 
@@ -243,7 +246,7 @@ void BusScheduler::start_grant(std::size_t job_index, std::uint64_t start) {
   }
   j.energy += e;
   totals_.energy += e;
-  telemetry::registry().counter("bus.bytes").add(j.next_byte - grant_byte0);
+  bytes.add(j.next_byte - grant_byte0);
   busy_ = true;
   active_index_ = job_index;
   grant_end_ = start + cycles;

@@ -95,14 +95,16 @@ void Cfsm::reset_state(CfsmState& st) const {
   for (const auto& v : vars_) st.vars.push_back(v.init);
 }
 
-Reaction Cfsm::react(const ReactionInputs& inputs, CfsmState& st,
-                     ExecutionObserver* observer) const {
+void Cfsm::react(const ReactionInputs& inputs, CfsmState& st, Reaction& out,
+                 ExecutionObserver* observer) const {
   if (reset_event_ && inputs.present(*reset_event_)) {
     reset_state(st);
-    return {};  // empty trace: reset consumes the instant
+    out.emissions.clear();  // empty trace: reset consumes the instant
+    out.trace.clear();
+    return;
   }
   ReactionEnv env(st, inputs);
-  return graph_->run(env, env, observer);
+  graph_->run(env, env, out, observer);
 }
 
 EventId Network::declare_event(std::string name) {

@@ -97,12 +97,20 @@ class Cfsm {
   [[nodiscard]] CfsmState make_state() const;
   void reset_state(CfsmState& st) const;
 
-  /// Execute one reaction: reads `inputs`, updates `st`, returns emissions
-  /// and the executed node trace. When the reset event is present the state
-  /// is re-initialized and the s-graph is NOT run (POLIS "watching RESET"
-  /// semantics).
+  /// Execute one reaction: reads `inputs`, updates `st`, fills `out` with
+  /// the emissions and the executed node trace (cleared first, capacity
+  /// reused). When the reset event is present the state is re-initialized,
+  /// the s-graph is NOT run (POLIS "watching RESET" semantics) and `out` is
+  /// left empty.
+  void react(const ReactionInputs& inputs, CfsmState& st, Reaction& out,
+             ExecutionObserver* observer = nullptr) const;
+  /// Convenience for one-off callers (tests, tools): a fresh Reaction.
   Reaction react(const ReactionInputs& inputs, CfsmState& st,
-                 ExecutionObserver* observer = nullptr) const;
+                 ExecutionObserver* observer = nullptr) const {
+    Reaction r;
+    react(inputs, st, r, observer);
+    return r;
+  }
 
  private:
   CfsmId id_;

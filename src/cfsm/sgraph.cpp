@@ -178,10 +178,11 @@ std::vector<std::vector<NodeId>> SGraph::enumerate_paths(
   return out;
 }
 
-Reaction SGraph::run(const EvalContext& ctx, VarStore& store,
-                     ExecutionObserver* observer) const {
+void SGraph::run(const EvalContext& ctx, VarStore& store, Reaction& r,
+                 ExecutionObserver* observer) const {
   assert(root_ != kNoNode);
-  Reaction r;
+  r.emissions.clear();
+  r.trace.clear();
   NodeId id = root_;
   // Node count bounds path length in a DAG; guards against accidental cycles
   // in unvalidated graphs.
@@ -194,7 +195,7 @@ Reaction SGraph::run(const EvalContext& ctx, VarStore& store,
     switch (n.kind) {
       case NodeKind::kEnd:
         if (observer) observer->on_node(id, n, false);
-        return r;
+        return;
       case NodeKind::kAssign: {
         const std::int32_t v = arena_->eval(n.expr, ctx);
         store.set_var(n.var, v);

@@ -109,11 +109,14 @@ class SGraph {
       std::size_t cap = 4096) const;
 
   // -- execution ------------------------------------------------------------
-  /// Run one reaction. `ctx` supplies variable/event reads, `store` receives
-  /// assignments (reads see earlier writes via ctx, which the caller backs
-  /// with the same storage). `observer` may be nullptr.
-  Reaction run(const EvalContext& ctx, VarStore& store,
-               ExecutionObserver* observer = nullptr) const;
+  /// Run one reaction into `out` (cleared first; its capacity is reused, so
+  /// a caller that keeps one Reaction across calls allocates only when a
+  /// longer path or more emissions than before come along). `ctx` supplies
+  /// variable/event reads, `store` receives assignments (reads see earlier
+  /// writes via ctx, which the caller backs with the same storage).
+  /// `observer` may be nullptr.
+  void run(const EvalContext& ctx, VarStore& store, Reaction& out,
+           ExecutionObserver* observer = nullptr) const;
 
  private:
   ExprArena* arena_;

@@ -309,9 +309,13 @@ void copy_knobs(const CoEstimatorConfig& src, CoEstimatorConfig* dst,
 /// Hook supplying the shared-memory/bus traffic a reaction performs.
 /// Systems attach one to model e.g. "create_pack writes the packet into
 /// shared memory" or "checksum reads one DMA block through the arbiter".
-/// `pre_state` is the process state before the transition.
-using TrafficHook = std::function<std::vector<bus::BusRequest>(
-    cfsm::CfsmId, const cfsm::Reaction&, const cfsm::CfsmState& pre_state)>;
+/// `pre_state` is the process state before the transition. The hook
+/// appends the reaction's requests to `out`, which the master hands over
+/// empty and reuses from reaction to reaction (so a hook that only appends
+/// allocates nothing for the vector itself).
+using TrafficHook = std::function<void(
+    cfsm::CfsmId, const cfsm::Reaction&, const cfsm::CfsmState& pre_state,
+    std::vector<bus::BusRequest>& out)>;
 
 /// Observation hook: called once per transition with the measured (or
 /// estimated) cost. Drives the Figure 4 histograms and custom reports.

@@ -19,6 +19,8 @@ namespace socpower::core {
 namespace {
 
 constexpr sim::SimTime kInfTime = std::numeric_limits<sim::SimTime>::max();
+/// wait_of_job_ entry of a JobId that gates no BusWait.
+constexpr std::uint32_t kNoWait = std::numeric_limits<std::uint32_t>::max();
 
 /// Create a backend by registry name and downcast it to its role interface.
 /// Aborts (in every build type) when the name resolves to a backend that
@@ -187,6 +189,8 @@ void CoSimMaster::prepare() {
         net_->receivers(static_cast<cfsm::EventId>(e)));
   mm_memo_.assign(net_->cfsm_count(), {});
   addr_memo_.assign(net_->cfsm_count(), {});
+  trig_inputs_.assign(net_->cfsm_count(), {});
+  cores_.resize(config_.cores);
 
   structural_baseline_ = config_;
   prepared_ = true;
@@ -214,16 +218,27 @@ void CoSimMaster::reset_runtime_state() {
     state_.push_back(net_->cfsm(static_cast<cfsm::CfsmId>(c)).make_state());
   latched_.assign(net_->event_count(), std::nullopt);
   queue_.clear();
-  cores_.assign(config_.cores, CoreState{});
-  job_to_wait_.clear();
-  bus_waits_.clear();
+  // The scratch below keeps its storage across runs; only its contents go.
+  for (CoreState& cs : cores_) {
+    cs.ready.clear();
+    cs.bus.active = false;
+    cs.bus.requests.clear();
+    cs.bus.emissions.clear();
+    cs.blocked = false;
+    cs.free_at = 0;
+  }
+  wait_of_job_.clear();
+  free_waits_.clear();
+  for (std::size_t i = bus_waits_.size(); i-- > 0;)
+    free_waits_.push_back(static_cast<std::uint32_t>(i));
   flush_gate_cycles_ = 0;
   for (const auto& b : owned_backends_) b->begin_run();
 }
 
-cfsm::ReactionInputs CoSimMaster::merge_inputs(
-    cfsm::CfsmId task, const cfsm::ReactionInputs& trigger) const {
-  cfsm::ReactionInputs merged;
+void CoSimMaster::merge_inputs(cfsm::CfsmId task,
+                               const cfsm::ReactionInputs& trigger,
+                               cfsm::ReactionInputs& merged) const {
+  merged.clear();
   // Sampled inputs first: the latest latched value of each sampled event
   // (POLIS valued events persist); trigger events override.
   for (const cfsm::EventId e : net_->cfsm(task).sampled_inputs()) {
@@ -231,11 +246,58 @@ cfsm::ReactionInputs CoSimMaster::merge_inputs(
     if (v) merged.set(e, *v);
   }
   for (const auto& [e, v] : trigger.all()) merged.set(e, v);
-  return merged;
 }
 
 void CoSimMaster::latch_occurrence(const sim::EventOccurrence& occ) {
   latched_[static_cast<std::size_t>(occ.event)] = occ.value;
+}
+
+sim::SimTime CoSimMaster::pop_and_group_instant() {
+  queue_.pop_instant(occs_);
+  for (const auto& o : occs_) {
+    latch_occurrence(o);
+    for (const auto& hook : environment_hooks_) hook(o, queue_);
+  }
+  for (const cfsm::CfsmId t : triggered_)
+    trig_inputs_[static_cast<std::size_t>(t)].clear();
+  triggered_.clear();
+  for (const auto& o : occs_) {
+    for (const cfsm::CfsmId r :
+         receivers_by_event_[static_cast<std::size_t>(o.event)]) {
+      auto& in = trig_inputs_[static_cast<std::size_t>(r)];
+      if (in.empty()) triggered_.push_back(r);
+      in.set(o.event, o.value);
+    }
+  }
+  std::sort(triggered_.begin(), triggered_.end());
+  return occs_.front().time;
+}
+
+std::uint32_t CoSimMaster::open_wait() {
+  std::uint32_t slot;
+  if (free_waits_.empty()) {
+    slot = static_cast<std::uint32_t>(bus_waits_.size());
+    bus_waits_.emplace_back();
+  } else {
+    slot = free_waits_.back();
+    free_waits_.pop_back();
+  }
+  BusWait& w = bus_waits_[slot];
+  w.task = cfsm::kNoCfsm;
+  w.is_cpu = false;
+  w.core = 0;
+  w.emissions.clear();
+  w.remaining = 0;
+  w.earliest_done = 0;
+  w.last_end = 0;
+  w.cpu_issue = 0;
+  return slot;
+}
+
+void CoSimMaster::track_job(bus::Interconnect::JobId id, std::uint32_t wait) {
+  if (id >= wait_of_job_.size()) wait_of_job_.resize(id + 1, kNoWait);
+  assert(wait_of_job_[id] == kNoWait && "interconnect reused a live JobId");
+  wait_of_job_[id] = wait;
 }
 
 TransitionCost CoSimMaster::measured_or_accelerated(
@@ -363,7 +425,6 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
   };
 
   sim::SimTime now = 0;
-  std::vector<sim::EventOccurrence> occs;  // instant buffer, reused per pop
   while (true) {
     if (res.reactions >= config_.max_reactions) {
       res.truncated = true;
@@ -384,11 +445,8 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
         t_bus = cs.bus.issue_at;
         bus_core = c;
       }
-      if (cs.pending.empty() || cs.bus.active || cs.blocked) continue;
-      sim::SimTime earliest = kInfTime;
-      for (const auto& p : cs.pending)
-        earliest = std::min(earliest, p.ready_at);
-      const sim::SimTime t = std::max(cs.free_at, earliest);
+      if (cs.ready.empty() || cs.bus.active || cs.blocked) continue;
+      const sim::SimTime t = std::max(cs.free_at, cs.ready.earliest_ready());
       if (t < t_cpu) {
         t_cpu = t;
         cpu_core = c;
@@ -402,10 +460,9 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
       // ---- advance the bus arbiter to its next grant boundary --------------
       now = std::max(now, t_sched);
       for (const auto& c : bus_->advance(t_sched)) {
-        const auto it = job_to_wait_.find(c.id);
-        assert(it != job_to_wait_.end());
-        BusWait& w = bus_waits_[it->second];
-        job_to_wait_.erase(it);
+        assert(c.id < wait_of_job_.size() && wait_of_job_[c.id] != kNoWait);
+        const std::uint32_t slot = wait_of_job_[c.id];
+        BusWait& w = bus_waits_[slot];
         trace_.record(bus_component_, c.result.end, c.result.energy);
         res.bus_energy += c.result.energy;
         w.last_end = std::max(w.last_end, c.result.end);
@@ -429,6 +486,7 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
         }
         for (const auto& em : w.emissions)
           queue_.post(done, em.event, em.value, w.task);
+        free_waits_.push_back(slot);
       }
       continue;
     }
@@ -437,62 +495,47 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
       // ---- issue a blocked CPU's shared-memory traffic ----------------------
       CoreState& cs = cores_[bus_core];
       now = cs.bus.issue_at;
-      BusWait w;
+      const std::uint32_t slot = open_wait();
+      BusWait& w = bus_waits_[slot];
       w.task = cs.bus.task;
       w.is_cpu = true;
       w.core = bus_core;
-      w.emissions = std::move(cs.bus.emissions);
+      w.emissions.swap(cs.bus.emissions);
       w.remaining = cs.bus.requests.size();
       w.earliest_done = now;
       w.cpu_issue = now;
-      bus_waits_.push_back(std::move(w));
       for (auto& rq : cs.bus.requests)
-        job_to_wait_[bus_->submit(now, std::move(rq))] =
-            bus_waits_.size() - 1;
+        track_job(bus_->submit(now, std::move(rq)), slot);
       cs.blocked = true;
-      cs.bus = {};
+      cs.bus.active = false;
+      cs.bus.requests.clear();
+      cs.bus.emissions.clear();
       continue;
     }
 
     if (t_queue <= t_cpu) {
       // ---- process one event instant --------------------------------------
-      queue_.pop_instant(occs);
-      now = occs.front().time;
-      for (const auto& o : occs) {
-        latch_occurrence(o);
-        for (const auto& hook : environment_hooks_) hook(o, queue_);
-      }
-
-      // Group occurrences by triggered process.
-      std::vector<cfsm::CfsmId> triggered;
-      std::vector<cfsm::ReactionInputs> trig_inputs(net_->cfsm_count());
-      for (const auto& o : occs) {
-        for (const cfsm::CfsmId r : receivers_by_event_
-                 [static_cast<std::size_t>(o.event)]) {
-          auto& in = trig_inputs[static_cast<std::size_t>(r)];
-          if (in.empty()) triggered.push_back(r);
-          in.set(o.event, o.value);
-        }
-      }
-      std::sort(triggered.begin(), triggered.end());
-
-      for (const cfsm::CfsmId task : triggered) {
-        const auto& trig = trig_inputs[static_cast<std::size_t>(task)];
+      now = pop_and_group_instant();
+      const cfsm::ReactionInputs& inputs = inputs_;
+      const cfsm::CfsmState& pre_state = pre_state_;
+      const cfsm::Reaction& reaction = reaction_;
+      for (const cfsm::CfsmId task : triggered_) {
+        const auto& trig = trig_inputs_[static_cast<std::size_t>(task)];
         if (is_sw(task)) {
-          cores_[core_of_[static_cast<std::size_t>(task)]].pending.push_back(
-              {now, task, trig});
+          cores_[core_of_[static_cast<std::size_t>(task)]]
+              .ready.push(now, task, rtos_.priority(task))
+              .payload = trig;
           continue;
         }
         // Hardware reaction at this instant.
         ++res.reactions;
         ++res.hw_reactions;
-        const cfsm::ReactionInputs inputs = merge_inputs(task, trig);
+        merge_inputs(task, trig, inputs_);
         auto& st = state_[static_cast<std::size_t>(task)];
-        const cfsm::CfsmState pre_state = st;
+        pre_state_ = st;
         HwBackend* hw = hw_backend_for_[static_cast<std::size_t>(task)];
         if (hw_online()) hw->resync_if_dirty(task, pre_state);
-        const cfsm::Reaction reaction =
-            net_->cfsm(task).react(inputs, st);
+        net_->cfsm(task).react(inputs, st, reaction_);
         if (!hw_online()) {
           // Batch mode: buffer the vector; energy is computed in one pass
           // after the co-simulation (HW latency is constant, so nothing
@@ -535,8 +578,9 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
 
         // Traffic goes to the interconnect; the reaction's emissions wait
         // for its last transfer when it has any.
-        std::vector<bus::BusRequest> reqs;
-        if (traffic_hook_) reqs = traffic_hook_(task, reaction, pre_state);
+        std::vector<bus::BusRequest>& reqs = traffic_;
+        reqs.clear();
+        if (traffic_hook_) traffic_hook_(task, reaction, pre_state, reqs);
         sim::SimTime latency = now + kHwReactionCycles;
         if (config_.coherence.enabled && !reqs.empty()) {
           // Hardware masters are uncached agents: their accesses invalidate
@@ -549,15 +593,15 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
           for (const auto& em : reaction.emissions)
             queue_.post(latency, em.event, em.value, task);
         } else {
-          BusWait w;
+          const std::uint32_t slot = open_wait();
+          BusWait& w = bus_waits_[slot];
           w.task = task;
-          w.emissions = reaction.emissions;
+          w.emissions.assign(reaction.emissions.begin(),
+                             reaction.emissions.end());
           w.remaining = reqs.size();
           w.earliest_done = latency;
-          bus_waits_.push_back(std::move(w));
           for (auto& rq : reqs)
-            job_to_wait_[bus_->submit(now, std::move(rq))] =
-                bus_waits_.size() - 1;
+            track_job(bus_->submit(now, std::move(rq)), slot);
         }
       }
       continue;
@@ -566,28 +610,21 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
     // ---- dispatch one software transition on the chosen core ----------------
     now = t_cpu;
     CoreState& cpu = cores_[cpu_core];
-    std::vector<cfsm::CfsmId> ready_tasks;
-    std::vector<std::size_t> ready_idx;
-    for (std::size_t i = 0; i < cpu.pending.size(); ++i) {
-      if (cpu.pending[i].ready_at <= now) {
-        ready_tasks.push_back(cpu.pending[i].task);
-        ready_idx.push_back(i);
-      }
-    }
-    assert(!ready_tasks.empty());
-    const std::size_t pick = rtos_.pick_next(ready_tasks);
-    const PendingSw pending = cpu.pending[ready_idx[pick]];
-    cpu.pending.erase(cpu.pending.begin() +
-                      static_cast<std::ptrdiff_t>(ready_idx[pick]));
+    // The RTOS pick: the highest-priority ready entry, FIFO within a
+    // priority (ReadyQueue). Its payload is read before the next push.
+    const auto* pending = cpu.ready.pop(now);
+    assert(pending != nullptr);
 
     ++res.reactions;
     ++res.sw_reactions;
-    const cfsm::CfsmId task = pending.task;
-    const cfsm::ReactionInputs inputs =
-        merge_inputs(task, pending.trigger_inputs);
+    const cfsm::CfsmId task = pending->task;
+    merge_inputs(task, pending->payload, inputs_);
+    const cfsm::ReactionInputs& inputs = inputs_;
     auto& st = state_[static_cast<std::size_t>(task)];
-    const cfsm::CfsmState pre_state = st;
-    const cfsm::Reaction reaction = net_->cfsm(task).react(inputs, st);
+    pre_state_ = st;
+    const cfsm::CfsmState& pre_state = pre_state_;
+    net_->cfsm(task).react(inputs, st, reaction_);
+    const cfsm::Reaction& reaction = reaction_;
 
     // RTOS dispatch overhead.
     double cycles = static_cast<double>(rtos_.dispatch_cycles());
@@ -642,9 +679,10 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
         now + static_cast<sim::SimTime>(std::llround(std::ceil(cycles)));
     if (end == now) end = now + 1;
 
-    std::vector<bus::BusRequest> reqs;
+    std::vector<bus::BusRequest>& reqs = traffic_;
+    reqs.clear();
     if (traffic_hook_ && !reaction.trace.empty())
-      reqs = traffic_hook_(task, reaction, pre_state);
+      traffic_hook_(task, reaction, pre_state, reqs);
     if (config_.coherence.enabled && !reqs.empty()) {
       // Data side: the core's shared-memory traffic runs through its
       // MSI-coherent private L1; misses/upgrades stall the core and the
@@ -661,8 +699,9 @@ RunResults CoSimMaster::run(const sim::Stimulus& stimulus) {
       cpu.bus.active = true;
       cpu.bus.issue_at = end;
       cpu.bus.task = task;
-      cpu.bus.requests = std::move(reqs);
-      cpu.bus.emissions = reaction.emissions;
+      cpu.bus.requests.swap(reqs);  // both buffers stay alive for reuse
+      cpu.bus.emissions.assign(reaction.emissions.begin(),
+                               reaction.emissions.end());
       cpu.free_at = end;  // refined to the transfer end when it is served
     }
   }
@@ -732,24 +771,25 @@ sim::SimTime CoSimMaster::coherence_traffic(int core, sim::SimTime now,
                                             RunResults& res) {
   Cycles penalty = 0;
   Joules energy = 0.0;
-  std::vector<bus::BusRequest> control;
-  for (const bus::BusRequest& rq : reqs) {
+  // Invalidation/writeback messages ride the interconnect with the data
+  // transfer they were caused by: they are appended after the data
+  // requests, in request order.
+  const std::size_t data_requests = reqs.size();
+  for (std::size_t i = 0; i < data_requests; ++i) {
+    const bus::BusRequest& rq = reqs[i];
     const auto bytes =
         static_cast<std::uint32_t>(rq.data.empty() ? 4u : rq.data.size());
-    const cache::CoherentAccessResult co =
+    cache::CoherentAccessResult co =
         cache_->data_access(core, rq.write, rq.addr, bytes);
     penalty += co.penalty_cycles;
     energy += co.energy;
-    control.insert(control.end(), co.traffic.begin(), co.traffic.end());
+    reqs.insert(reqs.end(), std::make_move_iterator(co.traffic.begin()),
+                std::make_move_iterator(co.traffic.end()));
   }
   if (energy > 0.0) {
     trace_.record(cache_component_, now, energy);
     res.cache_energy += energy;
   }
-  // Invalidation/writeback messages ride the interconnect with the data
-  // transfer they were caused by.
-  reqs.insert(reqs.end(), std::make_move_iterator(control.begin()),
-              std::make_move_iterator(control.end()));
   return static_cast<sim::SimTime>(penalty);
 }
 
@@ -761,41 +801,26 @@ RunResults CoSimMaster::run_separate(const sim::Stimulus& stimulus) {
   // ---- phase 1: timing-independent behavioral simulation, trace capture ----
   reset_runtime_state();
   stimulus.load_into(queue_);
-  std::vector<std::vector<cfsm::ReactionInputs>> traces(net_->cfsm_count());
+  separate_traces_.resize(net_->cfsm_count());
+  for (auto& trace : separate_traces_) trace.clear();
   std::uint64_t reactions = 0;
   bool truncated = false;
-  std::vector<sim::EventOccurrence> occs;  // instant buffer, reused per pop
   while (!queue_.empty()) {
     if (reactions >= config_.max_reactions) {
       truncated = true;
       break;
     }
-    queue_.pop_instant(occs);
-    const sim::SimTime t = occs.front().time;
-    for (const auto& o : occs) {
-      latch_occurrence(o);
-      for (const auto& hook : environment_hooks_) hook(o, queue_);
-    }
-    std::vector<cfsm::CfsmId> triggered;
-    std::vector<cfsm::ReactionInputs> trig_inputs(net_->cfsm_count());
-    for (const auto& o : occs) {
-      for (const cfsm::CfsmId r :
-           receivers_by_event_[static_cast<std::size_t>(o.event)]) {
-        auto& in = trig_inputs[static_cast<std::size_t>(r)];
-        if (in.empty()) triggered.push_back(r);
-        in.set(o.event, o.value);
-      }
-    }
-    std::sort(triggered.begin(), triggered.end());
-    for (const cfsm::CfsmId task : triggered) {
+    const sim::SimTime t = pop_and_group_instant();
+    for (const cfsm::CfsmId task : triggered_) {
       ++reactions;
-      const cfsm::ReactionInputs inputs =
-          merge_inputs(task, trig_inputs[static_cast<std::size_t>(task)]);
+      cfsm::ReactionInputs& inputs =
+          separate_traces_[static_cast<std::size_t>(task)].next_slot();
+      merge_inputs(task, trig_inputs_[static_cast<std::size_t>(task)],
+                   inputs);
       auto& st = state_[static_cast<std::size_t>(task)];
-      const cfsm::Reaction reaction = net_->cfsm(task).react(inputs, st);
-      traces[static_cast<std::size_t>(task)].push_back(inputs);
+      net_->cfsm(task).react(inputs, st, reaction_);
       // Nominal unit delay: every transition takes one cycle.
-      for (const auto& em : reaction.emissions)
+      for (const auto& em : reaction_.emissions)
         queue_.post(t + 1, em.event, em.value, task);
     }
   }
@@ -810,11 +835,11 @@ RunResults CoSimMaster::run_separate(const sim::Stimulus& stimulus) {
     cfsm::CfsmState st = net_->cfsm(task).make_state();
     Joules e = 0.0;
     if (is_sw(task)) {
-      for (const auto& inputs : traces[c]) {
-        const cfsm::CfsmState pre = st;
-        const cfsm::Reaction reaction = net_->cfsm(task).react(inputs, st);
-        if (reaction.trace.empty()) continue;
-        e += sw_backend_of(task)->replay(task, inputs, pre) +
+      for (const auto& inputs : separate_traces_[c]) {
+        pre_state_ = st;
+        net_->cfsm(task).react(inputs, st, reaction_);
+        if (reaction_.trace.empty()) continue;
+        e += sw_backend_of(task)->replay(task, inputs, pre_state_) +
              rtos_.dispatch_energy();
         ++res.sw_reactions;
       }
@@ -822,9 +847,9 @@ RunResults CoSimMaster::run_separate(const sim::Stimulus& stimulus) {
     } else {
       HwBackend* hw = hw_backend_for_[c];
       hw->separate_reset(task);
-      for (const auto& inputs : traces[c]) {
-        const cfsm::Reaction reaction = net_->cfsm(task).react(inputs, st);
-        if (reaction.trace.empty()) {
+      for (const auto& inputs : separate_traces_[c]) {
+        net_->cfsm(task).react(inputs, st, reaction_);
+        if (reaction_.trace.empty()) {
           hw->separate_reset(task);
           continue;
         }

@@ -31,9 +31,9 @@
 // want to own backend selection programmatically.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cfsm/cfsm.hpp"
@@ -45,6 +45,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/power_trace.hpp"
 #include "swsyn/rtos.hpp"
+#include "util/slot_vector.hpp"
 
 namespace socpower::core {
 
@@ -129,15 +130,11 @@ class CoSimMaster {
       const;
 
  private:
-  struct PendingSw {
-    sim::SimTime ready_at = 0;
-    cfsm::CfsmId task = cfsm::kNoCfsm;
-    cfsm::ReactionInputs trigger_inputs;
-  };
   /// A software transition's shared-memory traffic, issued when its compute
   /// phase ends. Kept pending so the bus request enters arbitration in
   /// simulated-time order (causally with hardware traffic); the CPU blocks
   /// (programmed I/O) and its emissions are released at transfer completion.
+  /// The vectors keep their capacity from one bus phase to the next.
   struct PendingSwBus {
     bool active = false;
     sim::SimTime issue_at = 0;
@@ -147,7 +144,8 @@ class CoSimMaster {
   };
   /// Emissions gated on outstanding bus transfers (a HW reaction's DMA
   /// block reads, or a blocked CPU's writes). Released when the last of
-  /// the reaction's jobs completes on the interconnect.
+  /// the reaction's jobs completes on the interconnect; the slot then goes
+  /// back to free_waits_ with its emissions buffer.
   struct BusWait {
     cfsm::CfsmId task = cfsm::kNoCfsm;
     bool is_cpu = false;
@@ -158,10 +156,11 @@ class CoSimMaster {
     sim::SimTime last_end = 0;
     sim::SimTime cpu_issue = 0;      // wait-energy accounting
   };
-  /// Per-core scheduling state: the core's ready queue, its deferred bus
-  /// phase, and whether/until when the core is busy.
+  /// Per-core scheduling state: the core's ready queue (payload: the
+  /// trigger inputs), its deferred bus phase, and whether/until when the
+  /// core is busy.
   struct CoreState {
-    std::vector<PendingSw> pending;
+    swsyn::ReadyQueue<cfsm::ReactionInputs> ready;
     PendingSwBus bus;
     bool blocked = false;  // stalled on an in-flight transfer
     sim::SimTime free_at = 0;
@@ -182,9 +181,20 @@ class CoSimMaster {
   sim::SimTime coherence_traffic(int core, sim::SimTime now,
                                  std::vector<bus::BusRequest>& reqs,
                                  RunResults& res);
-  [[nodiscard]] cfsm::ReactionInputs merge_inputs(
-      cfsm::CfsmId task, const cfsm::ReactionInputs& trigger) const;
+  /// Fill `merged` with a reaction's inputs: the latched values of the
+  /// task's sampled events, overridden by its trigger events.
+  void merge_inputs(cfsm::CfsmId task, const cfsm::ReactionInputs& trigger,
+                    cfsm::ReactionInputs& merged) const;
   void latch_occurrence(const sim::EventOccurrence& occ);
+  /// Pop the next event instant into occs_, latch its values, run the
+  /// environment hooks, and group the occurrences by the processes they
+  /// trigger: triggered_ (ascending id) and each one's trig_inputs_ slot.
+  /// Returns the instant's time.
+  sim::SimTime pop_and_group_instant();
+  /// A cleared BusWait slot (recycled when one is free) and its index.
+  std::uint32_t open_wait();
+  /// Record that interconnect job `id` gates BusWait slot `wait`.
+  void track_job(bus::Interconnect::JobId id, std::uint32_t wait);
 
   TransitionCost sw_transition_cost(cfsm::CfsmId task,
                                     const cfsm::ReactionInputs& inputs,
@@ -253,8 +263,24 @@ class CoSimMaster {
   std::vector<std::optional<std::int32_t>> latched_;  // last value per event
   sim::EventQueue queue_;
   std::vector<CoreState> cores_;  // one slot per CPU core
-  std::unordered_map<std::uint64_t, std::size_t> job_to_wait_;  // job -> slot
+  /// BusWait slot per interconnect JobId. Both interconnects number a run's
+  /// jobs 1, 2, 3, ... (their begin_run() starts a fresh model), so a flat
+  /// vector indexed by id replaces a hash map.
+  std::vector<std::uint32_t> wait_of_job_;
   std::vector<BusWait> bus_waits_;
+  std::vector<std::uint32_t> free_waits_;  // released bus_waits_ slots
+
+  // Per-reaction scratch, owned for the master's lifetime so the loop
+  // reuses its storage from reaction to reaction and run to run.
+  std::vector<sim::EventOccurrence> occs_;       // the current instant
+  std::vector<cfsm::CfsmId> triggered_;          // processes it triggers
+  std::vector<cfsm::ReactionInputs> trig_inputs_;  // per CfsmId
+  cfsm::ReactionInputs inputs_;                  // merged reaction inputs
+  cfsm::CfsmState pre_state_;                    // state before the reaction
+  cfsm::Reaction reaction_;
+  std::vector<bus::BusRequest> traffic_;         // TrafficHook output
+  /// run_separate()'s captured input trace per CfsmId.
+  std::vector<SlotVector<cfsm::ReactionInputs>> separate_traces_;
   /// Gate cycles contributed by the offline batch flush (merged from the
   /// per-unit flush jobs; online cycles are counted by the backends).
   std::uint64_t flush_gate_cycles_ = 0;

@@ -134,7 +134,11 @@ void HwEstimatorBase::enqueue(cfsm::CfsmId task, sim::SimTime time,
                               const cfsm::ReactionInputs& inputs,
                               cfsm::PathId path,
                               const cfsm::CfsmState& pre_state) {
-  unit(task).batch.push_back({time, inputs, path, pre_state});
+  BatchEntry& e = unit(task).batch.next_slot();
+  e.time = time;
+  e.inputs = inputs;
+  e.path = path;
+  e.pre = pre_state;
 }
 
 void HwEstimatorBase::separate_reset(cfsm::CfsmId task) {

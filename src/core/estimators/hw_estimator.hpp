@@ -18,6 +18,7 @@
 #include "hw/gatesim.hpp"
 #include "hw/reaction_cache.hpp"
 #include "hwsyn/synth.hpp"
+#include "util/slot_vector.hpp"
 
 namespace socpower::core {
 
@@ -82,7 +83,10 @@ class HwEstimatorBase : public HwBackend {
     /// threads.
     std::unique_ptr<hw::ReactionCache> rcache;
     bool registers_dirty = false;  // gate sim skipped; state needs resync
-    std::vector<BatchEntry> batch;
+    /// Buffered vectors of the run, in enqueue order. A pool: draining
+    /// keeps the entries' storage, so enqueue() copies into buffers it
+    /// already owns once the pool has grown to a run's batch size.
+    SlotVector<BatchEntry> batch;
   };
 
   /// Price one online transition (sync overhead already charged).

@@ -20,15 +20,6 @@ int RtosModel::priority(cfsm::CfsmId task) const {
   return priorities_[static_cast<std::size_t>(task)];
 }
 
-std::size_t RtosModel::pick_next(
-    const std::vector<cfsm::CfsmId>& ready) const {
-  assert(!ready.empty());
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < ready.size(); ++i)
-    if (priority(ready[i]) > priority(ready[best])) best = i;
-  return best;
-}
-
 Joules RtosModel::dispatch_energy() const {
   return config_.dispatch_current_ma * 1e-3 * params_.vdd_volts *
          static_cast<double>(config_.dispatch_cycles) / params_.clock_hz;

@@ -166,13 +166,12 @@ void MulticoreSystem::configure(core::CoEstimator& est) const {
   const unsigned lines = params_.shared_lines;
   est.set_traffic_hook(
       [workers, done, lines](cfsm::CfsmId task, const cfsm::Reaction& reaction,
-                             const cfsm::CfsmState&)
-          -> std::vector<bus::BusRequest> {
+                             const cfsm::CfsmState&,
+                             std::vector<bus::BusRequest>& reqs) {
         int master = -1;
         for (std::size_t w = 0; w < workers.size(); ++w)
           if (workers[w] == task) master = static_cast<int>(w);
-        if (master < 0) return {};
-        std::vector<bus::BusRequest> reqs;
+        if (master < 0) return;
         for (const auto& em : reaction.emissions) {
           if (em.event != done) continue;
           bus::BusRequest rq;
@@ -187,7 +186,6 @@ void MulticoreSystem::configure(core::CoEstimator& est) const {
                 static_cast<std::uint8_t>((v >> (8 * (k % 4))) ^ k);
           reqs.push_back(std::move(rq));
         }
-        return reqs;
       });
 }
 

@@ -306,8 +306,8 @@ void TcpIpSystem::configure(core::CoEstimator& est) {
   est.config().bus.dma_block_size = params_.dma_block_size;
 
   est.set_traffic_hook([this](cfsm::CfsmId task, const cfsm::Reaction& r,
-                              const cfsm::CfsmState& pre_state) {
-    std::vector<bus::BusRequest> reqs;
+                              const cfsm::CfsmState& pre_state,
+                              std::vector<bus::BusRequest>& reqs) {
     // create_pack stores the packet into shared memory incrementally: every
     // copy-loop body execution writes the 4-byte group it just marshalled,
     // so its writes interleave with the checksum's reads of the previous
@@ -383,7 +383,6 @@ void TcpIpSystem::configure(core::CoEstimator& est) {
         reqs.push_back(std::move(rd));
       }
     }
-    return reqs;
   });
 
   est.set_environment_hook([this](const sim::EventOccurrence& o,

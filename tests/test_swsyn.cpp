@@ -4,6 +4,8 @@
 // updates, same emissions) over randomized s-graphs and inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "cfsm/cfsm.hpp"
@@ -322,21 +324,188 @@ TEST(SwSyn, CharacterizationTemplatesHalt) {
   }
 }
 
+/// Push `tasks` (all ready at cycle 0) with their RTOS priorities and pop
+/// them all; returns the dispatch order.
+std::vector<cfsm::CfsmId> dispatch_order(
+    const RtosModel& rtos, const std::vector<cfsm::CfsmId>& tasks) {
+  ReadyQueue<int> q;
+  for (const cfsm::CfsmId t : tasks) q.push(0, t, rtos.priority(t));
+  std::vector<cfsm::CfsmId> order;
+  while (const auto* e = q.pop(0)) order.push_back(e->task);
+  return order;
+}
+
 TEST(Rtos, PriorityPicksHighest) {
   RtosModel rtos;
   rtos.set_priority(0, 1);
   rtos.set_priority(1, 5);
   rtos.set_priority(2, 3);
-  EXPECT_EQ(rtos.pick_next({0, 1, 2}), 1u);
-  EXPECT_EQ(rtos.pick_next({0, 2}), 1u);
-  EXPECT_EQ(rtos.pick_next({0}), 0u);
+  EXPECT_EQ(dispatch_order(rtos, {0, 1, 2}),
+            (std::vector<cfsm::CfsmId>{1, 2, 0}));
+  EXPECT_EQ(dispatch_order(rtos, {0, 2}), (std::vector<cfsm::CfsmId>{2, 0}));
+  EXPECT_EQ(dispatch_order(rtos, {0}), (std::vector<cfsm::CfsmId>{0}));
 }
 
 TEST(Rtos, FifoWithinPriorityLevel) {
   RtosModel rtos;
   rtos.set_priority(3, 2);
   rtos.set_priority(4, 2);
-  EXPECT_EQ(rtos.pick_next({4, 3}), 0u);  // first in queue order wins ties
+  // First in queue order wins ties.
+  EXPECT_EQ(dispatch_order(rtos, {4, 3}), (std::vector<cfsm::CfsmId>{4, 3}));
+  EXPECT_EQ(dispatch_order(rtos, {3, 4, 3}),
+            (std::vector<cfsm::CfsmId>{3, 4, 3}));
+}
+
+TEST(ReadyQueue, NothingReadyBeforeReadyAt) {
+  ReadyQueue<int> q;
+  q.push(5, 1, 0).payload = 11;
+  q.push(7, 2, 9).payload = 22;
+  EXPECT_EQ(q.earliest_ready(), 5u);
+  EXPECT_EQ(q.pop(4), nullptr);
+  const auto* e = q.pop(6);  // the higher priority is not ready yet
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->task, 1);
+  EXPECT_EQ(e->payload, 11);
+  EXPECT_EQ(q.earliest_ready(), 7u);
+  e = q.pop(7);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->payload, 22);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(ReadyQueue, ClearKeepsWorking) {
+  ReadyQueue<std::vector<int>> q;
+  for (int i = 0; i < 20; ++i) q.push(10, i, i % 3).payload.assign(4, i);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  // After clear() ready_at may start over from 0 (a new run).
+  q.push(0, 7, 1).payload = {7};
+  const auto* e = q.pop(0);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->task, 7);
+  EXPECT_EQ(e->payload, std::vector<int>{7});
+}
+
+TEST(ReadyQueue, PushBackInTimeIsRejected) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the FIFO invariant is checked by assert()";
+#else
+  ReadyQueue<int> q;
+  q.push(10, 0, 0);
+  EXPECT_DEATH(q.push(9, 1, 0), "ready_at went backwards");
+#endif
+}
+
+/// The dispatch rule the queue must reproduce, as a scan of every pending
+/// entry in push order: among the entries with ready_at <= now, the first
+/// one of the highest priority.
+struct LinearReadyList {
+  struct Item {
+    std::uint64_t ready_at;
+    cfsm::CfsmId task;
+    int priority;
+    int payload;
+  };
+  std::vector<Item> items;
+
+  std::optional<Item> pop(std::uint64_t now) {
+    std::size_t best = items.size();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].ready_at > now) continue;
+      if (best == items.size() || items[i].priority > items[best].priority)
+        best = i;
+    }
+    if (best == items.size()) return std::nullopt;
+    const Item it = items[best];
+    items.erase(items.begin() + static_cast<std::ptrdiff_t>(best));
+    return it;
+  }
+  [[nodiscard]] std::uint64_t earliest() const {
+    std::uint64_t t = ~std::uint64_t{0};
+    for (const Item& it : items) t = std::min(t, it.ready_at);
+    return t;
+  }
+};
+
+/// Randomized equivalence against the linear scan: several cores, each with
+/// its own queue; pushes at a non-decreasing clock (the master's), with
+/// mixed or all-equal priorities; dispatches at arbitrary query times;
+/// cores that block for a while and take no dispatches but keep receiving
+/// pushes.
+void check_ready_queue_equivalence(std::uint64_t seed, bool equal_priorities) {
+  constexpr int kCores = 3;
+  constexpr int kTasks = 7;
+  Rng rng(seed);
+  auto uniform = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<std::uint64_t>(rng.range(static_cast<std::int64_t>(lo),
+                                                static_cast<std::int64_t>(hi)));
+  };
+  std::vector<int> prio(kTasks);
+  for (int& p : prio)
+    p = equal_priorities ? 4 : static_cast<int>(uniform(0, 3)) - 1;
+  std::vector<ReadyQueue<int>> queues(kCores);
+  std::vector<LinearReadyList> refs(kCores);
+  std::vector<bool> blocked(kCores, false);
+  std::uint64_t clock = 0;
+  int next_payload = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto core = static_cast<std::size_t>(uniform(0, kCores - 1));
+    const std::uint64_t op = uniform(0, 9);
+    if (op < 2) {
+      clock += uniform(0, 3);
+    } else if (op < 6) {
+      // Several pushes at one instant are common (one event instant
+      // triggering several tasks on a core).
+      const auto task = static_cast<cfsm::CfsmId>(uniform(0, kTasks - 1));
+      const int p = prio[static_cast<std::size_t>(task)];
+      queues[core].push(clock, task, p).payload = next_payload;
+      refs[core].items.push_back({clock, task, p, next_payload});
+      ++next_payload;
+    } else if (op == 6) {
+      blocked[core] = !blocked[core];
+    } else if (!blocked[core]) {
+      // Query at, before or after the clock: before it exercises entries
+      // that are not ready yet.
+      const std::uint64_t lo = clock >= 4 ? clock - 4 : 0;
+      const std::uint64_t now = uniform(lo, clock + 2);
+      const auto* got = queues[core].pop(now);
+      const auto want = refs[core].pop(now);
+      ASSERT_EQ(got != nullptr, want.has_value()) << "step " << step;
+      if (got != nullptr) {
+        EXPECT_EQ(got->task, want->task) << "step " << step;
+        EXPECT_EQ(got->ready_at, want->ready_at) << "step " << step;
+        EXPECT_EQ(got->payload, want->payload) << "step " << step;
+      }
+    }
+    for (int c = 0; c < kCores; ++c) {
+      const auto cu = static_cast<std::size_t>(c);
+      ASSERT_TRUE(queues[cu].fifo_invariant_holds()) << "step " << step;
+      ASSERT_EQ(queues[cu].size(), refs[cu].items.size()) << "step " << step;
+      if (!queues[cu].empty()) {
+        ASSERT_EQ(queues[cu].earliest_ready(), refs[cu].earliest());
+      }
+    }
+  }
+  // Drain everything at the end: the remaining order must agree too.
+  for (int c = 0; c < kCores; ++c) {
+    const auto cu = static_cast<std::size_t>(c);
+    while (const auto want = refs[cu].pop(clock)) {
+      const auto* got = queues[cu].pop(clock);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(got->payload, want->payload);
+    }
+    EXPECT_TRUE(queues[cu].empty());
+  }
+}
+
+TEST(ReadyQueue, MatchesLinearScanMixedPriorities) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    check_ready_queue_equivalence(seed, /*equal_priorities=*/false);
+}
+
+TEST(ReadyQueue, MatchesLinearScanEqualPriorities) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    check_ready_queue_equivalence(seed, /*equal_priorities=*/true);
 }
 
 TEST(Rtos, DispatchEnergyPositive) {
