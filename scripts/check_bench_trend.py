@@ -10,21 +10,22 @@ $SOCPOWER_BENCH_JSON_DIR and this script compares the two sets:
     and only finite numeric metrics (NaN/Inf means a broken measurement,
     not a slow one);
   * trend: a metric that regresses by more than --threshold (default 25 %)
-    against its committed baseline fails the run.  Direction comes from the
-    metric name: the 0/1 invariants named in EXACT_NAMES and *identical-style
-    invariants must match exactly, seconds/error/overhead-style metrics must
-    not grow, speedup/throughput/hit-rate-style metrics must not shrink.
-    Everything else (point counts, gate counts, workload sizes) is
-    informational.
+    against its committed baseline fails the run.  Its direction comes only
+    from PINNED, keyed "<bench>.<metric>": "exact" invariants must match
+    exactly, "lower" metrics must not grow, "higher" metrics must not
+    shrink, and "info" metrics (point counts, gate counts, workload sizes)
+    are printed but never gate.  A metric present on both sides with no
+    PINNED entry fails the run: a direction is declared, never guessed
+    from the name.
 
 Benchmarks present on only one side are skipped with a note: adding a new
 benchmark must not fail the trend gate, and retiring one is a review
 decision, not a CI decision.
 
 --self-test checks the guard itself instead: every metric of the committed
-BENCH_*.json must get the direction pinned for it in PINNED (so a rename or
-a pattern edit cannot silently turn a gate into "info" or flip it), and a
-few synthetic baselines must pass or fail as expected.
+BENCH_*.json must have an entry in PINNED, every PINNED entry must name a
+committed metric (so a rename cannot leave a stale entry behind), and a few
+synthetic baselines must pass or fail as expected.
 
 Usage: check_bench_trend.py [--baseline-dir DIR] [--current-dir DIR]
                             [--threshold FRACTION]
@@ -39,18 +40,10 @@ import math
 import os
 import sys
 
-LOWER_IS_BETTER = ("seconds", "err", "overhead", "dropped")
-LOWER_SUFFIXES = ("_s", "_ms")
-HIGHER_IS_BETTER = ("speedup", "throughput", "hit_rate", "kreact", "per_sec")
-EXACT = ("identical",)
-# 0/1 invariants whose names the patterns above misread: "zero_energy_error"
-# contains "err" (a 1 -> 0 flip would pass as an improvement) and
-# "iss_profile_monotone" matches nothing (it would only be informational).
-EXACT_NAMES = ("zero_energy_error", "iss_profile_monotone")
-
 # The direction of every metric in the committed BENCH_*.json, as
-# "<bench>.<metric>": direction.  --self-test fails when direction() and
-# this table disagree, or when a committed metric has no entry here.
+# "<bench>.<metric>": direction.  This table is the only source of a
+# metric's direction; --self-test fails when a committed metric has no entry
+# here or an entry names no committed metric.
 PINNED = {
     "analytical_explore.err_pct_tcpip": "lower",
     "analytical_explore.err_pct_prodcons": "lower",
@@ -141,21 +134,11 @@ def load(path):
     return doc["bench"], metrics
 
 
-def direction(name):
-    lowered = name.lower()
-    if lowered in EXACT_NAMES or any(pat in lowered for pat in EXACT):
-        return "exact"
-    # Speedup-style names win over the "_s" suffix rule ("..._speedup").
-    if any(pat in lowered for pat in HIGHER_IS_BETTER):
-        return "higher"
-    if lowered.endswith(LOWER_SUFFIXES) or any(
-            pat in lowered for pat in LOWER_IS_BETTER):
-        return "lower"
-    return "info"
-
-
 def verdict_for(kind, base, cur, threshold):
-    """"ok", or why `cur` regresses from `base` for a metric of `kind`."""
+    """"ok", or why `cur` regresses from `base` for a metric of `kind`
+    (None: the metric has no PINNED direction, which always fails)."""
+    if kind is None:
+        return "NOT PINNED (add its direction to PINNED)"
     if kind == "exact":
         if cur != base:
             return f"REGRESSION (expected {base}, got {cur})"
@@ -181,22 +164,16 @@ def self_test(baseline_dir):
         for name in metrics:
             key = f"{bench}.{name}"
             seen.add(key)
-            got = direction(name)
-            want = PINNED.get(key)
-            if want is None:
-                problems.append(f"{key}: no pinned direction "
-                                f"(direction() says {got})")
-            elif got != want:
-                problems.append(f"{key}: direction() says {got}, "
-                                f"pinned {want}")
+            if key not in PINNED:
+                problems.append(f"{key}: no pinned direction")
     for key in sorted(set(PINNED) - seen):
         problems.append(f"{key}: pinned but in no committed BENCH file")
     # The gate itself: flips of the exact invariants fail, a faster run
-    # passes, a 30 % slower one fails.
+    # passes, a 30 % slower one fails, an unpinned metric fails.
     cases = [("exact", 1.0, 0.0, False), ("exact", 1.0, 1.0, True),
              ("lower", 1.0, 0.5, True), ("lower", 1.0, 1.3, False),
              ("higher", 10.0, 12.0, True), ("higher", 10.0, 7.0, False),
-             ("info", 1.0, 100.0, True)]
+             ("info", 1.0, 100.0, True), (None, 1.0, 1.0, False)]
     for kind, base, cur, passes in cases:
         if (verdict_for(kind, base, cur, 0.25) == "ok") != passes:
             problems.append(f"verdict_for({kind}, {base} -> {cur}) should "
@@ -250,13 +227,14 @@ def main():
                 print(f"  {bench}.{name}: new metric, skipped")
                 continue
             cur, base = current[name], baseline[name]
-            kind = direction(name)
+            kind = PINNED.get(f"{bench}.{name}")
             if kind == "info":
                 print(f"  {bench}.{name}: {base:g} -> {cur:g} (info)")
                 continue
             verdict = verdict_for(kind, base, cur, args.threshold)
             compared += 1
-            print(f"  {bench}.{name} [{kind}]: {base:g} -> {cur:g}  {verdict}")
+            print(f"  {bench}.{name} [{kind or 'unpinned'}]: "
+                  f"{base:g} -> {cur:g}  {verdict}")
             if verdict != "ok":
                 failures.append(f"{bench}.{name}: {verdict}")
 

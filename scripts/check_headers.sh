@@ -3,7 +3,7 @@
 # carries its own includes — a header that only builds when included after
 # another breaks downstream users and precompiled-header setups. New backend
 # headers under src/core/estimators/ are the motivating case: they must be
-# includable without the facade.
+# includable without core/coestimator.hpp.
 #
 # Usage: scripts/check_headers.sh [compiler]   (default: ${CXX:-g++})
 set -u

@@ -195,10 +195,6 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
   if (dist_flush_chunk == 0)
     err("dist_flush_chunk must be > 0 — a zero slice can never ship a "
         "batch entry");
-  if (dist_workers > 256)
-    err("dist_workers must be <= 256 (got %u) — each worker is a forked "
-        "process",
-        dist_workers);
 
   if (max_reactions == 0)
     err("max_reactions must be > 0 — a zero guard truncates every run at "

@@ -1,11 +1,10 @@
 // Shared vocabulary of the co-estimation framework: the configuration,
-// result, and hook types that the simulation master, the component-estimator
-// backends, and the public CoEstimator facade all speak.
+// result, and hook types that the simulation master (core::CoEstimator) and
+// the component-estimator backends both speak.
 //
-// These types used to live inside coestimator.hpp; they are split out so the
-// backends under estimators/ can be compiled without pulling in the facade
-// (and so a future out-of-process backend can share the wire vocabulary
-// without linking the master at all).
+// They live apart from coestimator.hpp so the backends under estimators/
+// compile without pulling in the master (and so an out-of-process backend
+// can share the wire vocabulary without linking the master at all).
 #pragma once
 
 #include <functional>
@@ -184,9 +183,6 @@ struct CoEstimatorConfig {
   /// fallback (telemetry "dist.fallbacks"). No-op for platforms without
   /// fork/socketpair.
   bool hw_remote = false;
-  /// Worker processes for explore_sharded(). 1 = serial explore, 0 = one
-  /// per hardware thread.
-  unsigned dist_workers = 0;
   /// Per-request timeout (ms) before a remote estimator worker is declared
   /// dead and recovery (standby promotion, then in-process fallback) kicks
   /// in. Generous by default: a false positive costs a full log replay.

@@ -1,6 +1,6 @@
 // The component-power-estimator interface of the paper's Figure 2(b).
 //
-// The simulation master (core::CoSimMaster) owns only discrete-event
+// The simulation master (core::CoEstimator) owns only discrete-event
 // scheduling: the event queue, value latching, RTOS serialization, the
 // pending-software and bus-wait bookkeeping, and the acceleration policy
 // (energy cache / macro-model / sampling). Everything that actually *prices*

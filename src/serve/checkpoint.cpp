@@ -102,7 +102,7 @@ bool get_backend(WireReader& r, core::BackendWarmState* out) {
 }  // namespace
 
 void put_warm_snapshot(WireWriter& w,
-                       const core::CoSimMaster::WarmSnapshot& snap) {
+                       const core::CoEstimator::WarmSnapshot& snap) {
   w.put_u32(static_cast<std::uint32_t>(snap.backends.size()));
   for (const core::BackendWarmState& b : snap.backends) put_backend(w, b);
   w.put_u32(static_cast<std::uint32_t>(snap.ecache.size()));
@@ -116,7 +116,7 @@ void put_warm_snapshot(WireWriter& w,
   w.put_u64(snap.ecache_simulations);
 }
 
-bool get_warm_snapshot(WireReader& r, core::CoSimMaster::WarmSnapshot* out) {
+bool get_warm_snapshot(WireReader& r, core::CoEstimator::WarmSnapshot* out) {
   *out = {};
   const std::uint32_t nb = get_len(r);
   out->backends.resize(nb);

@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cosim_master.hpp"
+#include "core/coestimator.hpp"
 #include "serve/protocol.hpp"
 
 namespace socpower::serve {
@@ -36,15 +36,15 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 struct Checkpoint {
   SystemParams system;
   StructuralConfig structural;
-  core::CoSimMaster::WarmSnapshot warm;
+  core::CoEstimator::WarmSnapshot warm;
 };
 
 /// Warm-state payload codec (shared with tests that corrupt checkpoints at
 /// specific offsets).
 void put_warm_snapshot(dist::WireWriter& w,
-                       const core::CoSimMaster::WarmSnapshot& snap);
+                       const core::CoEstimator::WarmSnapshot& snap);
 [[nodiscard]] bool get_warm_snapshot(dist::WireReader& r,
-                                     core::CoSimMaster::WarmSnapshot* out);
+                                     core::CoEstimator::WarmSnapshot* out);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& c);
 [[nodiscard]] bool decode_checkpoint(const std::uint8_t* data,

@@ -41,7 +41,7 @@ CoEstimatorConfig analytical_config(unsigned calib_vectors = 8) {
 
 RunResults run_tcpip(const systems::TcpIpParams& p,
                      const CoEstimatorConfig& cfg,
-                     CoSimMaster::WarmSnapshot* warm_out = nullptr) {
+                     CoEstimator::WarmSnapshot* warm_out = nullptr) {
   systems::TcpIpSystem sys(p);
   CoEstimator est(&sys.network(), cfg);
   sys.configure(est);
@@ -54,7 +54,7 @@ RunResults run_tcpip(const systems::TcpIpParams& p,
 /// All fitted unit models in a snapshot, in backend order (the analytical
 /// backend is the only one that exports a non-empty model).
 std::vector<hw::AnalyticalUnitModel> fitted_units(
-    const CoSimMaster::WarmSnapshot& snap) {
+    const CoEstimator::WarmSnapshot& snap) {
   std::vector<hw::AnalyticalUnitModel> out;
   for (const BackendWarmState& b : snap.backends)
     out.insert(out.end(), b.analytical.units.begin(), b.analytical.units.end());
@@ -133,7 +133,7 @@ TEST(Analytical, PredictClampsAtZero) {
 // ---- calibration against the gate-level backend ----------------------------
 
 TEST(Analytical, CalibrationIsDeterministicAcrossEstimators) {
-  CoSimMaster::WarmSnapshot wa, wb;
+  CoEstimator::WarmSnapshot wa, wb;
   const RunResults ra = run_tcpip(hw_heavy_params(), analytical_config(), &wa);
   const RunResults rb = run_tcpip(hw_heavy_params(), analytical_config(), &wb);
   const auto ma = fitted_units(wa);
@@ -199,7 +199,7 @@ TEST(Analytical, StaticColumnAppearsInReportOnlyWhenPresent) {
 // ---- warm state, wire, checkpoint ------------------------------------------
 
 TEST(Analytical, WireRoundTripIsBitExact) {
-  CoSimMaster::WarmSnapshot warm;
+  CoEstimator::WarmSnapshot warm;
   (void)run_tcpip(hw_heavy_params(), analytical_config(), &warm);
   hw::AnalyticalModel model;
   for (const BackendWarmState& b : warm.backends)
@@ -237,7 +237,7 @@ TEST(Analytical, WireRoundTripIsBitExact) {
 TEST(Analytical, WarmImportSkipsRecalibration) {
   // Target 4 (= the coefficient count): every unit reaches it in the donor
   // run, so the imported model covers all units.
-  CoSimMaster::WarmSnapshot warm;
+  CoEstimator::WarmSnapshot warm;
   (void)run_tcpip(hw_heavy_params(), analytical_config(4), &warm);
   ASSERT_FALSE(fitted_units(warm).empty());
 
@@ -261,7 +261,7 @@ TEST(Analytical, WarmImportSkipsRecalibration) {
 }
 
 TEST(Analytical, CheckpointRoundTripPreservesModelBits) {
-  CoSimMaster::WarmSnapshot warm;
+  CoEstimator::WarmSnapshot warm;
   (void)run_tcpip(hw_heavy_params(), analytical_config(), &warm);
   ASSERT_FALSE(fitted_units(warm).empty());
 

@@ -37,7 +37,7 @@ core::CoEstimatorConfig remote_config() {
   return cfg;
 }
 
-/// The remote hw_gate backend behind the facade. backends() hands out const
+/// The remote hw_gate backend of `est`. backends() hands out const
 /// pointers; the fault-injection hook is inherently non-const, hence the
 /// const_cast (test-only).
 RemoteHwEstimator* find_remote(const core::CoEstimator& est) {

@@ -182,6 +182,23 @@ TEST(EstimatorBackendsDeathTest, PrepareAbortsOnUnknownBackend) {
   EXPECT_DEATH(est.prepare(), "not registered");
 }
 
+TEST(EstimatorBackendsDeathTest, PrepareAbortsOnUnmappedProcess) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  systems::TcpIpSystem sys(small_params());
+  CoEstimator est(&sys.network());
+  // Map every process but the last; prepare() must name the one left over
+  // in every build type (an unchecked one used to run as a gate-level ASIC
+  // under NDEBUG).
+  const std::size_t n = sys.network().cfsm_count();
+  ASSERT_GE(n, 2u);
+  for (std::size_t c = 0; c + 1 < n; ++c)
+    est.map_hw(static_cast<cfsm::CfsmId>(c));
+  const std::string name =
+      sys.network().cfsm(static_cast<cfsm::CfsmId>(n - 1)).name();
+  EXPECT_DEATH(est.prepare(), "process \"" + name + "\" is mapped to "
+                              "neither software nor hardware");
+}
+
 TEST(EstimatorBackendsDeathTest, StructuralMutationAfterPrepareAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   systems::TcpIpSystem sys(small_params());
@@ -378,9 +395,9 @@ TEST(EstimatorBackends, BackendsListRolesAfterPrepare) {
   std::vector<std::string> names;
   for (const ComponentEstimator* b : est.backends())
     names.emplace_back(b->name());
-  std::sort(names.begin(), names.end());
-  EXPECT_EQ(names, (std::vector<std::string>{"bus.arbiter", "cache.icache",
-                                             "hw.gate", "hw.rtl", "sw.iss"}));
+  // Role order, unsorted: warm-state import matches backends by index.
+  EXPECT_EQ(names, (std::vector<std::string>{"sw.iss", "hw.gate", "hw.rtl",
+                                             "cache.icache", "bus.arbiter"}));
   // Process backends own disjoint, non-empty component sets; resource
   // backends own none.
   for (const ComponentEstimator* b : est.backends()) {
