@@ -88,14 +88,12 @@ int main(int argc, char** argv) {
       const std::uint64_t rpcs = snap.counter_or(prefix + "rpcs");
       if (rpcs == 0) continue;
       std::printf("%s: %llu RPCs, %llu bytes out, %llu bytes in, "
-                  "%llu respawn(s), %llu fallback(s)\n",
+                  "%llu fallback(s)\n",
                   backend, static_cast<unsigned long long>(rpcs),
                   static_cast<unsigned long long>(
                       snap.counter_or(prefix + "bytes_tx")),
                   static_cast<unsigned long long>(
                       snap.counter_or(prefix + "bytes_rx")),
-                  static_cast<unsigned long long>(
-                      snap.counter_or(prefix + "respawns")),
                   static_cast<unsigned long long>(
                       snap.counter_or(prefix + "fallbacks")));
     }

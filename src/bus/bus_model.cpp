@@ -5,7 +5,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdio>
-#include <numeric>
 
 #include "telemetry/registry.hpp"
 
@@ -34,112 +33,11 @@ telemetry::Counter& master_grant_counter(int master) {
 
 }  // namespace
 
-BusModel::BusModel(BusParams params) : params_(params) {
+BusScheduler::BusScheduler(BusParams params) : params_(params) {
   assert(params_.dma_block_size > 0);
   assert(params_.addr_bits >= 1 && params_.addr_bits <= 32);
   assert(params_.data_bits >= 1 && params_.data_bits <= 32);
   assert(params_.data_bits <= 8 || params_.data_bits % 8 == 0);
-}
-
-Joules BusModel::toggle_energy(std::uint64_t toggles) const {
-  return params_.electrical.switch_energy(params_.line_cap_f) *
-         static_cast<double>(toggles);
-}
-
-BusResult BusModel::serve(std::uint64_t start, const BusRequest& req) {
-  BusResult res;
-  res.start = start;
-  const std::uint32_t addr_mask =
-      params_.addr_bits >= 32 ? 0xffffffffu : ((1u << params_.addr_bits) - 1);
-  const unsigned bpb = params_.bytes_per_beat();
-  const std::uint32_t data_mask =
-      params_.data_bits >= 32 ? 0xffffffffu
-                              : ((1u << params_.data_bits) - 1);
-
-  const std::size_t n = req.data.size();
-  res.grants = n == 0 ? 1u
-                      : static_cast<unsigned>((n + params_.dma_block_size - 1) /
-                                              params_.dma_block_size);
-  std::uint64_t cycle = start;
-  std::size_t i = 0;
-  for (unsigned g = 0; g < res.grants; ++g) {
-    if (keep_grant_times_) grant_times_.push_back(cycle);
-    cycle += params_.handshake_cycles;
-    const auto hs_toggles =
-        static_cast<std::uint64_t>(params_.handshake_toggles);
-    res.energy += toggle_energy(hs_toggles);
-    const std::size_t block_end =
-        std::min(n, i + params_.dma_block_size);
-    while (i < block_end) {
-      const std::uint32_t a =
-          (req.addr + static_cast<std::uint32_t>(i)) & addr_mask;
-      std::uint32_t word = 0;
-      for (unsigned b = 0; b < bpb && i < block_end; ++b, ++i)
-        word |= static_cast<std::uint32_t>(req.data[i]) << (8 * b);
-      word &= data_mask;
-      const auto at = static_cast<std::uint64_t>(
-          std::popcount(a ^ (prev_addr_ & addr_mask)));
-      const auto dt =
-          static_cast<std::uint64_t>(std::popcount(word ^ prev_data_));
-      totals_.addr_toggles += at;
-      totals_.data_toggles += dt;
-      res.energy += toggle_energy(at + dt);
-      prev_addr_ = a;
-      prev_data_ = word;
-      cycle += params_.cycles_per_beat;
-    }
-  }
-  res.end = cycle;
-  res.busy_cycles = cycle - start;
-  totals_.transfers += 1;
-  totals_.grants += res.grants;
-  totals_.bytes += n;
-  totals_.energy += res.energy;
-  return res;
-}
-
-std::vector<BusResult> BusModel::arbitrate(std::uint64_t now,
-                                           std::vector<BusRequest> requests) {
-  assert(now + 1 > 0);
-  // Order by priority (descending), then master id, then submission order.
-  std::vector<std::size_t> order(requests.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&requests](std::size_t a, std::size_t b) {
-                     if (requests[a].priority != requests[b].priority)
-                       return requests[a].priority > requests[b].priority;
-                     return requests[a].master < requests[b].master;
-                   });
-  std::vector<BusResult> results(requests.size());
-  for (const std::size_t ri : order) {
-    const std::uint64_t start = std::max(now, free_at_);
-    BusResult r = serve(start, requests[ri]);
-    r.wait_cycles = start - now;
-    free_at_ = r.end;
-    results[ri] = r;
-  }
-  return results;
-}
-
-BusResult BusModel::transfer(std::uint64_t now, BusRequest request) {
-  std::vector<BusRequest> reqs;
-  reqs.push_back(std::move(request));
-  return arbitrate(now, std::move(reqs))[0];
-}
-
-void BusModel::reset() {
-  free_at_ = 0;
-  prev_addr_ = 0;
-  prev_data_ = 0;
-  totals_ = {};
-  grant_times_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// BusScheduler
-
-BusScheduler::BusScheduler(BusParams params) : params_(params) {
-  assert(params_.dma_block_size > 0);
 }
 
 Joules BusScheduler::toggle_energy(std::uint64_t toggles) const {

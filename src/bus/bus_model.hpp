@@ -8,14 +8,13 @@
 //     P_bus = 1/2 * Vdd^2 * f * sum_lines Ceff(line_i) * A(line_i).
 // The arbiter grants the bus per DMA block: a transfer of N bytes with DMA
 // block size D needs ceil(N/D) grants, each paying an arbitration handshake
-// (cycles + control-line toggles). Fixed priorities order simultaneous
-// requests; between instants the bus is first-come-first-served. All
+// (cycles + control-line toggles). At every grant boundary fixed
+// priorities order the pending requests (BusScheduler below). All
 // parameters can be changed between runs without recompiling the system
 // description — the knobs swept in the paper's Figure 7 exploration.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bus/interconnect.hpp"
@@ -46,53 +45,12 @@ struct BusParams {
 // BusRequest / BusResult / BusTotals — the transfer vocabulary shared by
 // every interconnect implementation — live in bus/interconnect.hpp.
 
-class BusModel {
- public:
-  explicit BusModel(BusParams params = {});
-
-  /// Serve requests issued at cycle `now`. All requests in the batch are
-  /// considered simultaneous: the arbiter orders them by descending
-  /// priority (ties by master id, then submission order). Results are
-  /// returned in the input order. `now` must not decrease across calls.
-  std::vector<BusResult> arbitrate(std::uint64_t now,
-                                   std::vector<BusRequest> requests);
-
-  /// Convenience for a single requester.
-  BusResult transfer(std::uint64_t now, BusRequest request);
-
-  [[nodiscard]] std::uint64_t free_at() const { return free_at_; }
-  [[nodiscard]] const BusTotals& totals() const { return totals_; }
-  [[nodiscard]] const BusParams& params() const { return params_; }
-
-  /// When enabled, the start cycle of every grant is recorded — used to
-  /// correlate power peaks with arbiter handshakes (paper Section 5.3).
-  void set_keep_grant_times(bool keep) { keep_grant_times_ = keep; }
-  [[nodiscard]] const std::vector<std::uint64_t>& grant_times() const {
-    return grant_times_;
-  }
-
-  void reset();
-
- private:
-  [[nodiscard]] Joules toggle_energy(std::uint64_t toggles) const;
-  BusResult serve(std::uint64_t start, const BusRequest& req);
-
-  BusParams params_;
-  std::uint64_t free_at_ = 0;
-  std::uint32_t prev_addr_ = 0;
-  std::uint32_t prev_data_ = 0;  // last beat word on the data lanes
-  BusTotals totals_;
-  bool keep_grant_times_ = false;
-  std::vector<std::uint64_t> grant_times_;
-};
-
 /// Grant-level bus scheduler: the arbiter re-arbitrates at every DMA-block
 /// boundary among all masters with pending traffic, so a high-priority
 /// master preempts (at block granularity) a long transfer of a lower-
 /// priority one — the mechanism that makes the priority assignment a real
 /// knob in the paper's Figure 7 exploration. Used by the co-estimation
-/// master, which advances it in simulated-time order; BusModel above stays
-/// as the simple atomic-transfer model.
+/// master, which advances it in simulated-time order.
 class BusScheduler : public Interconnect {
  public:
   explicit BusScheduler(BusParams params = {});

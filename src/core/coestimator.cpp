@@ -313,10 +313,12 @@ void CoEstimator::track_job(bus::Interconnect::JobId id, std::uint32_t wait) {
 
 TransitionCost CoEstimator::measured_or_accelerated(
     cfsm::CfsmId task, cfsm::PathId path,
-    const std::function<TransitionCost()>& simulate,
-    const std::vector<swsyn::MacroOp>* macro_stream) {
+    const std::function<TransitionCost()>& simulate) {
   switch (config_.accel) {
     case Acceleration::kNone:
+    case Acceleration::kMacroModel:
+      // Software under the macro-model returns before reaching here, and
+      // hardware parts have no macro-model: simulate them.
       return simulate();
     case Acceleration::kCaching: {
       if (const auto c = ecache_.lookup(task, path)) {
@@ -327,14 +329,6 @@ TransitionCost CoEstimator::measured_or_accelerated(
       ecache_.record(task, path, static_cast<Cycles>(cost.cycles),
                      cost.energy);
       return cost;
-    }
-    case Acceleration::kMacroModel: {
-      if (macro_stream != nullptr) {
-        const PathEstimate est = macromodel_.estimate(*macro_stream);
-        return {est.cycles, est.energy, false};
-      }
-      // Hardware parts have no software macro-model; simulate them.
-      return simulate();
     }
     case Acceleration::kSampling: {
       const bool do_sim = sampler_[static_cast<std::size_t>(task)].feed(
@@ -388,7 +382,7 @@ TransitionCost CoEstimator::sw_transition_cost(
   req.post_state = &state_[static_cast<std::size_t>(task)];
   SwBackend* sw = sw_backend_of(task);
   auto simulate = [&]() -> TransitionCost { return sw->cost(req); };
-  return measured_or_accelerated(task, path, simulate, nullptr);
+  return measured_or_accelerated(task, path, simulate);
 }
 
 TransitionCost CoEstimator::hw_transition_cost(
@@ -407,8 +401,7 @@ TransitionCost CoEstimator::hw_transition_cost(
   // Table 1 accelerates the ISS side only (zero accuracy loss); HW-side
   // caching/sampling is the opt-in ablation.
   TransitionCost cost = config_.accelerate_hw
-                            ? measured_or_accelerated(task, path, simulate,
-                                                      nullptr)
+                            ? measured_or_accelerated(task, path, simulate)
                             : simulate();
   hw->mark_skipped(task, !cost.simulated);
   return cost;

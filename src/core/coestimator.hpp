@@ -239,8 +239,7 @@ class CoEstimator {
 
   TransitionCost measured_or_accelerated(
       cfsm::CfsmId task, cfsm::PathId path,
-      const std::function<TransitionCost()>& simulate,
-      const std::vector<swsyn::MacroOp>* macro_stream);
+      const std::function<TransitionCost()>& simulate);
 
   const cfsm::Network* net_;
   CoEstimatorConfig config_;

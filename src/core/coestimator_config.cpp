@@ -123,11 +123,18 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
           coherence.l2_access_energy, coherence.invalidate_energy);
   }
 
-  if (bus.addr_bits == 0)
-    err("bus.addr_bits must be > 0 — a zero-width address bus cannot "
-        "address the shared memory");
-  if (bus.data_bits == 0)
-    err("bus.data_bits must be > 0 — a zero-width data bus moves no bytes");
+  if (bus.addr_bits == 0 || bus.addr_bits > 32)
+    err("bus.addr_bits must be in [1, 32] (got %u) — bus addresses are "
+        "32-bit words",
+        bus.addr_bits);
+  if (bus.data_bits == 0 || bus.data_bits > 32)
+    err("bus.data_bits must be in [1, 32] (got %u) — a beat packs into one "
+        "uint32_t data word",
+        bus.data_bits);
+  else if (bus.data_bits > 8 && bus.data_bits % 8 != 0)
+    err("bus.data_bits above 8 must be a multiple of 8 (got %u) — wide "
+        "beats move whole bytes",
+        bus.data_bits);
   if (bus.dma_block_size == 0)
     err("bus.dma_block_size must be > 0 — each grant must move at least "
         "one byte");

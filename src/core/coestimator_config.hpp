@@ -184,8 +184,8 @@ struct CoEstimatorConfig {
   /// fork/socketpair.
   bool hw_remote = false;
   /// Per-request timeout (ms) before a remote estimator worker is declared
-  /// dead and recovery (standby promotion, then in-process fallback) kicks
-  /// in. Generous by default: a false positive costs a full log replay.
+  /// dead and the in-process fallback (replaying the request log) takes
+  /// over. Generous by default: a false positive costs a full log replay.
   unsigned dist_rpc_timeout_ms = 60'000;
   /// Batch entries shipped per kEnqueueChunk slice to a remote hardware
   /// worker. Smaller = more overlap between the master's DE loop and the

@@ -32,8 +32,7 @@ RemoteHwEstimator::RemoteHwEstimator(std::string inner_name)
 
 RemoteHwEstimator::~RemoteHwEstimator() {
   std::lock_guard<std::mutex> lk(mu_);
-  shutdown_proc(&primary_, /*graceful=*/true);
-  shutdown_proc(&standby_, /*graceful=*/true);
+  shutdown_proc(&worker_, /*graceful=*/true);
 }
 
 int RemoteHwEstimator::timeout_ms() const {
@@ -104,80 +103,39 @@ void RemoteHwEstimator::prepare(const core::EstimatorContext& ctx) {
   rpcs_telem_ = &reg.counter(prefix + "rpcs");
   bytes_tx_telem_ = &reg.counter(prefix + "bytes_tx");
   bytes_rx_telem_ = &reg.counter(prefix + "bytes_rx");
-  respawns_telem_ = &reg.counter(prefix + "respawns");
   fallbacks_telem_ = &reg.counter(prefix + "fallbacks");
   global_fallbacks_telem_ = &reg.counter("dist.fallbacks");
   latency_telem_ = &reg.histogram(prefix + "rpc_latency_ms", 0.0, 1e3, 32);
 
   std::lock_guard<std::mutex> lk(mu_);
-  if (supported() && spawn(&primary_)) {
-    // A dead standby is not fatal — one respawn credit is just unavailable.
-    (void)spawn(&standby_);
-  } else {
-    fallbacks_telem_->add();
-    global_fallbacks_telem_->add();
-    local_ = std::make_unique<Worker>(inner_, net_, prep_cfg_, components_);
-  }
+  if (!supported() || !spawn(&worker_)) (void)recover();  // empty log
 }
 
 bool RemoteHwEstimator::remote_active() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return !local_ && primary_.pid >= 0;
+  return !local_ && worker_.pid >= 0;
 }
 
-void RemoteHwEstimator::debug_kill_workers(bool include_standby) {
+void RemoteHwEstimator::debug_kill_worker() {
 #if !defined(_WIN32)
   std::lock_guard<std::mutex> lk(mu_);
-  if (primary_.pid >= 0) ::kill(static_cast<pid_t>(primary_.pid), SIGKILL);
-  if (include_standby && standby_.pid >= 0)
-    ::kill(static_cast<pid_t>(standby_.pid), SIGKILL);
-#else
-  (void)include_standby;
+  if (worker_.pid >= 0) ::kill(static_cast<pid_t>(worker_.pid), SIGKILL);
 #endif
 }
 
 void RemoteHwEstimator::note_bytes() {
-  if (!primary_.ch.valid()) return;
-  bytes_tx_telem_->add(primary_.ch.bytes_tx() - tx_seen_);
-  bytes_rx_telem_->add(primary_.ch.bytes_rx() - rx_seen_);
-  tx_seen_ = primary_.ch.bytes_tx();
-  rx_seen_ = primary_.ch.bytes_rx();
+  if (!worker_.ch.valid()) return;
+  bytes_tx_telem_->add(worker_.ch.bytes_tx() - tx_seen_);
+  bytes_rx_telem_->add(worker_.ch.bytes_rx() - rx_seen_);
+  tx_seen_ = worker_.ch.bytes_tx();
+  rx_seen_ = worker_.ch.bytes_rx();
 }
 
 std::vector<std::uint8_t> RemoteHwEstimator::recover() {
-  shutdown_proc(&primary_, /*graceful=*/false);
-  if (standby_.pid >= 0) {
-    respawns_telem_->add();
-    primary_ = std::move(standby_);
-    standby_ = Proc{};
-    tx_seen_ = rx_seen_ = 0;
-    std::vector<std::uint8_t> last;
-    bool ok = true;
-    for (const Frame& f : log_) {
-      if (!primary_.ch.send_frame(f.type, f.payload, timeout_ms())) {
-        ok = false;
-        break;
-      }
-      if (expects_reply(f.type)) {
-        Frame rep;
-        if (primary_.ch.recv_frame(&rep, timeout_ms()) !=
-                Channel::RecvStatus::kOk ||
-            rep.type != MsgType::kReply) {
-          ok = false;
-          break;
-        }
-        last = std::move(rep.payload);
-      } else {
-        last.clear();
-      }
-    }
-    note_bytes();
-    if (ok) return last;
-    shutdown_proc(&primary_, /*graceful=*/false);
-  }
-  // Both processes are gone: replay into an in-process Worker. Same frame
-  // stream through the same dispatch code, so the results (and every
+  // The worker is never replaced: replay into an in-process Worker. Same
+  // frame stream through the same dispatch code, so the results (and every
   // subsequent request) stay bit-identical to the remote execution.
+  shutdown_proc(&worker_, /*graceful=*/false);
   fallbacks_telem_->add();
   global_fallbacks_telem_->add();
   local_ = std::make_unique<Worker>(inner_, net_, prep_cfg_, components_);
@@ -200,10 +158,10 @@ std::vector<std::uint8_t> RemoteHwEstimator::transact(
     auto rep = local_->dispatch(t, payload);
     if (rep) reply = std::move(*rep);
   } else {
-    bool ok = primary_.ch.send_frame(t, payload, timeout_ms());
+    bool ok = worker_.ch.send_frame(t, payload, timeout_ms());
     if (ok && expects_reply(t)) {
       Frame f;
-      ok = primary_.ch.recv_frame(&f, timeout_ms()) ==
+      ok = worker_.ch.recv_frame(&f, timeout_ms()) ==
                Channel::RecvStatus::kOk &&
            f.type == MsgType::kReply;
       if (ok) reply = std::move(f.payload);

@@ -8,17 +8,17 @@
 // keeps scheduling software transitions while the worker burns gate cycles,
 // and the kFlushUnit barrier only collects what is left.
 //
-// Fault tolerance: a primary AND a standby worker are pre-forked at
-// prepare() (forking later, from pool threads mid-flush, risks inheriting a
-// mutex held by another thread). Every frame is appended to a request log
-// that is compacted at begin_run() to [path preloads + kBeginRun], so it is
-// bounded by one run. On a send/recv failure or timeout the standby is
-// promoted and the log replayed into it ("estimator.<name>.dist.respawns");
-// if that fails too, an in-process dist::Worker takes over
-// ("…dist.fallbacks" and the global "dist.fallbacks"). Replay drives the
-// exact same frame stream through the exact same Worker code, so recovered
-// runs stay bit-identical — only the reaction cache's cross-run warmth (a
-// wall-time effect) is lost.
+// Fault tolerance: the worker is forked once, at prepare() (forking later,
+// from pool threads mid-flush, risks inheriting a mutex held by another
+// thread), and a dead worker is never replaced — the rule explore_sharded
+// follows too. Every frame is appended to a request log that is compacted
+// at begin_run() to [path preloads + kBeginRun], so it is bounded by one
+// run. On a send/recv failure or timeout the worker is shut down and the
+// log replayed into an in-process dist::Worker, which serves every later
+// request ("estimator.<name>.dist.fallbacks" and the global
+// "dist.fallbacks"). Replay drives the exact same frame stream through the
+// exact same Worker code, so recovered runs stay bit-identical — only the
+// reaction cache's cross-run warmth (a wall-time effect) is lost.
 #pragma once
 
 #include <cstdint>
@@ -71,10 +71,9 @@ class RemoteHwEstimator : public core::HwBackend {
   /// True while requests still go to a worker process (false once the
   /// in-process fallback took over, or when fork/socketpair is unavailable).
   [[nodiscard]] bool remote_active() const;
-  /// Fault-injection hook for tests: SIGKILL the primary worker (and the
-  /// standby too when `include_standby`). The next request then exercises
-  /// standby promotion — or, with no standby left, the in-process fallback.
-  void debug_kill_workers(bool include_standby = true);
+  /// Fault-injection hook for tests: SIGKILL the worker. The next request
+  /// then exercises the in-process fallback.
+  void debug_kill_worker();
 
  private:
   struct Proc {
@@ -92,9 +91,9 @@ class RemoteHwEstimator : public core::HwBackend {
   std::vector<std::uint8_t> xfer(MsgType t, std::vector<std::uint8_t> payload);
   std::vector<std::uint8_t> transact(MsgType t,
                                      const std::vector<std::uint8_t>& payload);
-  /// Primary is broken: promote the standby (replaying the log), or drop to
-  /// the in-process fallback. Returns the replayed reply of the log's final
-  /// frame — i.e. the answer to the request that just failed.
+  /// The worker is broken (or was never spawned): shut it down and replay
+  /// the log into the in-process fallback. Returns the replayed reply of the
+  /// log's final frame — i.e. the answer to the request that just failed.
   std::vector<std::uint8_t> recover();
 
   /// Encode the pending entries of `task` plus the path-table delta the
@@ -115,8 +114,7 @@ class RemoteHwEstimator : public core::HwBackend {
 
   /// All channel/worker use is serialized: flush jobs run on pool threads.
   mutable std::mutex mu_;
-  Proc primary_;
-  Proc standby_;
+  Proc worker_;
   std::unique_ptr<Worker> local_;  // in-process fallback, once engaged
   std::vector<Frame> log_;         // request log since the last begin_run
 
@@ -141,7 +139,6 @@ class RemoteHwEstimator : public core::HwBackend {
   telemetry::Counter* rpcs_telem_ = nullptr;
   telemetry::Counter* bytes_tx_telem_ = nullptr;
   telemetry::Counter* bytes_rx_telem_ = nullptr;
-  telemetry::Counter* respawns_telem_ = nullptr;
   telemetry::Counter* fallbacks_telem_ = nullptr;
   telemetry::Counter* global_fallbacks_telem_ = nullptr;
   telemetry::HistogramStat* latency_telem_ = nullptr;

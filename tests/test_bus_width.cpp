@@ -1,9 +1,10 @@
 // Multi-byte data-lane tests: 16/32-bit buses move several bytes per beat,
 // cutting transfer cycles and address-line switching, with consistent byte
-// accounting across both bus models.
+// accounting.
 #include <gtest/gtest.h>
 
 #include "bus/bus_model.hpp"
+#include "bus_drain.hpp"
 
 namespace socpower::bus {
 namespace {
@@ -28,12 +29,12 @@ TEST(BusWidth, WiderLanesFewerBeats) {
   const auto data = payload(16);
   BusRequest r;
   r.data = data;
-  BusModel b8(width_params(8));
-  BusModel b16(width_params(16));
-  BusModel b32(width_params(32));
-  const auto t8 = b8.transfer(0, r);
-  const auto t16 = b16.transfer(0, r);
-  const auto t32 = b32.transfer(0, r);
+  BusScheduler b8(width_params(8));
+  BusScheduler b16(width_params(16));
+  BusScheduler b32(width_params(32));
+  const auto t8 = transfer_one(b8, 0, r);
+  const auto t16 = transfer_one(b16, 0, r);
+  const auto t32 = transfer_one(b32, 0, r);
   EXPECT_EQ(t8.busy_cycles, 2u + 16u);
   EXPECT_EQ(t16.busy_cycles, 2u + 8u);
   EXPECT_EQ(t32.busy_cycles, 2u + 4u);
@@ -47,10 +48,10 @@ TEST(BusWidth, AddressActivityShrinksWithWidth) {
   BusRequest r;
   r.data = data;
   r.addr = 0;
-  BusModel b8(width_params(8));
-  BusModel b32(width_params(32));
-  b8.transfer(0, r);
-  b32.transfer(0, r);
+  BusScheduler b8(width_params(8));
+  BusScheduler b32(width_params(32));
+  transfer_one(b8, 0, r);
+  transfer_one(b32, 0, r);
   // One address per beat: 4x fewer beats => fewer address toggles.
   EXPECT_LT(b32.totals().addr_toggles, b8.totals().addr_toggles);
 }
@@ -63,40 +64,19 @@ TEST(BusWidth, DataTogglesAreWordwise) {
   for (int i = 0; i < 16; ++i) alt.push_back(i % 2 ? 0xFF : 0x00);
   BusRequest r;
   r.data = alt;
-  BusModel b8(width_params(8));
-  BusModel b16(width_params(16));
-  b8.transfer(0, r);
-  b16.transfer(0, r);
+  BusScheduler b8(width_params(8));
+  BusScheduler b16(width_params(16));
+  transfer_one(b8, 0, r);
+  transfer_one(b16, 0, r);
   EXPECT_GT(b8.totals().data_toggles, 100u);  // 15 flips x 8 lines
   EXPECT_EQ(b16.totals().data_toggles, 8u);   // one transition to 0xFF00
 }
 
-TEST(BusWidth, SchedulerAgreesWithAtomicModel) {
-  const auto data = payload(24);
-  for (const unsigned bits : {8u, 16u, 32u}) {
-    BusRequest r;
-    r.data = data;
-    BusModel atomic(width_params(bits));
-    BusScheduler sched(width_params(bits));
-    const auto ra = atomic.transfer(0, r);
-    sched.submit(0, r);
-    BusResult rs;
-    while (sched.has_work())
-      for (const auto& c : sched.advance(sched.next_boundary()))
-        rs = c.result;
-    EXPECT_EQ(rs.end, ra.end) << bits;
-    EXPECT_EQ(rs.grants, ra.grants) << bits;
-    EXPECT_DOUBLE_EQ(rs.energy, ra.energy) << bits;
-    EXPECT_EQ(sched.totals().data_toggles, atomic.totals().data_toggles)
-        << bits;
-  }
-}
-
 TEST(BusWidth, OddTailBytesPackIntoPartialBeat) {
-  BusModel b32(width_params(32));
+  BusScheduler b32(width_params(32));
   BusRequest r;
   r.data = payload(5);  // one full word + one 1-byte beat
-  const auto res = b32.transfer(0, r);
+  const auto res = transfer_one(b32, 0, r);
   EXPECT_EQ(res.busy_cycles, 2u + 2u);
   EXPECT_EQ(b32.totals().bytes, 5u);
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bus/bus_model.hpp"
+#include "bus_drain.hpp"
 #include "cache/cache_sim.hpp"
 
 namespace socpower {
@@ -117,8 +118,9 @@ bus::BusRequest req(int master, int prio, std::vector<std::uint8_t> data,
 }
 
 TEST(Bus, GrantCountFollowsDmaBlockSize) {
-  bus::BusModel bus(small_bus());
-  const auto r = bus.transfer(0, req(0, 0, std::vector<std::uint8_t>(10, 0)));
+  bus::BusScheduler bus(small_bus());
+  const auto r =
+      transfer_one(bus, 0, req(0, 0, std::vector<std::uint8_t>(10, 0)));
   EXPECT_EQ(r.grants, 3u);  // ceil(10/4)
   EXPECT_EQ(r.busy_cycles, 3u * 2 + 10u);  // 3 handshakes + 10 beats
 }
@@ -126,12 +128,12 @@ TEST(Bus, GrantCountFollowsDmaBlockSize) {
 TEST(Bus, LargerDmaFewerGrantsLessEnergy) {
   auto p = small_bus();
   p.dma_block_size = 2;
-  bus::BusModel fine(p);
+  bus::BusScheduler fine(p);
   p.dma_block_size = 16;
-  bus::BusModel coarse(p);
+  bus::BusScheduler coarse(p);
   const std::vector<std::uint8_t> data(16, 0xAA);
-  const auto rf = fine.transfer(0, req(0, 0, data));
-  const auto rc = coarse.transfer(0, req(0, 0, data));
+  const auto rf = transfer_one(fine, 0, req(0, 0, data));
+  const auto rc = transfer_one(coarse, 0, req(0, 0, data));
   EXPECT_GT(rf.grants, rc.grants);
   EXPECT_GT(rf.energy, rc.energy);
   EXPECT_GT(rf.busy_cycles, rc.busy_cycles);
@@ -142,35 +144,35 @@ TEST(Bus, SwitchingActivityFollowsHammingDistance) {
   // toggles none after the first beat.
   auto p = small_bus();
   p.dma_block_size = 64;
-  bus::BusModel b1(p);
+  bus::BusScheduler b1(p);
   std::vector<std::uint8_t> alternating;
   for (int i = 0; i < 32; ++i)
     alternating.push_back(i % 2 ? 0xFF : 0x00);
-  const auto ra = b1.transfer(0, req(0, 0, alternating));
-  bus::BusModel b2(p);
+  const auto ra = transfer_one(b1, 0, req(0, 0, alternating));
+  bus::BusScheduler b2(p);
   const auto rc =
-      b2.transfer(0, req(0, 0, std::vector<std::uint8_t>(32, 0x00)));
+      transfer_one(b2, 0, req(0, 0, std::vector<std::uint8_t>(32, 0x00)));
   EXPECT_GT(ra.energy, rc.energy);
   EXPECT_GT(b1.totals().data_toggles, b2.totals().data_toggles);
 }
 
 TEST(Bus, EnergyScalesWithLineCapacitance) {
   auto p = small_bus();
-  bus::BusModel b1(p);
+  bus::BusScheduler b1(p);
   p.line_cap_f *= 10;
-  bus::BusModel b10(p);
+  bus::BusScheduler b10(p);
   const std::vector<std::uint8_t> data = {0xFF, 0x00, 0xFF, 0x00};
-  const auto e1 = b1.transfer(0, req(0, 0, data)).energy;
-  const auto e10 = b10.transfer(0, req(0, 0, data)).energy;
+  const auto e1 = transfer_one(b1, 0, req(0, 0, data)).energy;
+  const auto e10 = transfer_one(b10, 0, req(0, 0, data)).energy;
   EXPECT_NEAR(e10 / e1, 10.0, 1e-9);
 }
 
 TEST(Bus, PriorityOrdersSimultaneousRequests) {
-  bus::BusModel bus(small_bus());
-  std::vector<bus::BusRequest> reqs;
-  reqs.push_back(req(0, /*prio=*/1, std::vector<std::uint8_t>(4, 0)));
-  reqs.push_back(req(1, /*prio=*/5, std::vector<std::uint8_t>(4, 0)));
-  const auto results = bus.arbitrate(100, std::move(reqs));
+  bus::BusScheduler bus(small_bus());
+  const auto results = transfer_all(
+      bus, 100,
+      {req(0, /*prio=*/1, std::vector<std::uint8_t>(4, 0)),
+       req(1, /*prio=*/5, std::vector<std::uint8_t>(4, 0))});
   // Master 1 (higher priority) goes first.
   EXPECT_EQ(results[1].start, 100u);
   EXPECT_EQ(results[1].wait_cycles, 0u);
@@ -178,49 +180,37 @@ TEST(Bus, PriorityOrdersSimultaneousRequests) {
   EXPECT_EQ(results[0].start, results[1].end);
 }
 
-TEST(Bus, FcfsAcrossInstants) {
-  bus::BusModel bus(small_bus());
-  const auto r1 = bus.transfer(0, req(0, 0, std::vector<std::uint8_t>(8, 0)));
-  const auto r2 =
-      bus.transfer(1, req(1, 9, std::vector<std::uint8_t>(4, 0)));
-  // Even at higher priority, master 1 waits for the bus to free.
-  EXPECT_EQ(r2.start, r1.end);
-  EXPECT_EQ(r2.wait_cycles, r1.end - 1);
-}
-
 TEST(Bus, TiesBrokenByMasterId) {
-  bus::BusModel bus(small_bus());
-  std::vector<bus::BusRequest> reqs;
-  reqs.push_back(req(7, 3, {1}));
-  reqs.push_back(req(2, 3, {1}));
-  const auto results = bus.arbitrate(0, std::move(reqs));
+  bus::BusScheduler bus(small_bus());
+  const auto results = transfer_all(bus, 0, {req(7, 3, {1}), req(2, 3, {1})});
   EXPECT_LT(results[1].start, results[0].start);  // master 2 first
 }
 
 TEST(Bus, EmptyPayloadStillPaysOneHandshake) {
-  bus::BusModel bus(small_bus());
-  const auto r = bus.transfer(0, req(0, 0, {}));
+  bus::BusScheduler bus(small_bus());
+  const auto r = transfer_one(bus, 0, req(0, 0, {}));
   EXPECT_EQ(r.grants, 1u);
   EXPECT_EQ(r.busy_cycles, 2u);
   EXPECT_GT(r.energy, 0.0);  // control-line toggles
 }
 
 TEST(Bus, TotalsAccumulateAndReset) {
-  bus::BusModel bus(small_bus());
-  bus.transfer(0, req(0, 0, std::vector<std::uint8_t>(6, 0x5A)));
-  bus.transfer(10, req(1, 0, std::vector<std::uint8_t>(2, 0xA5)));
+  bus::BusScheduler bus(small_bus());
+  transfer_one(bus, 0, req(0, 0, std::vector<std::uint8_t>(6, 0x5A)));
+  transfer_one(bus, 10, req(1, 0, std::vector<std::uint8_t>(2, 0xA5)));
   EXPECT_EQ(bus.totals().transfers, 2u);
   EXPECT_EQ(bus.totals().bytes, 8u);
   EXPECT_GT(bus.totals().energy, 0.0);
   bus.reset();
   EXPECT_EQ(bus.totals().transfers, 0u);
-  EXPECT_EQ(bus.free_at(), 0u);
+  EXPECT_EQ(bus.totals().bytes, 0u);
+  EXPECT_FALSE(bus.has_work());
 }
 
 TEST(Bus, GrantTimesRecordedWhenEnabled) {
-  bus::BusModel bus(small_bus());
+  bus::BusScheduler bus(small_bus());
   bus.set_keep_grant_times(true);
-  bus.transfer(5, req(0, 0, std::vector<std::uint8_t>(10, 0)));
+  transfer_one(bus, 5, req(0, 0, std::vector<std::uint8_t>(10, 0)));
   ASSERT_EQ(bus.grant_times().size(), 3u);
   EXPECT_EQ(bus.grant_times()[0], 5u);
 }
@@ -228,8 +218,8 @@ TEST(Bus, GrantTimesRecordedWhenEnabled) {
 TEST(Bus, AddressWidthMasksActivity) {
   auto p = small_bus();
   p.addr_bits = 4;  // only 4 address lines exist
-  bus::BusModel bus(p);
-  bus.transfer(0, req(0, 0, std::vector<std::uint8_t>(4, 0), 0xF0));
+  bus::BusScheduler bus(p);
+  transfer_one(bus, 0, req(0, 0, std::vector<std::uint8_t>(4, 0), 0xF0));
   // Address toggles bounded by 4 bits per beat.
   EXPECT_LE(bus.totals().addr_toggles, 4u * 4u);
 }

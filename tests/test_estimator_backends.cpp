@@ -123,6 +123,34 @@ TEST(EstimatorBackends, ValidateRejectsZeroWidthBus) {
   EXPECT_TRUE(contains_substr(errs, "bus.addr_bits"));
 }
 
+TEST(EstimatorBackends, ValidateRejectsBusWidthsTheSchedulerCannotPack) {
+  // Beats pack into one 32-bit data word and addresses are 32-bit; above
+  // 8 bits a beat moves whole bytes.
+  struct Case {
+    unsigned addr_bits;
+    unsigned data_bits;
+    const char* field;
+    const char* got;
+  };
+  for (const Case& c : {Case{8, 40, "bus.data_bits", "got 40"},
+                        Case{8, 12, "bus.data_bits", "got 12"},
+                        Case{33, 8, "bus.addr_bits", "got 33"}}) {
+    CoEstimatorConfig cfg;
+    cfg.bus.addr_bits = c.addr_bits;
+    cfg.bus.data_bits = c.data_bits;
+    const auto errs = cfg.validate();
+    ASSERT_EQ(errs.size(), 1u) << c.got;
+    EXPECT_TRUE(contains_substr(errs, c.field)) << c.got;
+    EXPECT_TRUE(contains_substr(errs, c.got)) << c.got;
+  }
+  for (const unsigned bits : {16u, 24u, 32u}) {
+    CoEstimatorConfig cfg;
+    cfg.bus.addr_bits = 32;
+    cfg.bus.data_bits = bits;
+    EXPECT_TRUE(cfg.validate().empty()) << bits;
+  }
+}
+
 TEST(EstimatorBackends, ValidateRejectsBadIssAndCache) {
   CoEstimatorConfig cfg;
   cfg.iss.memory_bytes = 0;

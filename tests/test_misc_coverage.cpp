@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/bus_model.hpp"
+#include "bus_drain.hpp"
 #include "cfsm/dsl.hpp"
 #include "core/coestimator.hpp"
 #include "hw/gatesim.hpp"
@@ -66,15 +67,15 @@ TEST(BusNarrowData, FourBitBusMasksActivityAndEnergy) {
   bus::BusParams p;
   p.data_bits = 4;
   p.line_cap_f = 1e-9;
-  bus::BusModel narrow(p);
+  bus::BusScheduler narrow(p);
   p.data_bits = 8;
-  bus::BusModel wide(p);
+  bus::BusScheduler wide(p);
   // 0xF0 on a 4-bit bus carries only the low nibble (0x0): zero toggles
   // against the idle 0 state; on an 8-bit bus the high nibble toggles.
   bus::BusRequest r;
   r.data = {0xF0};
-  const auto rn = narrow.transfer(0, r);
-  const auto rw = wide.transfer(0, r);
+  const auto rn = transfer_one(narrow, 0, r);
+  const auto rw = transfer_one(wide, 0, r);
   EXPECT_EQ(narrow.totals().data_toggles, 0u);
   EXPECT_EQ(wide.totals().data_toggles, 4u);
   EXPECT_LT(rn.energy, rw.energy);
