@@ -375,7 +375,6 @@ TransitionCost CoEstimator::sw_transition_cost(
 
   TransitionRequest req;
   req.task = task;
-  req.path = path;
   req.inputs = &inputs;
   req.pre_state = &pre_state;
   req.reaction = &reaction;
@@ -387,14 +386,15 @@ TransitionCost CoEstimator::sw_transition_cost(
 
 TransitionCost CoEstimator::hw_transition_cost(
     cfsm::CfsmId task, const cfsm::ReactionInputs& inputs,
-    const cfsm::Reaction& reaction, cfsm::PathId path) {
+    const cfsm::CfsmState& pre_state, const cfsm::Reaction& reaction,
+    cfsm::PathId path) {
   HwBackend* hw = hw_backend_for_[static_cast<std::size_t>(task)];
   // The master resynchronized the register state (if dirty) before running
   // the behavioral reaction, so the netlist sees the correct pre-state.
   TransitionRequest req;
   req.task = task;
-  req.path = path;
   req.inputs = &inputs;
+  req.pre_state = &pre_state;
   req.reaction = &reaction;
   req.post_state = &state_[static_cast<std::size_t>(task)];
   auto simulate = [&]() -> TransitionCost { return hw->cost(req); };
@@ -568,7 +568,8 @@ RunResults CoEstimator::run(const sim::Stimulus& stimulus) {
           {
             SOCPOWER_TRACE_SPAN("coest.hw_transition", now,
                                 static_cast<std::uint64_t>(task));
-            cost = hw_transition_cost(task, inputs, reaction, path);
+            cost =
+                hw_transition_cost(task, inputs, pre_state, reaction, path);
           }
           if (!cost.simulated) {
             ++res.cache_hits_served;

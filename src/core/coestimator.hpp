@@ -234,6 +234,7 @@ class CoEstimator {
                                     cfsm::PathId path);
   TransitionCost hw_transition_cost(cfsm::CfsmId task,
                                     const cfsm::ReactionInputs& inputs,
+                                    const cfsm::CfsmState& pre_state,
                                     const cfsm::Reaction& reaction,
                                     cfsm::PathId path);
 

@@ -196,9 +196,6 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
         "250 / channel length",
         hw_channel_length_nm);
 
-  if (dist_rpc_timeout_ms == 0)
-    err("dist_rpc_timeout_ms must be > 0 — a zero timeout declares every "
-        "remote worker dead before it can answer");
   if (dist_flush_chunk == 0)
     err("dist_flush_chunk must be > 0 — a zero slice can never ship a "
         "batch entry");

@@ -183,10 +183,6 @@ struct CoEstimatorConfig {
   /// fallback (telemetry "dist.fallbacks"). No-op for platforms without
   /// fork/socketpair.
   bool hw_remote = false;
-  /// Per-request timeout (ms) before a remote estimator worker is declared
-  /// dead and the in-process fallback (replaying the request log) takes
-  /// over. Generous by default: a false positive costs a full log replay.
-  unsigned dist_rpc_timeout_ms = 60'000;
   /// Batch entries shipped per kEnqueueChunk slice to a remote hardware
   /// worker. Smaller = more overlap between the master's DE loop and the
   /// worker's gate evaluation, at more framing overhead. Slicing never

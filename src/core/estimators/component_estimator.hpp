@@ -56,10 +56,9 @@ struct TransitionCost {
 /// refer to master-owned state valid for the duration of the call.
 struct TransitionRequest {
   cfsm::CfsmId task = cfsm::kNoCfsm;
-  cfsm::PathId path = cfsm::kNoPath;
-  sim::SimTime now = 0;
   const cfsm::ReactionInputs* inputs = nullptr;
-  /// Process state before the transition (staging / verification).
+  /// Process state before the transition (staging, hw.analytical's state
+  /// activity, verification).
   const cfsm::CfsmState* pre_state = nullptr;
   /// The behavioral (golden) reaction being priced.
   const cfsm::Reaction* reaction = nullptr;
@@ -263,5 +262,15 @@ class BusBackend : public ComponentEstimator {
 /// Deterministic busy-work standing in for the IPC round-trip the paper's
 /// multi-process setup pays per lower-level simulator invocation.
 void sync_overhead(unsigned spins);
+
+/// The verify_lowlevel cross-check, active in every build type. Unless the
+/// lower-level simulator's emissions and process variables equal the
+/// behavioral reaction's, prints the backend, the process and the first
+/// mismatch to stderr and aborts.
+void verify_lowlevel_match(std::string_view backend, cfsm::CfsmId task,
+                           std::span<const cfsm::EmittedEvent> lowlevel_em,
+                           std::span<const cfsm::EmittedEvent> behavioral_em,
+                           std::span<const std::int32_t> lowlevel_vars,
+                           std::span<const std::int32_t> behavioral_vars);
 
 }  // namespace socpower::core

@@ -39,6 +39,7 @@ void HwAnalyticalEstimator::begin_run() {
 
 Joules HwAnalyticalEstimator::price(Unit& unit, cfsm::CfsmId task,
                                     const cfsm::ReactionInputs& inputs,
+                                    const std::vector<cfsm::NodeId>&,
                                     const cfsm::CfsmState& pre,
                                     std::uint64_t* gate_cycles) {
   UnitCalib& c = calib_[static_cast<std::size_t>(task)];
@@ -52,9 +53,7 @@ Joules HwAnalyticalEstimator::price(Unit& unit, cfsm::CfsmId task,
     // Calibration phase: the gate simulator is the ground truth, and its
     // exact energy is also what this reaction reports — the analytical
     // approximation only ever replaces reactions *after* the fit.
-    hwsyn::stage_hw_reaction(*unit.sim, unit.image, inputs);
-    e = step_unit(unit).energy;
-    ++*gate_cycles;
+    e = gate_step(unit, inputs, gate_cycles);
     c.acc.add(act, e);
     calib_telem_->add();
     if (c.acc.count() >= calib_target_) {
@@ -65,16 +64,6 @@ Joules HwAnalyticalEstimator::price(Unit& unit, cfsm::CfsmId task,
   }
   c.run_leakage += c.leak_per_reaction;
   return e + c.leak_per_reaction;
-}
-
-Joules HwAnalyticalEstimator::measure(Unit& unit, const TransitionRequest& req) {
-  return price(unit, req.task, *req.inputs, *req.pre_state, &gate_cycles_);
-}
-
-Joules HwAnalyticalEstimator::measure_flush(Unit& unit, cfsm::CfsmId task,
-                                            const BatchEntry& entry,
-                                            std::uint64_t* gate_cycles) {
-  return price(unit, task, entry.inputs, entry.pre, gate_cycles);
 }
 
 void HwAnalyticalEstimator::stats(RunResults& res) const {

@@ -38,9 +38,13 @@ class HwAnalyticalEstimator final : public HwEstimatorBase {
   void set_model(const hw::AnalyticalModel& model);
 
  protected:
-  Joules measure(Unit& unit, const TransitionRequest& req) override;
-  Joules measure_flush(Unit& unit, cfsm::CfsmId task, const BatchEntry& entry,
-                       std::uint64_t* gate_cycles) override;
+  /// Touches only `unit`'s own calibration state and atomic telemetry
+  /// counters, as the base-class contract asks of batch drains.
+  Joules price(Unit& unit, cfsm::CfsmId task,
+               const cfsm::ReactionInputs& inputs,
+               const std::vector<cfsm::NodeId>& trace,
+               const cfsm::CfsmState& pre,
+               std::uint64_t* gate_cycles) override;
 
  private:
   struct UnitCalib {
@@ -52,13 +56,6 @@ class HwAnalyticalEstimator final : public HwEstimatorBase {
     Joules leak_per_reaction = 0.0; // leakage_watts × reaction latency
     Joules run_leakage = 0.0;       // static energy billed this run
   };
-
-  /// Shared pricing path of the online and flush entry points. Flush jobs
-  /// run per-unit on pool workers: this touches only `unit`'s own calib
-  /// state and atomic telemetry counters, like the base-class contract asks.
-  Joules price(Unit& unit, cfsm::CfsmId task,
-               const cfsm::ReactionInputs& inputs, const cfsm::CfsmState& pre,
-               std::uint64_t* gate_cycles);
 
   std::vector<UnitCalib> calib_;  // per CfsmId, parallel to units_
   unsigned calib_target_ = 1;

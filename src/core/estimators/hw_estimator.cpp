@@ -48,8 +48,34 @@ void HwEstimatorBase::begin_run() {
 
 TransitionCost HwEstimatorBase::cost(const TransitionRequest& req) {
   sync_overhead(config_->sync_spin);
-  const Joules e = measure(unit(req.task), req);
+  Unit& u = unit(req.task);
+  const std::uint64_t cycles0 = gate_cycles_;
+  const Joules e = price(u, req.task, *req.inputs, req.reaction->trace,
+                         *req.pre_state, &gate_cycles_);
+  // Cross-check only a reaction the gate simulator actually evaluated: the
+  // RT-level and fitted analytical paths leave it untouched.
+  if (config_->verify_lowlevel && gate_cycles_ != cycles0) verify_gate(u, req);
   return {static_cast<double>(kHwReactionCycles), e, true};
+}
+
+void HwEstimatorBase::verify_gate(Unit& u, const TransitionRequest& req) const {
+  const std::vector<std::int32_t>& beh_vars = req.post_state->vars;
+  std::vector<std::int32_t> hw_vars(beh_vars.size());
+  for (std::size_t v = 0; v < hw_vars.size(); ++v)
+    hw_vars[v] =
+        hwsyn::read_hw_var(*u.sim, u.image, static_cast<cfsm::VarId>(v));
+  verify_lowlevel_match(
+      name(), req.task,
+      effective_emissions(hwsyn::read_hw_emissions(*u.sim, u.image)),
+      effective_emissions(req.reaction->emissions), hw_vars, beh_vars);
+}
+
+Joules HwEstimatorBase::gate_step(Unit& u, const cfsm::ReactionInputs& inputs,
+                                  std::uint64_t* gate_cycles) {
+  hwsyn::stage_hw_reaction(*u.sim, u.image, inputs);
+  const Joules e = u.rcache->step().energy;
+  ++*gate_cycles;
+  return e;
 }
 
 void HwEstimatorBase::flush(std::vector<FlushJob>& jobs) {
@@ -63,9 +89,9 @@ void HwEstimatorBase::flush(std::vector<FlushJob>& jobs) {
 ComponentEstimator::FlushResult HwEstimatorBase::run_flush(Unit& u,
                                                            cfsm::CfsmId task) {
   static telemetry::HistogramStat& batch_size =
-      telemetry::registry().histogram("coest.hw_batch_size", 0.0, 1e6, 32);
+      telemetry::registry().histogram("coest.hw_batch_size");
   static telemetry::HistogramStat& flush_ms =
-      telemetry::registry().histogram("coest.hw_flush_ms", 0.0, 1e4, 32);
+      telemetry::registry().histogram("coest.hw_flush_ms");
   FlushResult out;
   const bool telem = telemetry::enabled();
   const auto flush0 = telem ? std::chrono::steady_clock::now()
@@ -95,12 +121,15 @@ ComponentEstimator::FlushResult HwEstimatorBase::drain_into(Unit& u,
     sync_overhead(config_->sync_spin);  // one batch hand-off per component
     u.sim->reset();
   }
+  const cfsm::PathTable& paths =
+      (*path_tables_)[static_cast<std::size_t>(task)];
   for (const BatchEntry& entry : u.batch) {
     if (entry.path == cfsm::kNoPath) {
       u.sim->reset();
       continue;
     }
-    const Joules energy = measure_flush(u, task, entry, &out.gate_cycles);
+    const Joules energy = price(u, task, entry.inputs, paths.path(entry.path),
+                                entry.pre, &out.gate_cycles);
     out.entries.push_back({entry.time, entry.path, energy});
   }
   u.batch.clear();
@@ -149,11 +178,7 @@ Joules HwEstimatorBase::separate_step(cfsm::CfsmId task,
                                       const cfsm::ReactionInputs& inputs) {
   // The Section 2 baseline replays the captured trace through the gate
   // simulator for every hardware unit, whatever its co-estimation kind.
-  Unit& u = unit(task);
-  hwsyn::stage_hw_reaction(*u.sim, u.image, inputs);
-  const Joules e = step_unit(u).energy;
-  ++gate_cycles_;
-  return e;
+  return gate_step(unit(task), inputs, &gate_cycles_);
 }
 
 hw::ReactionCacheStats HwEstimatorBase::reaction_cache_stats() const {

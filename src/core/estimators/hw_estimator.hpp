@@ -2,12 +2,16 @@
 //
 // Each ASIC mapped to this backend owns a synthesized FSMD netlist, a gate
 // simulator over it, and (in batch mode) a buffered vector trace. The
-// subclasses differ only in how one applied input vector is priced:
-// HwGateEstimator steps the event-driven gate-level simulator,
-// HwRtlEstimator walks the executed path's operator activations at RT
-// level. Everything else — staging, register resynchronization after
-// acceleration skips, batch buffering, and the per-unit offline flush jobs
-// the master runs on its worker pool — is common and lives here.
+// subclasses differ only in how one reaction is priced, and each prices
+// through exactly one override of price(): HwGateEstimator steps the
+// event-driven gate-level simulator, HwRtlEstimator walks the executed
+// path's operator activations at RT level, HwAnalyticalEstimator evaluates
+// its calibrated activity model. The online cost(), the batch drain and the
+// dist::Worker (which drains shipped batches and answers online requests
+// through the same two entry points) all call that one override. Everything
+// else (staging, register resynchronization after acceleration skips, batch
+// buffering, the verify_lowlevel gate cross-check, and the per-unit offline
+// flush jobs the master runs on its worker pool) is common and lives here.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +64,10 @@ class HwEstimatorBase : public HwBackend {
   /// whole-batch flush; later slices continue from the registers the
   /// previous slice left behind. Concatenating the slices' entries (and
   /// summing their gate_cycles) is bit-identical to flushing the whole
-  /// batch at once: every entry goes through the same measure_flush() in
-  /// the same order. Used by the dist::Worker to evaluate shipped chunks
-  /// eagerly, overlapping with the master's DE loop; serialize calls per
-  /// unit like flush jobs.
+  /// batch at once: every entry goes through the same price() in the same
+  /// order. Used by the dist::Worker to evaluate shipped chunks eagerly,
+  /// overlapping with the master's DE loop; serialize calls per unit like
+  /// flush jobs.
   [[nodiscard]] FlushResult drain_batch(cfsm::CfsmId task, bool first);
 
  protected:
@@ -71,8 +75,7 @@ class HwEstimatorBase : public HwBackend {
     sim::SimTime time = 0;
     cfsm::ReactionInputs inputs;
     cfsm::PathId path = cfsm::kNoPath;  // kNoPath == reset transition
-    /// Behavioral state before the reaction: hw.analytical prices its
-    /// flush entries from it.
+    /// Behavioral state before the reaction (the `pre` of price()).
     cfsm::CfsmState pre;
   };
   struct Unit {
@@ -89,35 +92,39 @@ class HwEstimatorBase : public HwBackend {
     SlotVector<BatchEntry> batch;
   };
 
-  /// Price one online transition (sync overhead already charged).
-  virtual Joules measure(Unit& unit, const TransitionRequest& req) = 0;
-  /// Price one buffered vector during the offline flush. Runs on a pool
-  /// worker: may only touch `unit` and `gate_cycles` (and this backend's
-  /// immutable prepare()-time state).
-  virtual Joules measure_flush(Unit& unit, cfsm::CfsmId task,
-                               const BatchEntry& entry,
-                               std::uint64_t* gate_cycles) = 0;
+  /// Price one reaction of `task`: the backend's single pricing path, for
+  /// online transitions and batch entries alike. `trace` is the executed
+  /// path and `pre` the behavioral state before the reaction. Batch drains
+  /// run on pool workers, so this may only touch `unit`, `*gate_cycles`,
+  /// atomic telemetry and the backend's immutable prepare()-time state.
+  virtual Joules price(Unit& unit, cfsm::CfsmId task,
+                       const cfsm::ReactionInputs& inputs,
+                       const std::vector<cfsm::NodeId>& trace,
+                       const cfsm::CfsmState& pre,
+                       std::uint64_t* gate_cycles) = 0;
   [[nodiscard]] Unit& unit(cfsm::CfsmId task) {
     return *units_[static_cast<std::size_t>(task)];
   }
 
-  /// Evaluate the staged reaction of `u` — through the reaction cache when
-  /// one is attached (every consumer goes through here: online cost(), the
-  /// batched flush, and the separate-estimation baseline).
-  [[nodiscard]] hw::CycleResult step_unit(Unit& u) {
-    return u.rcache ? u.rcache->step() : u.sim->step();
-  }
+  /// Stage `inputs` into `u`'s gate simulator, evaluate the reaction (through
+  /// the reaction cache, whose hits restore the simulator's post-step state
+  /// exactly) and count one gate cycle.
+  Joules gate_step(Unit& u, const cfsm::ReactionInputs& inputs,
+                   std::uint64_t* gate_cycles);
 
   const cfsm::Network* net_ = nullptr;
   const CoEstimatorConfig* config_ = nullptr;
   const std::vector<cfsm::PathTable>* path_tables_ = nullptr;
   std::vector<cfsm::CfsmId> components_;
   std::vector<std::unique_ptr<Unit>> units_;  // per CfsmId
-  /// Gate-simulator cycles evaluated online (flush cycles are returned per
-  /// job and merged by the master).
+  /// Gate-simulator cycles evaluated online and by the separate baseline
+  /// (flush cycles are returned per job and merged by the master).
   std::uint64_t gate_cycles_ = 0;
 
  private:
+  /// verify_lowlevel: the gate simulator's emissions and registers after an
+  /// online reaction must match the behavioral reaction.
+  void verify_gate(Unit& u, const TransitionRequest& req) const;
   [[nodiscard]] FlushResult run_flush(Unit& u, cfsm::CfsmId task);
   [[nodiscard]] FlushResult drain_into(Unit& u, cfsm::CfsmId task, bool first);
   [[nodiscard]] hw::ReactionCacheConfig reaction_cache_config() const;

@@ -13,9 +13,11 @@ class HwGateEstimator final : public HwEstimatorBase {
   [[nodiscard]] std::string_view name() const override { return "hw.gate"; }
 
  protected:
-  Joules measure(Unit& unit, const TransitionRequest& req) override;
-  Joules measure_flush(Unit& unit, cfsm::CfsmId task, const BatchEntry& entry,
-                       std::uint64_t* gate_cycles) override;
+  Joules price(Unit& unit, cfsm::CfsmId task,
+               const cfsm::ReactionInputs& inputs,
+               const std::vector<cfsm::NodeId>& trace,
+               const cfsm::CfsmState& pre,
+               std::uint64_t* gate_cycles) override;
 };
 
 }  // namespace socpower::core

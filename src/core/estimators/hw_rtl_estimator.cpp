@@ -14,21 +14,14 @@ void HwRtlEstimator::prepare(const EstimatorContext& ctx) {
   rtl_power_ = std::make_unique<hwsyn::RtlPowerEstimator>(rp);
 }
 
-Joules HwRtlEstimator::measure(Unit&, const TransitionRequest& req) {
+Joules HwRtlEstimator::price(Unit&, cfsm::CfsmId task,
+                             const cfsm::ReactionInputs& inputs,
+                             const std::vector<cfsm::NodeId>& trace,
+                             const cfsm::CfsmState&, std::uint64_t*) {
   static telemetry::Counter& reactions =
       telemetry::registry().counter("estimator.hw.rtl.reactions");
   reactions.add();
-  return rtl_power_->estimate_reaction(net_->cfsm(req.task),
-                                       req.reaction->trace, *req.inputs);
-}
-
-Joules HwRtlEstimator::measure_flush(Unit&, cfsm::CfsmId task,
-                                     const BatchEntry& entry,
-                                     std::uint64_t*) {
-  const cfsm::PathTable& paths =
-      (*path_tables_)[static_cast<std::size_t>(task)];
-  return rtl_power_->estimate_reaction(net_->cfsm(task), paths.path(entry.path),
-                                       entry.inputs);
+  return rtl_power_->estimate_reaction(net_->cfsm(task), trace, inputs);
 }
 
 }  // namespace socpower::core

@@ -18,9 +18,11 @@ class HwRtlEstimator final : public HwEstimatorBase {
   void prepare(const EstimatorContext& ctx) override;
 
  protected:
-  Joules measure(Unit& unit, const TransitionRequest& req) override;
-  Joules measure_flush(Unit& unit, cfsm::CfsmId task, const BatchEntry& entry,
-                       std::uint64_t* gate_cycles) override;
+  Joules price(Unit& unit, cfsm::CfsmId task,
+               const cfsm::ReactionInputs& inputs,
+               const std::vector<cfsm::NodeId>& trace,
+               const cfsm::CfsmState& pre,
+               std::uint64_t* gate_cycles) override;
 
  private:
   /// Shared by all units, including across concurrent flush jobs (the

@@ -70,17 +70,11 @@ TransitionCost SwIssEstimator::cost(const TransitionRequest& req) {
   const iss::RunResult r = invoke(req.task, *req.inputs, *req.pre_state);
   if (config_->verify_lowlevel) {
     const swsyn::SwImage& img = *images_[static_cast<std::size_t>(req.task)];
-    const auto iss_em = swsyn::read_emissions(*iss_, img);
-    assert(iss_em.size() == req.reaction->emissions.size() &&
-           "ISS/behavioral emission mismatch");
-    for (std::size_t i = 0; i < iss_em.size(); ++i) {
-      assert(iss_em[i].event == req.reaction->emissions[i].event);
-      assert(iss_em[i].value == req.reaction->emissions[i].value);
-    }
     cfsm::CfsmState iss_vars = *req.pre_state;
     swsyn::read_vars(*iss_, img, iss_vars);
-    assert(iss_vars.vars == req.post_state->vars &&
-           "ISS/behavioral variable state mismatch");
+    verify_lowlevel_match(name(), req.task, swsyn::read_emissions(*iss_, img),
+                          req.reaction->emissions, iss_vars.vars,
+                          req.post_state->vars);
   }
   return {static_cast<double>(r.cycles), r.energy, true};
 }

@@ -155,6 +155,18 @@ ExplorationOutcome funnel_outcome(
   return out;
 }
 
+PointEval eval_point(const std::vector<ExplorationPoint>& points,
+                     std::size_t idx, int phase) {
+  SOCPOWER_TRACE_SPAN("explore.point", 0, idx);
+  const ExplorationPoint& p = points[idx];
+  const auto& run = phase == 2 && p.run_analytical ? p.run_analytical
+                    : phase == 1                   ? p.run_exact
+                                                   : p.run_coarse;
+  if (!run) return {};
+  const RunResults r = run();
+  return {r.total_energy, r.wall_seconds, true};
+}
+
 }  // namespace detail
 
 ExplorationOutcome explore(const std::vector<ExplorationPoint>& points,
@@ -170,21 +182,7 @@ ExplorationOutcome explore(const std::vector<ExplorationPoint>& points,
       [&](const std::vector<std::size_t>& idxs, int phase) {
         std::vector<detail::PointEval> evals(idxs.size());
         for_each_index(idxs.size(), options.threads, [&](std::size_t j) {
-          const std::size_t idx = idxs[j];
-          SOCPOWER_TRACE_SPAN("explore.point", 0, idx);
-          if (phase == 2) {
-            const auto& run = points[idx].run_analytical
-                                  ? points[idx].run_analytical
-                                  : points[idx].run_coarse;
-            const RunResults r = run();
-            evals[j] = {r.total_energy, r.wall_seconds, true};
-          } else if (phase == 0) {
-            const RunResults r = points[idx].run_coarse();
-            evals[j] = {r.total_energy, r.wall_seconds, true};
-          } else if (points[idx].run_exact) {
-            const RunResults r = points[idx].run_exact();
-            evals[j] = {r.total_energy, r.wall_seconds, true};
-          }
+          evals[j] = detail::eval_point(points, idxs[j], phase);
         });
         return evals;
       });

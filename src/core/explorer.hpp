@@ -149,6 +149,13 @@ struct PointEval {
 /// `prefilter` is 0 or covers all points. Sharing this reduction between
 /// both entry points is what makes the sharded funnel bit-identical to the
 /// serial one.
+/// Evaluate point `idx` in-process for `phase`: 2 analytical (falling back
+/// to coarse), 0 coarse, 1 exact. A point with no runner for the phase is
+/// skipped. explore(), the sharded workers and the sharded master's
+/// fallback all evaluate through here.
+[[nodiscard]] PointEval eval_point(const std::vector<ExplorationPoint>& points,
+                                   std::size_t idx, int phase);
+
 [[nodiscard]] ExplorationOutcome funnel_outcome(
     const std::vector<ExplorationPoint>& points, std::size_t verify_top,
     std::size_t prefilter,

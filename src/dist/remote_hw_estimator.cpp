@@ -20,6 +20,11 @@ namespace socpower::dist {
 
 namespace {
 
+/// Per-request timeout before the worker is declared dead and the log
+/// replays into the in-process fallback. Generous: a false positive costs a
+/// full log replay.
+constexpr int kRpcTimeoutMs = 60'000;
+
 [[noreturn]] void reply_abort(const char* what) {
   std::fprintf(stderr, "dist::RemoteHwEstimator: malformed %s reply\n", what);
   std::abort();
@@ -33,10 +38,6 @@ RemoteHwEstimator::RemoteHwEstimator(std::string inner_name)
 RemoteHwEstimator::~RemoteHwEstimator() {
   std::lock_guard<std::mutex> lk(mu_);
   shutdown_proc(&worker_, /*graceful=*/true);
-}
-
-int RemoteHwEstimator::timeout_ms() const {
-  return static_cast<int>(config_->dist_rpc_timeout_ms);
 }
 
 bool RemoteHwEstimator::spawn(Proc* p) {
@@ -105,7 +106,7 @@ void RemoteHwEstimator::prepare(const core::EstimatorContext& ctx) {
   bytes_rx_telem_ = &reg.counter(prefix + "bytes_rx");
   fallbacks_telem_ = &reg.counter(prefix + "fallbacks");
   global_fallbacks_telem_ = &reg.counter("dist.fallbacks");
-  latency_telem_ = &reg.histogram(prefix + "rpc_latency_ms", 0.0, 1e3, 32);
+  latency_telem_ = &reg.histogram(prefix + "rpc_latency_ms");
 
   std::lock_guard<std::mutex> lk(mu_);
   if (!supported() || !spawn(&worker_)) (void)recover();  // empty log
@@ -158,10 +159,10 @@ std::vector<std::uint8_t> RemoteHwEstimator::transact(
     auto rep = local_->dispatch(t, payload);
     if (rep) reply = std::move(*rep);
   } else {
-    bool ok = worker_.ch.send_frame(t, payload, timeout_ms());
+    bool ok = worker_.ch.send_frame(t, payload, kRpcTimeoutMs);
     if (ok && expects_reply(t)) {
       Frame f;
-      ok = worker_.ch.recv_frame(&f, timeout_ms()) ==
+      ok = worker_.ch.recv_frame(&f, kRpcTimeoutMs) ==
                Channel::RecvStatus::kOk &&
            f.type == MsgType::kReply;
       if (ok) reply = std::move(f.payload);
@@ -231,10 +232,9 @@ core::TransitionCost RemoteHwEstimator::cost(
     const core::TransitionRequest& req) {
   CostPayload c;
   c.task = req.task;
-  c.path = req.path;
-  c.now = req.now;
   c.inputs = *req.inputs;
   c.reaction = *req.reaction;
+  c.pre_state = *req.pre_state;
   c.post_state = *req.post_state;
   WireWriter w;
   put_cost(w, c);

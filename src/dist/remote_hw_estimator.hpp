@@ -81,7 +81,6 @@ class RemoteHwEstimator : public core::HwBackend {
     Channel ch;
   };
 
-  [[nodiscard]] int timeout_ms() const;
   bool spawn(Proc* p);
   void shutdown_proc(Proc* p, bool graceful);
   void note_bytes();

@@ -34,26 +34,6 @@ namespace socpower::core {
 
 namespace {
 
-detail::PointEval eval_point_local(const std::vector<ExplorationPoint>& points,
-                                   std::size_t idx, int phase) {
-  SOCPOWER_TRACE_SPAN("explore.point", 0, idx);
-  if (phase == 2) {
-    const auto& run = points[idx].run_analytical ? points[idx].run_analytical
-                                                 : points[idx].run_coarse;
-    const RunResults r = run();
-    return {r.total_energy, r.wall_seconds, true};
-  }
-  if (phase == 0) {
-    const RunResults r = points[idx].run_coarse();
-    return {r.total_energy, r.wall_seconds, true};
-  }
-  if (points[idx].run_exact) {
-    const RunResults r = points[idx].run_exact();
-    return {r.total_energy, r.wall_seconds, true};
-  }
-  return {};
-}
-
 #if !defined(_WIN32)
 
 struct ShardProc {
@@ -76,7 +56,7 @@ int serve_shard(dist::Channel& ch,
     const int phase = r.get_u8();
     const std::size_t idx = r.get_u32();
     if (!r.ok() || !r.at_end() || idx >= points.size()) return 1;
-    const detail::PointEval ev = eval_point_local(points, idx, phase);
+    const detail::PointEval ev = detail::eval_point(points, idx, phase);
     dist::WireWriter w;
     w.put_u8(ev.has_result ? 1 : 0);
     w.put_f64(ev.total_energy);
@@ -179,7 +159,7 @@ ExplorationOutcome explore_sharded(const std::vector<ExplorationPoint>& points,
     // Graceful degradation: unanswered points run in this process.
     for (std::size_t j = 0; j < idxs.size(); ++j) {
       if (answered[j]) continue;
-      evals[j] = eval_point_local(points, idxs[j], phase);
+      evals[j] = detail::eval_point(points, idxs[j], phase);
       fallback_points.add();
     }
     return evals;

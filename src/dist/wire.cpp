@@ -287,22 +287,20 @@ bool get_chunk(WireReader& r, ChunkPayload* out) {
 
 void put_cost(WireWriter& w, const CostPayload& c) {
   w.put_i32(c.task);
-  w.put_i32(c.path);
-  w.put_u64(c.now);
   put_inputs(w, c.inputs);
   put_emissions(w, c.reaction.emissions);
   put_trace(w, c.reaction.trace);
+  put_state(w, c.pre_state);
   put_state(w, c.post_state);
 }
 
 bool get_cost(WireReader& r, CostPayload* out) {
   *out = {};
   out->task = r.get_i32();
-  out->path = r.get_i32();
-  out->now = r.get_u64();
   return get_inputs(r, &out->inputs) &&
          get_emissions(r, &out->reaction.emissions) &&
-         get_trace(r, &out->reaction.trace) && get_state(r, &out->post_state);
+         get_trace(r, &out->reaction.trace) && get_state(r, &out->pre_state) &&
+         get_state(r, &out->post_state);
 }
 
 void put_transition_cost(WireWriter& w, const core::TransitionCost& c) {

@@ -171,15 +171,14 @@ struct ChunkPayload {
 void put_chunk(WireWriter& w, const ChunkPayload& c);
 [[nodiscard]] bool get_chunk(WireReader& r, ChunkPayload* out);
 
-/// kCost request: everything HwGateEstimator / HwRtlEstimator read from a
-/// TransitionRequest (the reaction travels by value; the worker rebuilds the
-/// request with pointers into the decoded storage).
+/// kCost request: everything a hardware backend reads from a
+/// TransitionRequest (the reaction and both states travel by value; the
+/// worker rebuilds the request with pointers into the decoded storage).
 struct CostPayload {
   cfsm::CfsmId task = cfsm::kNoCfsm;
-  cfsm::PathId path = cfsm::kNoPath;
-  sim::SimTime now = 0;
   cfsm::ReactionInputs inputs;
   cfsm::Reaction reaction;
+  cfsm::CfsmState pre_state;
   cfsm::CfsmState post_state;
 };
 void put_cost(WireWriter& w, const CostPayload& c);

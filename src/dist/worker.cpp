@@ -30,20 +30,20 @@ Worker::Worker(const std::string& inner_name, const cfsm::Network* net,
                  inner_name.c_str());
     std::abort();
   }
-  hw_ = dynamic_cast<core::HwBackend*>(inner_.get());
+  hw_ = dynamic_cast<core::HwEstimatorBase*>(inner_.get());
   if (!hw_) {
     std::fprintf(stderr,
-                 "dist::Worker: inner backend \"%s\" is not a HwBackend\n",
+                 "dist::Worker: inner backend \"%s\" is not an in-process "
+                 "hardware backend\n",
                  inner_name.c_str());
     std::abort();
   }
-  streaming_ = dynamic_cast<core::HwEstimatorBase*>(inner_.get());
   core::EstimatorContext ctx;
   ctx.network = net_;
   ctx.config = &cfg_;
   ctx.components = components_;
   ctx.path_tables = &paths_;
-  inner_->prepare(ctx);
+  hw_->prepare(ctx);
 }
 
 Worker::~Worker() = default;
@@ -61,13 +61,13 @@ void Worker::handle_chunk(const ChunkPayload& chunk) {
   }
   for (const auto& e : chunk.entries)
     hw_->enqueue(chunk.task, e.time, e.inputs, e.path, e.pre);
-  if (streaming_ && !chunk.entries.empty()) {
+  if (!chunk.entries.empty()) {
     // Eager evaluation: price the shipped slice now, while the master's DE
     // loop keeps running. Slice results concatenate bit-identically to one
     // whole-batch flush (see HwEstimatorBase::drain_batch).
     UnitAccum& a = accum_[c];
     core::ComponentEstimator::FlushResult part =
-        streaming_->drain_batch(chunk.task, !a.started);
+        hw_->drain_batch(chunk.task, !a.started);
     a.started = true;
     a.acc.gate_cycles += part.gate_cycles;
     a.acc.entries.insert(a.acc.entries.end(), part.entries.begin(),
@@ -81,25 +81,11 @@ core::ComponentEstimator::FlushResult Worker::collect_flush(
   UnitAccum& a = accum_[c];
   core::ComponentEstimator::FlushResult out = std::move(a.acc);
   a.acc = {};
-  if (streaming_) {
-    core::ComponentEstimator::FlushResult tail =
-        streaming_->drain_batch(task, !a.started);
-    out.gate_cycles += tail.gate_cycles;
-    out.entries.insert(out.entries.end(), tail.entries.begin(),
-                       tail.entries.end());
-  } else {
-    // Non-streaming inner backend: everything is still buffered; run its
-    // own flush job for this unit.
-    std::vector<core::ComponentEstimator::FlushJob> jobs;
-    inner_->flush(jobs);
-    for (auto& job : jobs) {
-      if (job.component != task) continue;
-      core::ComponentEstimator::FlushResult fr = job.work();
-      out.gate_cycles += fr.gate_cycles;
-      out.entries.insert(out.entries.end(), fr.entries.begin(),
-                         fr.entries.end());
-    }
-  }
+  core::ComponentEstimator::FlushResult tail =
+      hw_->drain_batch(task, !a.started);
+  out.gate_cycles += tail.gate_cycles;
+  out.entries.insert(out.entries.end(), tail.entries.begin(),
+                     tail.entries.end());
   a.started = false;
   return out;
 }
@@ -111,7 +97,7 @@ std::optional<std::vector<std::uint8_t>> Worker::dispatch(
     case MsgType::kBeginRun: {
       if (!get_knobs(r, &cfg_, core::KnobScope::kRun) || !r.at_end())
         protocol_abort("begin_run");
-      inner_->begin_run();
+      hw_->begin_run();
       for (auto& a : accum_) a = {};
       return std::nullopt;
     }
@@ -146,12 +132,11 @@ std::optional<std::vector<std::uint8_t>> Worker::dispatch(
       if (!get_cost(r, &c) || !r.at_end()) protocol_abort("cost");
       core::TransitionRequest req;
       req.task = c.task;
-      req.path = c.path;
-      req.now = c.now;
       req.inputs = &c.inputs;
+      req.pre_state = &c.pre_state;
       req.reaction = &c.reaction;
       req.post_state = &c.post_state;
-      const core::TransitionCost cost = inner_->cost(req);
+      const core::TransitionCost cost = hw_->cost(req);
       WireWriter w;
       put_transition_cost(w, cost);
       return w.take();
@@ -183,7 +168,7 @@ std::optional<std::vector<std::uint8_t>> Worker::dispatch(
     case MsgType::kStats: {
       if (!r.at_end()) protocol_abort("stats");
       core::RunResults tmp;
-      inner_->stats(tmp);
+      hw_->stats(tmp);
       WireWriter w;
       w.put_u64(tmp.gate_sim_cycles);
       return w.take();

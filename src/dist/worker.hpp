@@ -35,9 +35,10 @@ namespace socpower::dist {
 class Worker {
  public:
   /// Creates and prepares the inner backend `inner_name` (a registered
-  /// HwBackend, e.g. "hw.gate" / "hw.rtl") for `components`. Aborts on an
-  /// unknown or non-HwBackend name — the master validated the config, so
-  /// this is an internal protocol error, not user input.
+  /// in-process hardware backend, e.g. "hw.gate" / "hw.rtl") for
+  /// `components`. Aborts on an unknown name or one that is not a
+  /// core::HwEstimatorBase — the master validated the config, so this is an
+  /// internal protocol error, not user input.
   Worker(const std::string& inner_name, const cfsm::Network* net,
          const core::CoEstimatorConfig& config,
          std::vector<cfsm::CfsmId> components);
@@ -63,12 +64,9 @@ class Worker {
   std::vector<cfsm::PathTable> paths_;
   std::vector<cfsm::CfsmId> components_;
   std::unique_ptr<core::ComponentEstimator> inner_;
-  core::HwBackend* hw_ = nullptr;
-  /// Non-null when the inner backend supports incremental batch draining —
-  /// then shipped chunks are evaluated eagerly on arrival (that is the
-  /// overlap with the master's DE loop). Otherwise chunks only buffer and
-  /// the whole batch evaluates at kFlushUnit.
-  core::HwEstimatorBase* streaming_ = nullptr;
+  /// The inner backend: shipped chunks are drained eagerly on arrival (that
+  /// is the overlap with the master's DE loop).
+  core::HwEstimatorBase* hw_ = nullptr;
   /// Per-unit accumulation of eagerly drained slices (indexed by CfsmId).
   struct UnitAccum {
     core::ComponentEstimator::FlushResult acc;

@@ -139,7 +139,7 @@ bool Server::handle(const Frame& req, Frame* reply) {
   static telemetry::Counter& c_restores =
       telemetry::registry().counter("serve.restore_hits");
   static telemetry::HistogramStat& h_latency =
-      telemetry::registry().histogram("serve.request_ms", 0.0, 60'000.0, 32);
+      telemetry::registry().histogram("serve.request_ms");
 
   WireReader r(req.payload);
   switch (req.type) {

@@ -1,7 +1,10 @@
 #include "serve/system_factory.hpp"
 
-#include <set>
+#include <algorithm>
+#include <limits>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "systems/multicore.hpp"
 #include "systems/prodcons.hpp"
@@ -11,20 +14,58 @@ namespace socpower::serve {
 
 namespace {
 
-/// Rejects any kv key outside `known`; the factory's strictness contract.
-bool check_keys(const SystemParams& params, const std::set<std::string>& known,
-                std::string* error) {
-  for (const auto& [k, v] : params.kv) {
-    (void)v;
-    if (known.count(k) == 0) {
-      if (error)
-        *error = "unknown parameter '" + k + "' for system '" + params.name +
-                 "'";
-      return false;
+// Every value is range-checked before it reaches a system constructor. A
+// count or size below 1 crashes or hangs the builders (a negative packet
+// count throws from vector::resize, a zero tick period never leaves
+// stimulus()), and the caps bound what one request can make the server
+// allocate and simulate.
+constexpr std::int64_t kMaxCount = 4096;      // packets, bytes, iterations
+constexpr std::int64_t kMaxCycles = 1 << 20;  // gaps, periods, horizons
+constexpr std::int64_t kMaxPriority = 255;
+
+/// Reads range-checked values out of one SystemParams and remembers which
+/// keys it was asked for, so that ok() can reject the keys nobody reads
+/// (the factory's strictness contract).
+class ParamReader {
+ public:
+  explicit ParamReader(const SystemParams& params) : params_(params) {}
+
+  /// The first value of `key` when present, else `fallback`. A value outside
+  /// [lo, hi] (or odd, with `even`) makes ok() fail, naming the key.
+  template <typename T>
+  T get(const char* key, T fallback, std::int64_t lo, std::int64_t hi,
+        bool even = false) {
+    known_.emplace_back(key);
+    for (const auto& [k, v] : params_.kv) {
+      if (k != key) continue;
+      if ((v < lo || v > hi || (even && v % 2 != 0)) && bad_value_.empty())
+        bad_value_ = "parameter '" + k + "' = " + std::to_string(v) +
+                     " for system '" + params_.name + "' must be " +
+                     (even ? "even and " : "") + "in [" + std::to_string(lo) +
+                     ", " + std::to_string(hi) + "]";
+      return static_cast<T>(v);
     }
+    return fallback;
   }
-  return true;
-}
+
+  /// False, with `*error` set, when a key is unknown or a value out of range.
+  bool ok(std::string* error) const {
+    std::string msg = bad_value_;
+    for (const auto& [k, v] : params_.kv) {
+      if (std::find(known_.begin(), known_.end(), k) != known_.end()) continue;
+      msg = "unknown parameter '" + k + "' for system '" + params_.name + "'";
+      break;
+    }
+    if (msg.empty()) return true;
+    if (error) *error = std::move(msg);
+    return false;
+  }
+
+ private:
+  const SystemParams& params_;
+  std::vector<std::string_view> known_;
+  std::string bad_value_;
+};
 
 class TcpIpInstance final : public SystemInstance {
  public:
@@ -85,77 +126,53 @@ class MulticoreInstance final : public SystemInstance {
 
 std::unique_ptr<SystemInstance> make_system(const SystemParams& params,
                                             std::string* error) {
+  ParamReader r(params);
   if (params.name == "tcpip") {
-    static const std::set<std::string> known = {
-        "num_packets",    "packet_bytes",
-        "packet_gap",     "dma_block_size",
-        "ip_check_in_hw", "checksum_rtl_estimator",
-        "seed",           "rtos_prio_create",
-        "rtos_prio_ipcheck"};
-    if (!check_keys(params, known, error)) return nullptr;
     systems::TcpIpParams p;
-    p.num_packets = static_cast<int>(params.get("num_packets", p.num_packets));
-    p.packet_bytes =
-        static_cast<int>(params.get("packet_bytes", p.packet_bytes));
-    p.packet_gap = static_cast<sim::SimTime>(
-        params.get("packet_gap", static_cast<std::int64_t>(p.packet_gap)));
-    p.dma_block_size = static_cast<unsigned>(
-        params.get("dma_block_size", p.dma_block_size));
-    p.ip_check_in_hw = params.get("ip_check_in_hw", 0) != 0;
-    p.checksum_rtl_estimator = params.get("checksum_rtl_estimator", 0) != 0;
-    p.seed = static_cast<std::uint64_t>(
-        params.get("seed", static_cast<std::int64_t>(p.seed)));
-    p.rtos_prio_create = static_cast<int>(
-        params.get("rtos_prio_create", p.rtos_prio_create));
-    p.rtos_prio_ipcheck = static_cast<int>(
-        params.get("rtos_prio_ipcheck", p.rtos_prio_ipcheck));
+    p.num_packets = r.get("num_packets", p.num_packets, 1, kMaxCount);
+    p.packet_bytes = r.get("packet_bytes", p.packet_bytes, 1, kMaxCount);
+    p.packet_gap = r.get("packet_gap", p.packet_gap, 0, kMaxCycles);
+    p.dma_block_size = r.get("dma_block_size", p.dma_block_size, 2, kMaxCount,
+                             /*even=*/true);
+    p.ip_check_in_hw = r.get("ip_check_in_hw", p.ip_check_in_hw, 0, 1);
+    p.checksum_rtl_estimator =
+        r.get("checksum_rtl_estimator", p.checksum_rtl_estimator, 0, 1);
+    // The seed only keys the payload generator: every value is valid.
+    p.seed = r.get("seed", p.seed, std::numeric_limits<std::int64_t>::min(),
+                   std::numeric_limits<std::int64_t>::max());
+    p.rtos_prio_create =
+        r.get("rtos_prio_create", p.rtos_prio_create, 0, kMaxPriority);
+    p.rtos_prio_ipcheck =
+        r.get("rtos_prio_ipcheck", p.rtos_prio_ipcheck, 0, kMaxPriority);
+    if (!r.ok(error)) return nullptr;
     return std::make_unique<TcpIpInstance>(p);
   }
   if (params.name == "prodcons") {
-    static const std::set<std::string> known = {
-        "num_packets", "bytes_per_packet",         "tick_period",
-        "start_gap",   "consumer_base_iterations", "horizon"};
-    if (!check_keys(params, known, error)) return nullptr;
     systems::ProdConsParams p;
-    p.num_packets = static_cast<int>(params.get("num_packets", p.num_packets));
+    p.num_packets = r.get("num_packets", p.num_packets, 1, kMaxCount);
     p.bytes_per_packet =
-        static_cast<int>(params.get("bytes_per_packet", p.bytes_per_packet));
-    p.tick_period = static_cast<sim::SimTime>(
-        params.get("tick_period", static_cast<std::int64_t>(p.tick_period)));
-    p.start_gap = static_cast<sim::SimTime>(
-        params.get("start_gap", static_cast<std::int64_t>(p.start_gap)));
-    p.consumer_base_iterations = static_cast<int>(params.get(
-        "consumer_base_iterations", p.consumer_base_iterations));
-    const auto horizon =
-        static_cast<sim::SimTime>(params.get("horizon", 4096));
+        r.get("bytes_per_packet", p.bytes_per_packet, 1, kMaxCount);
+    p.tick_period = r.get("tick_period", p.tick_period, 1, kMaxCycles);
+    p.start_gap = r.get("start_gap", p.start_gap, 0, kMaxCycles);
+    p.consumer_base_iterations = r.get(
+        "consumer_base_iterations", p.consumer_base_iterations, 1, kMaxCount);
+    const auto horizon = r.get("horizon", sim::SimTime{4096}, 1, kMaxCycles);
+    if (!r.ok(error)) return nullptr;
     return std::make_unique<ProdConsInstance>(p, horizon);
   }
   if (params.name == "multicore") {
-    static const std::set<std::string> known = {
-        "cores",     "num_packets",  "bytes_per_packet",
-        "tick_period", "start_gap",  "collector_base_iterations",
-        "shared_lines", "horizon"};
-    if (!check_keys(params, known, error)) return nullptr;
     systems::MulticoreParams p;
-    const auto cores = params.get("cores", p.cores);
-    if (cores < 1 || cores > 64) {
-      if (error) *error = "multicore: cores must be in [1, 64]";
-      return nullptr;
-    }
-    p.cores = static_cast<unsigned>(cores);
-    p.num_packets = static_cast<int>(params.get("num_packets", p.num_packets));
+    p.cores = r.get("cores", p.cores, 1, 64);
+    p.num_packets = r.get("num_packets", p.num_packets, 1, kMaxCount);
     p.bytes_per_packet =
-        static_cast<int>(params.get("bytes_per_packet", p.bytes_per_packet));
-    p.tick_period = static_cast<sim::SimTime>(
-        params.get("tick_period", static_cast<std::int64_t>(p.tick_period)));
-    p.start_gap = static_cast<sim::SimTime>(
-        params.get("start_gap", static_cast<std::int64_t>(p.start_gap)));
-    p.collector_base_iterations = static_cast<int>(params.get(
-        "collector_base_iterations", p.collector_base_iterations));
-    p.shared_lines = static_cast<unsigned>(
-        params.get("shared_lines", p.shared_lines));
-    const auto horizon =
-        static_cast<sim::SimTime>(params.get("horizon", 4096));
+        r.get("bytes_per_packet", p.bytes_per_packet, 1, kMaxCount);
+    p.tick_period = r.get("tick_period", p.tick_period, 1, kMaxCycles);
+    p.start_gap = r.get("start_gap", p.start_gap, 0, kMaxCycles);
+    p.collector_base_iterations = r.get(
+        "collector_base_iterations", p.collector_base_iterations, 1, kMaxCount);
+    p.shared_lines = r.get("shared_lines", p.shared_lines, 1, kMaxCount);
+    const auto horizon = r.get("horizon", sim::SimTime{4096}, 1, kMaxCycles);
+    if (!r.ok(error)) return nullptr;
     return std::make_unique<MulticoreInstance>(p, horizon);
   }
   if (error) *error = "unknown system '" + params.name + "'";

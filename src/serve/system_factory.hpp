@@ -37,16 +37,20 @@ class SystemInstance {
 };
 
 /// Builds the named system. Returns nullptr with `*error` set on an unknown
-/// name or parameter key.
+/// name or parameter key, or on a value outside its range; the error names
+/// the key and the value.
 ///
-/// Recognized parameters (all integers; booleans as 0/1):
-///   tcpip:    num_packets, packet_bytes, packet_gap, dma_block_size,
-///             ip_check_in_hw, checksum_rtl_estimator, seed,
-///             rtos_prio_create, rtos_prio_ipcheck
+/// Recognized parameters (all integers; booleans as 0/1). Counts and sizes
+/// are in [1, 4096], gaps in [0, 2^20] cycles, periods and horizons in
+/// [1, 2^20] cycles, RTOS priorities in [0, 255]:
+///   tcpip:    num_packets, packet_bytes, packet_gap, dma_block_size (also
+///             even), ip_check_in_hw, checksum_rtl_estimator, seed (any
+///             value), rtos_prio_create, rtos_prio_ipcheck
 ///   prodcons: num_packets, bytes_per_packet, tick_period, start_gap,
 ///             consumer_base_iterations, horizon
-///   multicore: cores, num_packets, bytes_per_packet, tick_period,
-///             start_gap, collector_base_iterations, shared_lines, horizon
+///   multicore: cores (in [1, 64]), num_packets, bytes_per_packet,
+///             tick_period, start_gap, collector_base_iterations,
+///             shared_lines, horizon
 ///             (the structural config must request >= `cores` cores; its
 ///             interconnect/coherence fields select bus vs NoC and MSI)
 [[nodiscard]] std::unique_ptr<SystemInstance> make_system(

@@ -24,12 +24,11 @@ Gauge& Registry::gauge(std::string_view name) {
   return g;
 }
 
-HistogramStat& Registry::histogram(std::string_view name, double lo, double hi,
-                                   std::size_t bins) {
+HistogramStat& Registry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = histogram_index_.find(name);
   if (it != histogram_index_.end()) return *it->second;
-  HistogramStat& h = histograms_.emplace_back(lo, hi, bins);
+  HistogramStat& h = histograms_.emplace_back();
   histogram_index_.emplace(std::string(name), &h);
   return h;
 }

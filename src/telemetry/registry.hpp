@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/histogram.hpp"
 #include "util/stats.hpp"
 
 namespace socpower::telemetry {
@@ -99,20 +98,14 @@ class Gauge {
   std::atomic<std::int64_t> peak_{0};
 };
 
-/// Value distribution: util::Histogram bins plus running moments. Mutex
+/// Value distribution: running moments (count, mean, min, max, sum). Mutex
 /// protected — use at batch granularity, not per instruction.
 class HistogramStat {
  public:
-  /// Construct through Registry::histogram(); direct construction is only
-  /// for the registry's storage (the type is pinned by its mutex anyway).
-  HistogramStat(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), bins_(bins), hist_(lo, hi, bins) {}
-
   void observe(double x) {
     if (!enabled()) return;
     std::lock_guard<std::mutex> lk(mu_);
     stats_.add(x);
-    hist_.add(x);
   }
   [[nodiscard]] RunningStats stats() const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -121,17 +114,10 @@ class HistogramStat {
 
  private:
   friend class Registry;
-  void reset_locked() {
-    stats_.reset();
-    hist_ = Histogram(lo_, hi_, bins_);
-  }
+  void reset_locked() { stats_.reset(); }
 
   mutable std::mutex mu_;
-  double lo_;
-  double hi_;
-  std::size_t bins_;
   RunningStats stats_;
-  Histogram hist_;
 };
 
 /// Point-in-time copy of every registered metric, sorted by name. The JSON
@@ -183,10 +169,7 @@ class Registry {
 
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  /// Range/bin shape is fixed by the first registration of `name`;
-  /// subsequent calls return the existing histogram regardless of shape.
-  [[nodiscard]] HistogramStat& histogram(std::string_view name, double lo,
-                                         double hi, std::size_t bins);
+  [[nodiscard]] HistogramStat& histogram(std::string_view name);
 
   [[nodiscard]] Snapshot snapshot() const;
   /// Zeroes every value but keeps registrations (cached handles survive).

@@ -62,7 +62,7 @@ struct ThreadPool::Impl {
     static telemetry::Counter& tasks =
         telemetry::registry().counter("pool.tasks");
     static telemetry::HistogramStat& task_us =
-        telemetry::registry().histogram("pool.task_us", 0.0, 1e6, 32);
+        telemetry::registry().histogram("pool.task_us");
     for (;;) {
       const std::size_t i = loop->next.fetch_add(1);
       if (i >= loop->n) return;

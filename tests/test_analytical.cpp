@@ -157,6 +157,41 @@ TEST(Analytical, TracksGateLevelEnergyLoosely) {
   EXPECT_EQ(ana.end_time, gate.end_time);  // timing model is shared
 }
 
+TEST(Analytical, OnlinePricingMatchesBatch) {
+  // Online transitions and batch entries go through the same price(), so
+  // switching hw_batch off changes only the order in which hw_energy sums.
+  // The online path (also forced by verify_lowlevel and accelerate_hw) must
+  // hand the backend the pre-reaction state its activity features read.
+  const CoEstimatorConfig batch = analytical_config();
+  CoEstimatorConfig online = batch;
+  online.hw_batch = false;
+  const RunResults b = run_tcpip(hw_heavy_params(), batch);
+  const RunResults o = run_tcpip(hw_heavy_params(), online);
+  ASSERT_EQ(o.process_energy.size(), b.process_energy.size());
+  for (std::size_t i = 0; i < b.process_energy.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(o.process_energy[i]),
+              std::bit_cast<std::uint64_t>(b.process_energy[i]))
+        << "process " << i;
+  EXPECT_GT(b.gate_sim_cycles, 0u);  // the calibration prefix ran
+  EXPECT_EQ(o.gate_sim_cycles, b.gate_sim_cycles);
+  EXPECT_NEAR(o.hw_energy, b.hw_energy, 1e-12 * b.hw_energy);
+
+  // verify_lowlevel cross-checks every calibration step against the
+  // behavioral reaction and prices exactly like the plain online run.
+  CoEstimatorConfig verify = batch;
+  verify.verify_lowlevel = true;
+  const RunResults v = run_tcpip(hw_heavy_params(), verify);
+  EXPECT_EQ(v.process_energy, o.process_energy);
+  EXPECT_EQ(v.gate_sim_cycles, o.gate_sim_cycles);
+
+  CoEstimatorConfig accel = batch;
+  accel.accelerate_hw = true;
+  accel.accel = Acceleration::kCaching;
+  const RunResults a = run_tcpip(hw_heavy_params(), accel);
+  EXPECT_EQ(a.hw_reactions, b.hw_reactions);
+  EXPECT_GT(a.hw_energy, 0.0);
+}
+
 TEST(Analytical, LeakageIsPerRunAndScalesWithTemperature) {
   systems::TcpIpSystem sys(hw_heavy_params());
   CoEstimator est(&sys.network(), analytical_config());

@@ -191,14 +191,13 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
       {
         CostPayload c;
         c.task = static_cast<cfsm::CfsmId>(rng() % 8);
-        c.path = static_cast<cfsm::PathId>(rng() % 50);
-        c.now = rng();
         c.inputs = random_inputs(rng);
         for (unsigned i = 0; i < rng() % 4; ++i)
           c.reaction.emissions.push_back(
               {static_cast<cfsm::EventId>(rng() % 16),
                static_cast<std::int32_t>(rng())});
         c.reaction.trace = random_trace(rng);
+        c.pre_state = random_state(rng);
         c.post_state = random_state(rng);
         WireWriter w;
         put_cost(w, c);
@@ -207,8 +206,6 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         ASSERT_TRUE(get_cost(r, &back));
         ASSERT_TRUE(r.at_end());
         EXPECT_EQ(c.task, back.task);
-        EXPECT_EQ(c.path, back.path);
-        EXPECT_EQ(c.now, back.now);
         expect_inputs_equal(c.inputs, back.inputs);
         ASSERT_EQ(c.reaction.emissions.size(), back.reaction.emissions.size());
         for (std::size_t i = 0; i < c.reaction.emissions.size(); ++i) {
@@ -218,6 +215,7 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
                     back.reaction.emissions[i].value);
         }
         EXPECT_EQ(c.reaction.trace, back.reaction.trace);
+        EXPECT_EQ(c.pre_state.vars, back.pre_state.vars);
         EXPECT_EQ(c.post_state.vars, back.post_state.vars);
       }
       // Flush result with tricky energies.
@@ -327,6 +325,7 @@ TEST(DistWire, TruncatedFramesAreRejected) {
   CostPayload cost;
   cost.inputs = random_inputs(rng);
   cost.reaction.trace = random_trace(rng);
+  cost.pre_state = random_state(rng);
   cost.post_state = random_state(rng);
   WireWriter wc;
   put_cost(wc, cost);

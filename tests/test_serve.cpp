@@ -424,5 +424,120 @@ TEST_F(ServeTest, ShutdownRequestStopsTheServer) {
   EXPECT_TRUE(server_->start());
 }
 
+// -- system parameter ranges --------------------------------------------------
+//
+// Out-of-range system parameters used to reach the system constructors: a
+// negative packet count threw from vector::resize inside a pool task with
+// no catch (terminating the server), an odd DMA block size tripped an
+// assert, and a zero tick period never left stimulus(). Session::create now
+// refuses each with an error naming the key and the value.
+
+void expect_rejected(const std::string& system, const std::string& key,
+                     std::int64_t value) {
+  SCOPED_TRACE(system + "." + key + " = " + std::to_string(value));
+  SystemParams sp;
+  sp.name = system;
+  sp.set(key, value);
+  std::string error;
+  EXPECT_EQ(Session::create(sp, StructuralConfig{}, &error), nullptr);
+  EXPECT_NE(error.find("parameter '" + key + "' = " + std::to_string(value)),
+            std::string::npos)
+      << error;
+}
+
+TEST(ServeSystemParams, NegativePacketCountIsRejected) {
+  expect_rejected("tcpip", "num_packets", -1);
+  expect_rejected("prodcons", "num_packets", 0);
+  expect_rejected("multicore", "num_packets", -5);
+}
+
+TEST(ServeSystemParams, OversizedPacketIsRejected) {
+  expect_rejected("tcpip", "packet_bytes", 4097);
+  expect_rejected("prodcons", "bytes_per_packet", 0);
+  expect_rejected("multicore", "bytes_per_packet", 1 << 30);
+}
+
+TEST(ServeSystemParams, OddOrZeroDmaBlockSizeIsRejected) {
+  expect_rejected("tcpip", "dma_block_size", 3);
+  expect_rejected("tcpip", "dma_block_size", 0);
+}
+
+TEST(ServeSystemParams, NegativeGapIsRejected) {
+  expect_rejected("tcpip", "packet_gap", -1);
+  expect_rejected("prodcons", "start_gap", -1);
+  expect_rejected("multicore", "start_gap", (1 << 20) + 1);
+}
+
+TEST(ServeSystemParams, ZeroTickPeriodIsRejected) {
+  expect_rejected("prodcons", "tick_period", 0);
+  expect_rejected("multicore", "tick_period", 0);
+}
+
+TEST(ServeSystemParams, UnboundedHorizonIsRejected) {
+  expect_rejected("prodcons", "horizon", (1 << 20) + 1);
+  expect_rejected("multicore", "horizon", 0);
+}
+
+TEST(ServeSystemParams, ZeroIterationsAreRejected) {
+  expect_rejected("prodcons", "consumer_base_iterations", 0);
+  expect_rejected("multicore", "collector_base_iterations", -1);
+}
+
+TEST(ServeSystemParams, ZeroSharedLinesIsRejected) {
+  expect_rejected("multicore", "shared_lines", 0);
+}
+
+TEST(ServeSystemParams, CoreCountAboveSixtyFourIsRejected) {
+  expect_rejected("multicore", "cores", 65);
+}
+
+TEST(ServeSystemParams, NonBooleanFlagIsRejected) {
+  expect_rejected("tcpip", "ip_check_in_hw", 2);
+  expect_rejected("tcpip", "checksum_rtl_estimator", -1);
+}
+
+TEST(ServeSystemParams, OutOfRangeRtosPriorityIsRejected) {
+  expect_rejected("tcpip", "rtos_prio_create", 256);
+  expect_rejected("tcpip", "rtos_prio_ipcheck", -1);
+}
+
+TEST(ServeSystemParams, SmallestAcceptedValuesRun) {
+  SystemParams tcpip;
+  tcpip.name = "tcpip";
+  tcpip.set("num_packets", 1);
+  tcpip.set("packet_bytes", 1);
+  tcpip.set("packet_gap", 0);
+  tcpip.set("dma_block_size", 2);
+  SystemParams prodcons;
+  prodcons.name = "prodcons";
+  prodcons.set("num_packets", 1);
+  prodcons.set("bytes_per_packet", 1);
+  prodcons.set("tick_period", 1);
+  prodcons.set("start_gap", 0);
+  prodcons.set("consumer_base_iterations", 1);
+  prodcons.set("horizon", 1);
+  SystemParams multicore;
+  multicore.name = "multicore";
+  multicore.set("cores", 1);
+  multicore.set("num_packets", 1);
+  multicore.set("bytes_per_packet", 1);
+  multicore.set("tick_period", 1);
+  multicore.set("start_gap", 0);
+  multicore.set("collector_base_iterations", 1);
+  multicore.set("shared_lines", 1);
+  multicore.set("horizon", 1);
+  for (const SystemParams& sp : {tcpip, prodcons, multicore}) {
+    SCOPED_TRACE(sp.name);
+    std::string error;
+    std::unique_ptr<Session> session =
+        Session::create(sp, StructuralConfig{}, &error);
+    ASSERT_NE(session, nullptr) << error;
+    core::RunResults res;
+    ASSERT_TRUE(session->estimate(RunRequest{}, &res, nullptr, &error))
+        << error;
+    EXPECT_GT(res.reactions, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace socpower::serve

@@ -176,7 +176,7 @@ TEST(TelemetryRegistry, SameNameReturnsSameHandle) {
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &r.counter("y.count"));
   EXPECT_EQ(&r.gauge("g"), &r.gauge("g"));
-  EXPECT_EQ(&r.histogram("h", 0, 10, 4), &r.histogram("h", 0, 99, 7));
+  EXPECT_EQ(&r.histogram("h"), &r.histogram("h"));
 }
 
 TEST(TelemetryRegistry, CountersGaugesHistogramsCollect) {
@@ -187,8 +187,8 @@ TEST(TelemetryRegistry, CountersGaugesHistogramsCollect) {
   r.gauge("g").set(5);
   r.gauge("g").set(9);
   r.gauge("g").set(2);
-  r.histogram("h", 0, 100, 10).observe(10);
-  r.histogram("h", 0, 100, 10).observe(30);
+  r.histogram("h").observe(10);
+  r.histogram("h").observe(30);
 
   const Snapshot s = r.snapshot();
   EXPECT_EQ(s.counter_or("c"), 4u);
@@ -215,7 +215,7 @@ TEST(TelemetryRegistry, DisabledMutationsAreDropped) {
   Registry r;
   r.counter("c").add(10);
   r.gauge("g").set(10);
-  r.histogram("h", 0, 1, 2).observe(0.5);
+  r.histogram("h").observe(0.5);
   const Snapshot s = r.snapshot();
   EXPECT_EQ(s.counter_or("c"), 0u);
   EXPECT_EQ(s.gauges[0].peak, 0);
@@ -228,7 +228,7 @@ TEST(TelemetryRegistry, SnapshotJsonParsesAndTableRenders) {
   Registry r;
   r.counter("a.weird\"name\\").add(1);
   r.gauge("g").set(-3);
-  r.histogram("h", 0, 10, 4).observe(2.5);
+  r.histogram("h").observe(2.5);
   const Snapshot s = r.snapshot();
   const std::string json = s.to_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
