@@ -17,6 +17,7 @@
 
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
+#include "serve/checkpoint.hpp"
 #include "serve/protocol.hpp"
 
 namespace socpower::dist {
@@ -421,6 +422,303 @@ TEST(DistWire, ExpectsReplyMatchesProtocol) {
   EXPECT_FALSE(expects_reply(MsgType::kEnqueueChunk));
   EXPECT_FALSE(expects_reply(MsgType::kShutdown));
   EXPECT_FALSE(expects_reply(MsgType::kReply));
+}
+
+// ---- pinned bytes ----------------------------------------------------------
+//
+// One hand-built value per message type and the hex of its encoding. Every
+// byte of these frames is a compatibility promise: dist workers and the
+// master may come from different builds of the same protocol, serve clients
+// talk to long-lived servers, and checkpoints outlive the process that wrote
+// them. A codec change that moves any byte fails here; one that is meant to
+// must bump kServeProtocolVersion / kCheckpointVersion and re-pin.
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+/// A quiet NaN with a payload: must survive as its bit pattern.
+const double kNaNPayload = std::bit_cast<double>(0x7ff8000000000123ull);
+
+cfsm::ReactionInputs pinned_inputs() {
+  cfsm::ReactionInputs in;
+  in.set(5, -1);
+  in.set(9, 42);
+  return in;
+}
+
+core::RunResults pinned_run_results() {
+  core::RunResults r;
+  r.total_energy = 1.25e-9;
+  r.process_energy = {kNaNPayload, -0.0};
+  r.cpu_energy = 2.0;
+  r.hw_energy = 3.0;
+  r.bus_energy = 4.0;
+  r.cache_energy = 5.0;
+  r.end_time = 0x0102030405060708ull;
+  r.reactions = 11;
+  r.sw_reactions = 12;
+  r.hw_reactions = 13;
+  r.iss_invocations = 14;
+  r.iss_instructions = 15;
+  r.gate_sim_cycles = 16;
+  r.cache_hits_served = 17;
+  r.icache.accesses = 18;
+  r.icache.misses = 19;
+  r.icache.penalty_cycles = 20;
+  r.icache.energy = 21.0;
+  r.bus_totals.transfers = 22;
+  r.bus_totals.grants = 23;
+  r.bus_totals.bytes = 24;
+  r.bus_totals.addr_toggles = 25;
+  r.bus_totals.data_toggles = 26;
+  r.bus_totals.wait_cycles = 27;
+  r.bus_totals.energy = 28.0;
+  r.coherence.accesses = 29;
+  r.coherence.l1_hits = 30;
+  r.coherence.l1_misses = 31;
+  r.coherence.upgrades = 32;
+  r.coherence.invalidations = 33;
+  r.coherence.writebacks = 34;
+  r.coherence.energy = 35.0;
+  r.wall_seconds = 0.5;
+  r.truncated = true;
+  r.process_leakage = {std::numeric_limits<double>::denorm_min()};
+  r.leakage_energy = 36.0;
+  return r;
+}
+
+hw::AnalyticalModel pinned_analytical_model() {
+  hw::AnalyticalModel m;
+  hw::AnalyticalUnitModel u;
+  u.task = 2;
+  for (std::size_t i = 0; i < hw::kAnalyticalTerms; ++i)
+    u.coeff[i] = 1.0 + static_cast<double>(i);
+  u.leakage_watts = 5e-9;
+  u.calibration_vectors = 64;
+  u.residual_rms_j = 1e-15;
+  m.units.push_back(u);
+  hw::AnalyticalCalibrationState c;
+  c.task = 4;
+  for (std::size_t i = 0; i < std::size(c.moments.xtx); ++i)
+    c.moments.xtx[i] = 0.5 * static_cast<double>(i);
+  for (std::size_t i = 0; i < std::size(c.moments.xty); ++i)
+    c.moments.xty[i] = -0.25 * static_cast<double>(i);
+  c.moments.yty = 7.0;
+  c.moments.n = 17;
+  m.pending.push_back(c);
+  return m;
+}
+
+serve::Checkpoint pinned_checkpoint() {
+  serve::Checkpoint c;
+  c.system.name = "tcpip";
+  c.system.set("num_packets", 3);
+  core::BackendWarmState sw;
+  sw.block_entries = {0x100, 0x200};
+  core::BackendWarmState hw;
+  core::BackendWarmState::UnitReactions ur;
+  ur.task = 1;
+  hw::ExportedReaction e;
+  e.key = {1, 0xfedcba9876543210ull};
+  e.energy = 3e-12;
+  e.toggles = {4, 5, 6};
+  e.latch_begin = 2;
+  e.gate_evals = 7;
+  ur.entries.push_back(e);
+  hw.reactions.push_back(ur);
+  hw.analytical = pinned_analytical_model();
+  c.warm.backends = {sw, hw};
+  core::EnergyCache::ExportedEntry ce;
+  ce.task = 0;
+  ce.path = 1;
+  ce.cycles = {3, 10.0, 0.5, 9.0, 11.0, 30.0};
+  ce.energy = {3, 1e-12, 1e-30, 9e-13, 1.1e-12, 3e-12};
+  c.warm.ecache.push_back(ce);
+  c.warm.ecache_hits = 9;
+  c.warm.ecache_simulations = 10;
+  return c;
+}
+
+TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
+  {
+    ChunkPayload c;
+    c.task = 3;
+    c.base_paths = 7;
+    c.new_paths = {{1, 2, 3}, {}};
+    c.entries.push_back(
+        {0x0102030405060708ull, pinned_inputs(), 2, {{-7, 0x7fffffff}}});
+    c.entries.push_back({9, {}, cfsm::kNoPath, {}});
+    WireWriter w;
+    put_chunk(w, c);
+    EXPECT_EQ(hex(w.bytes()),
+              "0300000007000000020000000300000001000000020000000300000000000000"
+              "0200000008070605040302010200000005000000ffffffff090000002a000000"
+              "0200000002000000f9ffffffffffff7f090000000000000000000000ffffffff"
+              "00000000")
+        << "chunk";
+  }
+  {
+    CostPayload c;
+    c.task = 1;
+    c.inputs = pinned_inputs();
+    c.reaction.emissions = {{4, -3}};
+    c.reaction.trace = {0, 5, 9};
+    c.pre_state.vars = {1, 2};
+    c.post_state.vars = {3};
+    WireWriter w;
+    put_cost(w, c);
+    EXPECT_EQ(hex(w.bytes()),
+              "010000000200000005000000ffffffff090000002a0000000100000004000000"
+              "fdffffff03000000000000000500000009000000020000000100000002000000"
+              "0100000003000000")
+        << "cost";
+  }
+  {
+    WireWriter w;
+    put_transition_cost(w, core::TransitionCost{1.5, kNaNPayload, false});
+    EXPECT_EQ(hex(w.bytes()),
+              "000000000000f83f230100000000f87f00")
+        << "transition cost";
+  }
+  {
+    core::ComponentEstimator::FlushResult fr;
+    fr.gate_cycles = 12345;
+    fr.entries = {
+        {10, 1, 2.5e-12},
+        {11, cfsm::kNoPath, std::numeric_limits<double>::denorm_min()}};
+    WireWriter w;
+    put_flush_result(w, fr);
+    EXPECT_EQ(hex(w.bytes()),
+              "3930000000000000020000000a0000000000000001000000956479e17ffd853d"
+              "0b00000000000000ffffffff0100000000000000")
+        << "flush result";
+  }
+  {
+    WireWriter w;
+    put_run_results(w, pinned_run_results());
+    EXPECT_EQ(hex(w.bytes()),
+              "3a8c30e28e79153e02000000230100000000f87f000000000000008000000000"
+              "0000004000000000000008400000000000001040000000000000144008070605"
+              "040302010b000000000000000c000000000000000d000000000000000e000000"
+              "000000000f000000000000001000000000000000110000000000000012000000"
+              "0000000013000000000000001400000000000000000000000000354016000000"
+              "000000001700000000000000180000000000000019000000000000001a000000"
+              "000000001b000000000000000000000000003c401d000000000000001e000000"
+              "000000001f000000000000002000000000000000210000000000000022000000"
+              "000000000000000000804140000000000000e03f010100000001000000000000"
+              "000000000000004240")
+        << "run results";
+  }
+  {
+    WireWriter w;
+    put_analytical_model(w, pinned_analytical_model());
+    EXPECT_EQ(hex(w.bytes()),
+              "0100000002000000000000000000f03f00000000000000400000000000000840"
+              "00000000000010403a8c30e28e79353e400000001656e79eaf03d23c01000000"
+              "040000000000000000000000000000000000e03f000000000000f03f00000000"
+              "0000f83f00000000000000400000000000000440000000000000084000000000"
+              "00000c4000000000000010400000000000001240000000000000144000000000"
+              "0000164000000000000018400000000000001a400000000000001c4000000000"
+              "00001e400000000000000080000000000000d0bf000000000000e0bf00000000"
+              "0000e8bf0000000000001c401100000000000000")
+        << "analytical model";
+  }
+  {
+    serve::SystemParams s;
+    s.name = "tcpip";
+    s.set("num_packets", 3);
+    s.set("seed", -2);
+    WireWriter w;
+    serve::put_system(w, s);
+    EXPECT_EQ(hex(w.bytes()),
+              "050000007463706970020000000b0000006e756d5f7061636b65747303000000"
+              "000000000400000073656564feffffffffffffff")
+        << "system";
+  }
+  {
+    serve::RunRequest rr;
+    rr.separate = true;
+    rr.config.accel = core::Acceleration::kSampling;
+    rr.config.hw_batch = false;
+    rr.config.hw_reaction_cache_max_entries = 0x1122334455ull;
+    rr.config.energy_cache.thresh_variance = -0.0;
+    rr.config.hw_temperature_k = kNaNPayload;
+    WireWriter w;
+    serve::put_run_request(w, rr);
+    EXPECT_EQ(hex(w.bytes()),
+              "0103000000010000000155443322110000000000000000000000000000000000"
+              "00800300000000000000002d3101000000000001000000000000000000402301"
+              "00000000f87f0000000000406f40")
+        << "run request";
+  }
+  {
+    serve::RequestStats s;
+    s.wall_ms = 12.5;
+    s.run_index = 3;
+    s.restored_session = true;
+    s.ecache_hits = 4;
+    s.warm_hits = 5;
+    s.warm_fills = 6;
+    WireWriter w;
+    serve::put_request_stats(w, s);
+    EXPECT_EQ(hex(w.bytes()),
+              "0000000000002940030000000000000001040000000000000005000000000000"
+              "000600000000000000")
+        << "request stats";
+  }
+  {
+    serve::ServeStatsReply s;
+    s.sessions = 1;
+    s.requests = 2;
+    s.checkpoint_bytes = 3;
+    s.restore_hits = 4;
+    s.evictions = 5;
+    s.latency_count = 6;
+    s.latency_mean_ms = 7.5;
+    s.latency_min_ms = 0.25;
+    s.latency_max_ms = 19.0;
+    s.rendered = "tbl\n";
+    WireWriter w;
+    serve::put_stats_reply(w, s);
+    EXPECT_EQ(hex(w.bytes()),
+              "0100000000000000020000000000000003000000000000000400000000000000"
+              "050000000000000006000000000000000000000000001e40000000000000d03f"
+              "00000000000033400400000074626c0a")
+        << "stats reply";
+  }
+  // The warm snapshot travels inside the SPCK container: header, system,
+  // structural block, then the snapshot itself.
+  EXPECT_EQ(hex(serve::encode_checkpoint(pinned_checkpoint())),
+            "5350434b020000008d020000000000007828ba64517a6cf10500000074637069"
+            "70010000000b0000006e756d5f7061636b657473030000000000000066666666"
+            "66660a400000000084d797410000010003000000000000008096980000000000"
+            "01000800004000000018000000000000000000000000e06f4000000000000000"
+            "000600000073772e6973730700000068772e676174650600000068772e72746c"
+            "0c00000063616368652e6963616368650b0000006275732e6172626974657207"
+            "0000006275732e6e6f6300010000000000020000000200000000010000000200"
+            "0000000000000000000000000000000000010000000100000001000000020000"
+            "0001000000000000001032547698badcfe1adfc44166638a3d03000000040000"
+            "0005000000060000000200000007000000000000000100000002000000000000"
+            "000000f03f0000000000000040000000000000084000000000000010403a8c30"
+            "e28e79353e400000001656e79eaf03d23c010000000400000000000000000000"
+            "00000000000000e03f000000000000f03f000000000000f83f00000000000000"
+            "40000000000000044000000000000008400000000000000c4000000000000010"
+            "4000000000000012400000000000001440000000000000164000000000000018"
+            "400000000000001a400000000000001c400000000000001e4000000000000000"
+            "80000000000000d0bf000000000000e0bf000000000000e8bf0000000000001c"
+            "4011000000000000000100000000000000010000000300000000000000000000"
+            "0000002440000000000000e03f00000000000022400000000000002640000000"
+            "0000003e40030000000000000011ea2d819997713da0c2ebfe4b48b43952a552"
+            "b57aaa6f3d7981b2a7f559733d1adfc44166638a3d09000000000000000a0000"
+            "0000000000")
+      << "warm snapshot";
 }
 
 }  // namespace
