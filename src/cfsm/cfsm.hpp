@@ -49,6 +49,11 @@ class ReactionInputs {
       const {
     return events_;
   }
+  /// The list itself, for the wire decoder (dist/wire.hpp), which fills it
+  /// in the order the encoder read it from all().
+  [[nodiscard]] std::vector<std::pair<EventId, std::int32_t>>& all() {
+    return events_;
+  }
   [[nodiscard]] bool empty() const { return events_.empty(); }
 
  private:

@@ -223,8 +223,9 @@ namespace detail {
 
 /// The knob table, visiting the same field of every config in `cfgs`:
 /// calls f(name, scope, cfgs.<field>...) once per knob. Structural knobs
-/// come in the byte order of serve::put_structural (checkpoints and session
-/// keys depend on it), run knobs in the order of the serve RunRequest.
+/// come in the byte order of a serve::StructuralConfig on the wire
+/// (checkpoints and session keys depend on it), run knobs in the order of
+/// the serve RunRequest.
 /// Fields left out do not travel: the serve layer takes them from the
 /// system's config template, and a dist worker inherits them when forked.
 template <class F, class... Cfg>

@@ -100,9 +100,6 @@ struct ShardedExploreOptions {
   /// thunks are deterministic wherever they run. 1 = serial explore(),
   /// 0 = one per hardware thread; platforms without fork degrade to serial.
   unsigned workers = 0;
-  /// Per-reply timeout (ms) before a worker is declared dead. Generous:
-  /// one design point can legitimately co-simulate for minutes.
-  unsigned reply_timeout_ms = 600'000;
   /// Fault injection for tests: the worker with this shard index exits
   /// abruptly on its first request. -1 = off.
   int debug_crash_worker = -1;

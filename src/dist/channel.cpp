@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <vector>
 
 #if !defined(_WIN32)
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
@@ -200,13 +203,46 @@ Channel::RecvStatus Channel::recv_frame(Frame* out, int timeout_ms) {
 #endif
 }
 
-void close_parent_fds_in_child() {
-#if !defined(_WIN32)
-  // No lock: we are single-threaded right after fork() and the list is a
-  // snapshot of the parent's registrations at fork time.
-  for (const int fd : g_parent_fds) ::close(fd);
-  g_parent_fds.clear();
+bool fork_child(ChildProcess* p, const std::function<int(Channel&)>& serve) {
+#if defined(_WIN32)
+  (void)p;
+  (void)serve;
+  return false;
+#else
+  Channel parent_end;
+  Channel child_end;
+  if (!Channel::make_pair(&parent_end, &child_end)) return false;
+  parent_end.set_parent_side();
+  const pid_t pid = ::fork();
+  if (pid < 0) return false;
+  if (pid == 0) {
+    // No lock: we are single-threaded right after fork() and the list is a
+    // snapshot of the parent's registrations at fork time (ours included —
+    // the parent keeps that end).
+    for (const int fd : g_parent_fds) ::close(fd);
+    g_parent_fds.clear();
+    std::_Exit(serve(child_end));
+  }
+  child_end.close();
+  p->pid = static_cast<long>(pid);
+  p->ch = std::move(parent_end);
+  return true;
 #endif
+}
+
+void end_child(ChildProcess* p) {
+#if !defined(_WIN32)
+  if (p->pid >= 0) {
+    if (p->ch.valid())
+      (void)p->ch.send_frame(MsgType::kShutdown, {}, /*timeout_ms=*/1000);
+    p->ch.close();
+    ::kill(static_cast<pid_t>(p->pid), SIGKILL);
+    int status = 0;
+    (void)::waitpid(static_cast<pid_t>(p->pid), &status, 0);
+  }
+#endif
+  p->pid = -1;
+  p->ch.close();
 }
 
 }  // namespace socpower::dist

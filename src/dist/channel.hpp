@@ -7,18 +7,23 @@
 // error return, never as SIGPIPE. Byte counters feed the
 // estimator.<name>.dist.bytes_{tx,rx} telemetry.
 //
-// fork() hygiene: every parent-side fd registers itself in a process-wide
-// list; a freshly forked child calls close_parent_fds_in_child() so it does
+// Worker processes: fork_child() and end_child() are the one way a worker
+// is started and ended (the remote HW proxy and sharded exploration both go
+// through them). fork() hygiene: every parent-side fd registers itself in a
+// process-wide list, and a freshly forked child closes them all so it does
 // not hold other workers' parent endpoints open (a stray duplicate would
 // defeat EOF-based crash detection for those workers).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "dist/wire.hpp"
 
 namespace socpower::dist {
+
+struct ChildProcess;
 
 class Channel {
  public:
@@ -46,9 +51,6 @@ class Channel {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   void close();
 
-  /// Mark this end as living in the parent process (registers the fd for
-  /// close_parent_fds_in_child()); undone automatically by close().
-  void set_parent_side();
 
   /// Sends one frame. `timeout_ms` bounds the total blocking time (-1 =
   /// forever). False on timeout, peer death, or any error.
@@ -65,6 +67,11 @@ class Channel {
 
  private:
   explicit Channel(int fd) : fd_(fd) {}
+  friend bool fork_child(ChildProcess* p,
+                         const std::function<int(Channel&)>& serve);
+  /// Mark this end as living in the parent process (a child forked later
+  /// closes it); undone automatically by close().
+  void set_parent_side();
 
   int fd_ = -1;
   bool parent_side_ = false;
@@ -72,8 +79,22 @@ class Channel {
   std::uint64_t bytes_rx_ = 0;
 };
 
-/// Closes every registered parent-side fd. Call once in a freshly forked
-/// child, before it starts serving its own channel.
-void close_parent_fds_in_child();
+/// A forked worker process and the parent's end of its channel.
+struct ChildProcess {
+  long pid = -1;
+  Channel ch;
+};
+
+/// Forks a child that closes every parent-side fd, runs serve() on its end
+/// of a fresh channel and _Exits with the result (no atexit handlers or
+/// static destructors of the parent run in it). False, with `*p` untouched,
+/// when the platform cannot fork or a call fails.
+[[nodiscard]] bool fork_child(ChildProcess* p,
+                              const std::function<int(Channel&)>& serve);
+
+/// Ends a child: a kShutdown frame while its channel is open, close the
+/// channel, SIGKILL (a no-op for a child that already exited; it keeps a
+/// wedged one from hanging the reap), reap. Idempotent.
+void end_child(ChildProcess* p);
 
 }  // namespace socpower::dist

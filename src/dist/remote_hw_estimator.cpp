@@ -8,9 +8,6 @@
 
 #if !defined(_WIN32)
 #include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 #endif
 
 #include "telemetry/registry.hpp"
@@ -37,52 +34,7 @@ RemoteHwEstimator::RemoteHwEstimator(std::string inner_name)
 
 RemoteHwEstimator::~RemoteHwEstimator() {
   std::lock_guard<std::mutex> lk(mu_);
-  shutdown_proc(&worker_, /*graceful=*/true);
-}
-
-bool RemoteHwEstimator::spawn(Proc* p) {
-#if defined(_WIN32)
-  (void)p;
-  return false;
-#else
-  Channel parent_end;
-  Channel child_end;
-  if (!Channel::make_pair(&parent_end, &child_end)) return false;
-  parent_end.set_parent_side();
-  const pid_t pid = ::fork();
-  if (pid < 0) return false;
-  if (pid == 0) {
-    // Worker child. Drop every parent-side endpoint (ours included — the
-    // parent keeps it) so a sibling's crash is observed as EOF, then serve
-    // until shutdown. _Exit: no atexit/static destructors of the parent.
-    close_parent_fds_in_child();
-    int code = 1;
-    {
-      Worker w(inner_, net_, prep_cfg_, components_);
-      code = w.serve(child_end);
-    }
-    std::_Exit(code);
-  }
-  child_end.close();
-  p->pid = static_cast<long>(pid);
-  p->ch = std::move(parent_end);
-  return true;
-#endif
-}
-
-void RemoteHwEstimator::shutdown_proc(Proc* p, bool graceful) {
-#if !defined(_WIN32)
-  if (p->pid < 0) return;
-  if (graceful && p->ch.valid())
-    (void)p->ch.send_frame(MsgType::kShutdown, {}, /*timeout_ms=*/1000);
-  else
-    ::kill(static_cast<pid_t>(p->pid), SIGKILL);
-  p->ch.close();
-  int status = 0;
-  (void)::waitpid(static_cast<pid_t>(p->pid), &status, 0);
-#endif
-  p->pid = -1;
-  p->ch.close();
+  end_child(&worker_);
 }
 
 void RemoteHwEstimator::prepare(const core::EstimatorContext& ctx) {
@@ -109,7 +61,11 @@ void RemoteHwEstimator::prepare(const core::EstimatorContext& ctx) {
   latency_telem_ = &reg.histogram(prefix + "rpc_latency_ms");
 
   std::lock_guard<std::mutex> lk(mu_);
-  if (!supported() || !spawn(&worker_)) (void)recover();  // empty log
+  const bool spawned = supported() && fork_child(&worker_, [this](Channel& ch) {
+    Worker w(inner_, net_, prep_cfg_, components_);
+    return w.serve(ch);
+  });
+  if (!spawned) (void)recover();  // empty log
 }
 
 bool RemoteHwEstimator::remote_active() const {
@@ -136,7 +92,7 @@ std::vector<std::uint8_t> RemoteHwEstimator::recover() {
   // The worker is never replaced: replay into an in-process Worker. Same
   // frame stream through the same dispatch code, so the results (and every
   // subsequent request) stay bit-identical to the remote execution.
-  shutdown_proc(&worker_, /*graceful=*/false);
+  end_child(&worker_);
   fallbacks_telem_->add();
   global_fallbacks_telem_->add();
   local_ = std::make_unique<Worker>(inner_, net_, prep_cfg_, components_);
@@ -195,7 +151,7 @@ std::vector<std::uint8_t> RemoteHwEstimator::take_chunk(cfsm::CfsmId task) {
   chunk.entries = std::move(pending_[c]);
   pending_[c].clear();
   WireWriter w;
-  put_chunk(w, chunk);
+  encode(w, chunk);
   return w.take();
 }
 
@@ -219,11 +175,11 @@ void RemoteHwEstimator::begin_run() {
       preload.new_paths.push_back(
           (*path_tables_)[c].path(static_cast<cfsm::PathId>(i)));
     WireWriter w;
-    put_chunk(w, preload);
+    encode(w, preload);
     log_.push_back(Frame{MsgType::kEnqueueChunk, w.take()});
   }
   WireWriter w;
-  put_knobs(w, *config_, core::KnobScope::kRun);
+  knobs(w, *config_, core::KnobScope::kRun);
   log_.push_back(Frame{MsgType::kBeginRun, w.take()});
   (void)transact(MsgType::kBeginRun, log_.back().payload);
 }
@@ -237,12 +193,12 @@ core::TransitionCost RemoteHwEstimator::cost(
   c.pre_state = *req.pre_state;
   c.post_state = *req.post_state;
   WireWriter w;
-  put_cost(w, c);
+  encode(w, c);
   std::lock_guard<std::mutex> lk(mu_);
   const std::vector<std::uint8_t> reply = xfer(MsgType::kCost, w.take());
   WireReader r(reply);
   core::TransitionCost out;
-  if (!get_transition_cost(r, &out) || !r.at_end()) reply_abort("cost");
+  if (!decode(r, &out) || !r.at_end()) reply_abort("cost");
   return out;
 }
 
@@ -260,7 +216,7 @@ void RemoteHwEstimator::flush(std::vector<FlushJob>& jobs) {
           xfer(MsgType::kFlushUnit, take_chunk(task));
       WireReader r(reply);
       FlushResult out;
-      if (!get_flush_result(r, &out) || !r.at_end())
+      if (!decode(r, &out) || !r.at_end())
         reply_abort("flush_result");
       return out;
     }});
@@ -272,7 +228,8 @@ void RemoteHwEstimator::stats(core::RunResults& res) const {
   std::lock_guard<std::mutex> lk(mu_);
   const std::vector<std::uint8_t> reply = self->xfer(MsgType::kStats, {});
   WireReader r(reply);
-  const std::uint64_t cycles = r.get_u64();
+  std::uint64_t cycles = 0;
+  r.u64(cycles);
   if (!r.ok() || !r.at_end()) reply_abort("stats");
   res.gate_sim_cycles += cycles;
 }
@@ -295,25 +252,21 @@ void RemoteHwEstimator::resync_if_dirty(cfsm::CfsmId task,
   if (!worker_dirty_[static_cast<std::size_t>(task)]) return;
   worker_dirty_[static_cast<std::size_t>(task)] = false;
   WireWriter w;
-  w.put_i32(task);
-  put_state(w, state);
+  w.i32(task);
+  encode(w, state);
   (void)xfer(MsgType::kResync, w.take());
 }
 
 void RemoteHwEstimator::mark_skipped(cfsm::CfsmId task, bool skipped) {
+  // Only the mirror changes: the worker learns of stale registers from the
+  // kResync that resync_if_dirty() sends when they are next needed.
   std::lock_guard<std::mutex> lk(mu_);
-  auto flag = worker_dirty_[static_cast<std::size_t>(task)];
-  if (flag == skipped) return;  // no worker state change: save the frame
   worker_dirty_[static_cast<std::size_t>(task)] = skipped;
-  WireWriter w;
-  w.put_i32(task);
-  w.put_u8(skipped ? 1 : 0);
-  (void)xfer(MsgType::kMarkSkipped, w.take());
 }
 
 void RemoteHwEstimator::reset_unit(cfsm::CfsmId task) {
   WireWriter w;
-  w.put_i32(task);
+  w.i32(task);
   std::lock_guard<std::mutex> lk(mu_);
   (void)xfer(MsgType::kResetUnit, w.take());
 }
@@ -331,22 +284,21 @@ void RemoteHwEstimator::enqueue(cfsm::CfsmId task, sim::SimTime time,
 }
 
 void RemoteHwEstimator::separate_reset(cfsm::CfsmId task) {
-  WireWriter w;
-  w.put_i32(task);
-  std::lock_guard<std::mutex> lk(mu_);
-  (void)xfer(MsgType::kSeparateReset, w.take());
+  // Both resets re-initialize the unit's netlist state.
+  reset_unit(task);
 }
 
 Joules RemoteHwEstimator::separate_step(cfsm::CfsmId task,
                                         const cfsm::ReactionInputs& inputs) {
   WireWriter w;
-  w.put_i32(task);
-  put_inputs(w, inputs);
+  w.i32(task);
+  encode(w, inputs);
   std::lock_guard<std::mutex> lk(mu_);
   const std::vector<std::uint8_t> reply =
       xfer(MsgType::kSeparateStep, w.take());
   WireReader r(reply);
-  const Joules e = r.get_f64();
+  Joules e = 0.0;
+  r.f64(e);
   if (!r.ok() || !r.at_end()) reply_abort("separate_step");
   return e;
 }

@@ -76,13 +76,6 @@ class RemoteHwEstimator : public core::HwBackend {
   void debug_kill_worker();
 
  private:
-  struct Proc {
-    long pid = -1;
-    Channel ch;
-  };
-
-  bool spawn(Proc* p);
-  void shutdown_proc(Proc* p, bool graceful);
   void note_bytes();
 
   /// Log the frame, then transact it with the current deployment. Returns
@@ -113,7 +106,7 @@ class RemoteHwEstimator : public core::HwBackend {
 
   /// All channel/worker use is serialized: flush jobs run on pool threads.
   mutable std::mutex mu_;
-  Proc worker_;
+  ChildProcess worker_;
   std::unique_ptr<Worker> local_;  // in-process fallback, once engaged
   std::vector<Frame> log_;         // request log since the last begin_run
 
@@ -123,9 +116,9 @@ class RemoteHwEstimator : public core::HwBackend {
   /// How many interned paths of each unit the worker already knows.
   std::vector<std::uint32_t> synced_paths_;
   std::vector<bool> unit_has_work_;
-  /// Master-side mirror of each worker unit's registers_dirty flag, so
-  /// mark_skipped/resync frames are only sent on actual state changes (a
-  /// resync frame carries a full CfsmState).
+  /// Master-side mirror of each worker unit's registers_dirty flag:
+  /// mark_skipped() only sets it, and resync_if_dirty() sends a kResync
+  /// (which carries a full CfsmState) only while it is set.
   std::vector<bool> worker_dirty_;
   /// Lazily synthesized master-side images (image() introspection only; the
   /// simulating copy lives in the worker). Synthesis is deterministic, so

@@ -14,15 +14,9 @@
 #include "core/explorer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
-
-#if !defined(_WIN32)
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include "dist/channel.hpp"
 #include "dist/wire.hpp"
@@ -34,13 +28,17 @@ namespace socpower::core {
 
 namespace {
 
-#if !defined(_WIN32)
+/// Per-reply timeout before a worker is declared dead. Generous: one design
+/// point can legitimately co-simulate for minutes.
+constexpr int kReplyTimeoutMs = 600'000;
 
-struct ShardProc {
-  long pid = -1;
-  dist::Channel ch;
-  bool alive = false;
-};
+/// The kEvalPoint reply.
+template <class Io, dist::MaybeConst<detail::PointEval> M>
+void fields(Io& io, M& ev) {
+  io.boolean(ev.has_result);
+  io.f64(ev.total_energy);
+  io.f64(ev.wall_seconds);
+}
 
 int serve_shard(dist::Channel& ch,
                 const std::vector<ExplorationPoint>& points, bool crash) {
@@ -53,19 +51,17 @@ int serve_shard(dist::Channel& ch,
     if (f.type != dist::MsgType::kEvalPoint) return 1;
     if (crash) std::_Exit(3);  // fault injection: die on the first request
     dist::WireReader r(f.payload);
-    const int phase = r.get_u8();
-    const std::size_t idx = r.get_u32();
+    std::uint8_t phase = 0;
+    std::uint32_t idx = 0;
+    r.u8(phase);
+    r.u32(idx);
     if (!r.ok() || !r.at_end() || idx >= points.size()) return 1;
     const detail::PointEval ev = detail::eval_point(points, idx, phase);
     dist::WireWriter w;
-    w.put_u8(ev.has_result ? 1 : 0);
-    w.put_f64(ev.total_energy);
-    w.put_f64(ev.wall_seconds);
+    fields(w, ev);
     if (!ch.send_frame(dist::MsgType::kReply, w.take())) return 1;
   }
 }
-
-#endif  // !_WIN32
 
 }  // namespace
 
@@ -78,37 +74,22 @@ ExplorationOutcome explore_sharded(const std::vector<ExplorationPoint>& points,
   const std::size_t want = resolve_thread_count(options.workers);
   const std::size_t W = std::min(want, points.size());
   if (!dist::supported() || W <= 1) return explore(points, verify_top, serial);
-#if defined(_WIN32)
-  return explore(points, verify_top, serial);
-#else
   auto& reg = telemetry::registry();
   telemetry::Counter& fallback_points =
       reg.counter("explore.sharded.fallback_points");
   telemetry::Counter& dist_fallbacks = reg.counter("dist.fallbacks");
   reg.counter("explore.sharded.workers").add(W);
 
-  std::vector<ShardProc> procs(W);
+  // A worker whose channel is closed has been dropped.
+  std::vector<dist::ChildProcess> procs(W);
   for (std::size_t w = 0; w < W; ++w) {
-    dist::Channel parent_end;
-    dist::Channel child_end;
-    if (!dist::Channel::make_pair(&parent_end, &child_end)) continue;
-    parent_end.set_parent_side();
-    const pid_t pid = ::fork();
-    if (pid < 0) continue;
-    if (pid == 0) {
-      dist::close_parent_fds_in_child();
-      const bool crash = options.debug_crash_worker == static_cast<int>(w);
-      std::_Exit(serve_shard(child_end, points, crash));
-    }
-    child_end.close();
-    procs[w].pid = static_cast<long>(pid);
-    procs[w].ch = std::move(parent_end);
-    procs[w].alive = true;
+    const bool crash = options.debug_crash_worker == static_cast<int>(w);
+    (void)dist::fork_child(&procs[w], [&](dist::Channel& ch) {
+      return serve_shard(ch, points, crash);
+    });
   }
 
-  const int timeout = static_cast<int>(options.reply_timeout_ms);
-  auto drop = [&](ShardProc& p) {
-    p.alive = false;
+  auto drop = [&](dist::ChildProcess& p) {
     p.ch.close();
     dist_fallbacks.add();
   };
@@ -120,12 +101,13 @@ ExplorationOutcome explore_sharded(const std::vector<ExplorationPoint>& points,
     // Pipeline: queue every request up front so all shards work at once.
     std::vector<std::vector<std::size_t>> queued(W);
     for (std::size_t j = 0; j < idxs.size(); ++j) {
-      ShardProc& p = procs[j % W];
-      if (!p.alive) continue;
+      dist::ChildProcess& p = procs[j % W];
+      if (!p.ch.valid()) continue;
       dist::WireWriter w;
-      w.put_u8(static_cast<std::uint8_t>(phase));
-      w.put_u32(static_cast<std::uint32_t>(idxs[j]));
-      if (!p.ch.send_frame(dist::MsgType::kEvalPoint, w.take(), timeout)) {
+      w.u8(static_cast<std::uint8_t>(phase));
+      w.u32(static_cast<std::uint32_t>(idxs[j]));
+      if (!p.ch.send_frame(dist::MsgType::kEvalPoint, w.take(),
+                           kReplyTimeoutMs)) {
         drop(p);
         continue;
       }
@@ -136,23 +118,21 @@ ExplorationOutcome explore_sharded(const std::vector<ExplorationPoint>& points,
     // not answered is evaluated below.
     for (std::size_t w = 0; w < W; ++w) {
       for (const std::size_t j : queued[w]) {
-        ShardProc& p = procs[w];
-        if (!p.alive) break;
+        dist::ChildProcess& p = procs[w];
+        if (!p.ch.valid()) break;
         dist::Frame f;
-        if (p.ch.recv_frame(&f, timeout) != dist::Channel::RecvStatus::kOk ||
+        if (p.ch.recv_frame(&f, kReplyTimeoutMs) !=
+                dist::Channel::RecvStatus::kOk ||
             f.type != dist::MsgType::kReply) {
           drop(p);
           break;
         }
         dist::WireReader r(f.payload);
-        const bool has = r.get_u8() != 0;
-        const Joules energy = r.get_f64();
-        const double wall = r.get_f64();
+        fields(r, evals[j]);
         if (!r.ok() || !r.at_end()) {
           drop(p);
           break;
         }
-        evals[j] = {energy, wall, has};
         answered[j] = 1;
       }
     }
@@ -168,19 +148,8 @@ ExplorationOutcome explore_sharded(const std::vector<ExplorationPoint>& points,
   ExplorationOutcome out = detail::funnel_outcome(
       points, verify_top, options.analytical_prefilter, eval_phase);
 
-  for (ShardProc& p : procs) {
-    if (p.pid < 0) continue;
-    if (p.alive && p.ch.valid())
-      (void)p.ch.send_frame(dist::MsgType::kShutdown, {}, 1000);
-    p.ch.close();
-    // SIGKILL is a no-op for a worker that already exited; it guarantees the
-    // blocking reap below cannot hang on a wedged one.
-    ::kill(static_cast<pid_t>(p.pid), SIGKILL);
-    int status = 0;
-    (void)::waitpid(static_cast<pid_t>(p.pid), &status, 0);
-  }
+  for (dist::ChildProcess& p : procs) dist::end_child(&p);
   return out;
-#endif
 }
 
 }  // namespace socpower::core

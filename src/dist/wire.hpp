@@ -1,6 +1,8 @@
 // Length-prefixed binary wire protocol of the distributed co-estimation
 // subsystem (the out-of-process analogue of the paper's IPC backplane: the
 // simulation master drives component estimators living in other processes).
+// The serve protocol (serve/protocol.hpp) and checkpoints
+// (serve/checkpoint.cpp) ride the same codec.
 //
 // Framing: every message is  [u32 payload_len][u8 type][payload bytes].
 // Integers are little-endian fixed-width; doubles travel as their IEEE-754
@@ -9,13 +11,29 @@
 // what lets the remote backends honour the repo-wide bit-identity contract:
 // a remote run must reproduce the in-process run's doubles to the last bit.
 //
-// Decoding is defensive: every get_* bounds-checks against the payload and
-// latches an error instead of reading past the end, so a truncated or
-// corrupted frame is rejected (decoder returns false), never crashes.
+// One field list per message. WireWriter and WireReader offer the same
+// field primitives under the same names, and each message declares its wire
+// order once, as
+//
+//   template <class Io, MaybeConst<X> M> void fields(Io& io, M& m);
+//
+// encode() runs that list with a writer (M = const X), decode() with a
+// reader (M = X). Everything that depends on the direction lives in the two
+// classes, so an encoder and its decoder cannot drift apart.
+//
+// Decoding is defensive: every read is bounds-checked against the payload
+// and latches an error instead of reading past the end, so a truncated or
+// corrupted frame is rejected (decode returns false), never crashes. A
+// declared sequence length is accepted only if that many elements, each at
+// its shortest encoding, fit in the bytes left (WireReader::seq), so what a
+// decode allocates is proportional to the bytes it was given.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/estimators/component_estimator.hpp"
@@ -30,13 +48,13 @@ namespace socpower::dist {
 enum class MsgType : std::uint8_t {
   // master -> estimator worker
   kBeginRun = 1,       // run knob block; resets worker batch state
-  kResync = 2,         // task + behavioral state (resync_if_dirty)
-  kMarkSkipped = 3,    // task + flag
-  kResetUnit = 4,      // task
+  kResync = 2,         // task + behavioral state of a unit whose gate-level
+                       // registers went stale while its reactions were
+                       // served without simulation
+  kResetUnit = 4,      // task (reset transition and Section 2 baseline reset)
   kEnqueueChunk = 5,   // batched vectors + new path traces (one-way, eager)
   kCost = 6,           // online transition pricing (RPC)
   kFlushUnit = 7,      // final chunk + collect the unit's FlushResult (RPC)
-  kSeparateReset = 8,  // Section 2 baseline reset
   kSeparateStep = 9,   // Section 2 baseline step (RPC)
   kStats = 10,         // per-run backend counters (RPC)
   kShutdown = 11,      // worker exits cleanly
@@ -63,21 +81,66 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-// ---- primitive encode/decode ----------------------------------------------
+// ---- field primitives ------------------------------------------------------
+//
+// u8/u32/u64/i32/i64/f64 are fixed-width; boolean is a u8 0/1; enumeration
+// is a u8 the reader rejects beyond `last`; string is a u32 byte count plus
+// the bytes; seq is a u32 element count plus each element through `elem`
+// (called as elem(io, element)).
 
 class WireWriter {
  public:
-  void put_u8(std::uint8_t v);
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_i32(std::int32_t v);
-  void put_f64(double v);  // bit-exact (IEEE-754 bit pattern)
+  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u32(std::uint32_t v);
+  void u64(std::uint64_t v);
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v);  // bit-exact (IEEE-754 bit pattern)
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  template <class E>
+  void enumeration(E v, E /*last*/) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void string(const std::string& s);
+  template <class Seq, class F>
+  void seq(const Seq& s, F&& elem) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    for (const auto& e : s) elem(*this, e);
+  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
   std::vector<std::uint8_t> buf_;
+};
+
+/// Counts the bytes of a value's shortest encoding: its fields with every
+/// sequence and string empty. WireReader::seq runs an element's field list
+/// through it to learn what one element costs at least.
+class WireSizer {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void i32(std::int32_t) { n_ += 4; }
+  void i64(std::int64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void boolean(bool) { n_ += 1; }
+  template <class E>
+  void enumeration(E, E) {
+    n_ += 1;
+  }
+  void string(const std::string&) { n_ += 4; }
+  template <class Seq, class F>
+  void seq(const Seq&, F&&) {
+    n_ += 4;
+  }
+
+  [[nodiscard]] std::size_t bytes() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
 };
 
 class WireReader {
@@ -87,17 +150,39 @@ class WireReader {
   explicit WireReader(const std::vector<std::uint8_t>& buf)
       : WireReader(buf.data(), buf.size()) {}
 
-  [[nodiscard]] std::uint8_t get_u8();
-  [[nodiscard]] std::uint32_t get_u32();
-  [[nodiscard]] std::uint64_t get_u64();
-  [[nodiscard]] std::int32_t get_i32();
-  [[nodiscard]] double get_f64();
+  // A read past the payload end marks the reader bad and stores zero.
+  void u8(std::uint8_t& v);
+  void u32(std::uint32_t& v);
+  void u64(std::uint64_t& v);
+  void i32(std::int32_t& v);
+  void i64(std::int64_t& v);
+  void f64(double& v);
+  void boolean(bool& v);
+  template <class E>
+  void enumeration(E& v, E last) {
+    std::uint8_t b = 0;
+    u8(b);
+    if (b > static_cast<std::uint8_t>(last)) ok_ = false;
+    if (ok_) v = static_cast<E>(b);
+  }
+  void string(std::string& s);
+  template <class Seq, class F>
+  void seq(Seq& s, F&& elem) {
+    WireSizer shortest;
+    const typename Seq::value_type empty{};
+    elem(shortest, empty);
+    s.clear();
+    s.resize(length(shortest.bytes()));
+    for (auto& e : s) {
+      if (!ok_) return;
+      elem(*this, e);
+    }
+  }
 
-  /// False once any read ran past the payload end (the value returned by
-  /// that and every later get_* is zero). Also false when a decoder found a
-  /// structurally invalid value. Check after decoding, not per field.
+  /// False once any read ran past the payload end, a sequence declared more
+  /// elements than the payload can hold, or an enum byte was out of range.
+  /// Check after decoding, not per field.
   [[nodiscard]] bool ok() const { return ok_; }
-  void mark_bad() { ok_ = false; }
   /// All payload bytes consumed? Full-frame decoders require this so a
   /// frame with trailing garbage is rejected too.
   [[nodiscard]] bool at_end() const { return pos_ == n_; }
@@ -110,46 +195,80 @@ class WireReader {
     }
     return true;
   }
+  /// The one length rule: reads a u32 count and rejects it unless count ×
+  /// `min_elem_bytes` fits in the bytes left.
+  std::uint32_t length(std::size_t min_elem_bytes);
+
   const std::uint8_t* p_;
   std::size_t n_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
 
-// ---- co-estimation vocabulary codecs --------------------------------------
-//
-// Sanity bound on decoded container lengths: a corrupted length field must
-// not allocate unbounded memory before the bounds check trips.
-inline constexpr std::uint32_t kMaxWireElems = 1u << 24;
+/// M is X, or const X: the one field list of X serves the writer (const)
+/// and the reader (mutable).
+template <class M, class X>
+concept MaybeConst = std::same_as<std::remove_const_t<M>, X>;
 
-/// Length-prefixed UTF-8-agnostic byte string (the serve layer's system
-/// names and error messages).
-void put_string(WireWriter& w, const std::string& s);
-[[nodiscard]] bool get_string(WireReader& r, std::string* out);
+/// seq() element codecs for scalar elements and for messages.
+inline constexpr auto as_i32 = [](auto& io, auto& v) { io.i32(v); };
+inline constexpr auto as_u32 = [](auto& io, auto& v) { io.u32(v); };
+inline constexpr auto as_u64 = [](auto& io, auto& v) { io.u64(v); };
+inline constexpr auto as_f64 = [](auto& io, auto& v) { io.f64(v); };
+inline constexpr auto as_fields = [](auto& io, auto& m) { fields(io, m); };
 
-void put_inputs(WireWriter& w, const cfsm::ReactionInputs& in);
-[[nodiscard]] bool get_inputs(WireReader& r, cfsm::ReactionInputs* out);
+// ---- co-estimation vocabulary ----------------------------------------------
 
-void put_state(WireWriter& w, const cfsm::CfsmState& st);
-[[nodiscard]] bool get_state(WireReader& r, cfsm::CfsmState* out);
+template <class Io, MaybeConst<cfsm::ReactionInputs> M>
+void fields(Io& io, M& in) {
+  io.seq(in.all(), [](auto& sub, auto& ev) {
+    sub.i32(ev.first);
+    sub.i32(ev.second);
+  });
+}
 
-void put_trace(WireWriter& w, const std::vector<cfsm::NodeId>& trace);
-[[nodiscard]] bool get_trace(WireReader& r, std::vector<cfsm::NodeId>* out);
+template <class Io, MaybeConst<cfsm::CfsmState> M>
+void fields(Io& io, M& st) {
+  io.seq(st.vars, as_i32);
+}
 
-void put_emissions(WireWriter& w, const std::vector<cfsm::EmittedEvent>& ems);
-[[nodiscard]] bool get_emissions(WireReader& r,
-                                 std::vector<cfsm::EmittedEvent>* out);
+template <class Io, MaybeConst<cfsm::EmittedEvent> M>
+void fields(Io& io, M& em) {
+  io.i32(em.event);
+  io.i32(em.value);
+}
 
-/// The knobs of `scope` (core::for_each_knob), in table order: unsigned
-/// 32/64-bit integers as u32/u64, bools and enums as u8, doubles bit-exact,
-/// strings length-prefixed. The run block rides in kBeginRun so the worker's
-/// config copy tracks the master's per-run mutations; the structural block
-/// is the serve layer's session identity. get_knobs overwrites only the
-/// knobs of `scope` and rejects an out-of-range enum byte.
-void put_knobs(WireWriter& w, const core::CoEstimatorConfig& cfg,
-               core::KnobScope scope);
-[[nodiscard]] bool get_knobs(WireReader& r, core::CoEstimatorConfig* cfg,
-                             core::KnobScope scope);
+/// The knob block of `scope` (core::for_each_knob), in table order:
+/// unsigned 32/64-bit integers as u32/u64, bools as u8, enums as a
+/// range-checked u8, doubles bit-exact, strings length-prefixed. The run
+/// block rides in kBeginRun so the worker's config copy tracks the master's
+/// per-run mutations; the structural block is the serve layer's session
+/// identity. Decoding overwrites only the knobs of `scope`.
+template <class Io, MaybeConst<core::CoEstimatorConfig> Cfg>
+void knobs(Io& io, Cfg& cfg, core::KnobScope scope) {
+  core::for_each_knob(cfg, [&](const char*, auto& v, core::KnobScope s) {
+    if (s != scope) return;
+    using V = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<V, bool>) {
+      io.boolean(v);
+    } else if constexpr (std::is_same_v<V, double>) {
+      io.f64(v);
+    } else if constexpr (std::is_same_v<V, std::string>) {
+      io.string(v);
+    } else if constexpr (std::is_same_v<V, core::Acceleration>) {
+      io.enumeration(v, core::Acceleration::kSampling);
+    } else if constexpr (std::is_same_v<V, core::InterconnectKind>) {
+      io.enumeration(v, core::InterconnectKind::kNoc);
+    } else {
+      static_assert(std::is_unsigned_v<V> && (sizeof(V) == 4 || sizeof(V) == 8),
+                    "a knob of a type the wire cannot carry");
+      if constexpr (sizeof(V) == 4)
+        io.u32(v);
+      else
+        io.u64(v);
+    }
+  });
+}
 
 /// One shipped batch slice for one hardware unit. `base_paths` is the size
 /// the worker's path table for `task` must have before interning
@@ -168,8 +287,22 @@ struct ChunkPayload {
   };
   std::vector<Entry> entries;
 };
-void put_chunk(WireWriter& w, const ChunkPayload& c);
-[[nodiscard]] bool get_chunk(WireReader& r, ChunkPayload* out);
+
+template <class Io, MaybeConst<ChunkPayload::Entry> M>
+void fields(Io& io, M& e) {
+  io.u64(e.time);
+  fields(io, e.inputs);
+  io.i32(e.path);
+  fields(io, e.pre);
+}
+
+template <class Io, MaybeConst<ChunkPayload> M>
+void fields(Io& io, M& c) {
+  io.i32(c.task);
+  io.u32(c.base_paths);
+  io.seq(c.new_paths, [](auto& sub, auto& trace) { sub.seq(trace, as_i32); });
+  io.seq(c.entries, as_fields);
+}
 
 /// kCost request: everything a hardware backend reads from a
 /// TransitionRequest (the reaction and both states travel by value; the
@@ -181,27 +314,120 @@ struct CostPayload {
   cfsm::CfsmState pre_state;
   cfsm::CfsmState post_state;
 };
-void put_cost(WireWriter& w, const CostPayload& c);
-[[nodiscard]] bool get_cost(WireReader& r, CostPayload* out);
 
-void put_transition_cost(WireWriter& w, const core::TransitionCost& c);
-[[nodiscard]] bool get_transition_cost(WireReader& r,
-                                       core::TransitionCost* out);
+template <class Io, MaybeConst<CostPayload> M>
+void fields(Io& io, M& c) {
+  io.i32(c.task);
+  fields(io, c.inputs);
+  io.seq(c.reaction.emissions, as_fields);
+  io.seq(c.reaction.trace, as_i32);
+  fields(io, c.pre_state);
+  fields(io, c.post_state);
+}
 
-void put_flush_result(WireWriter& w,
-                      const core::ComponentEstimator::FlushResult& fr);
-[[nodiscard]] bool get_flush_result(
-    WireReader& r, core::ComponentEstimator::FlushResult* out);
+template <class Io, MaybeConst<core::TransitionCost> M>
+void fields(Io& io, M& c) {
+  io.f64(c.cycles);
+  io.f64(c.energy);
+  io.boolean(c.simulated);
+}
 
-void put_run_results(WireWriter& w, const core::RunResults& res);
-[[nodiscard]] bool get_run_results(WireReader& r, core::RunResults* out);
+template <class Io, MaybeConst<core::ComponentEstimator::FlushEntry> M>
+void fields(Io& io, M& e) {
+  io.u64(e.time);
+  io.i32(e.path);
+  io.f64(e.energy);
+}
+
+template <class Io, MaybeConst<core::ComponentEstimator::FlushResult> M>
+void fields(Io& io, M& fr) {
+  io.u64(fr.gate_cycles);
+  io.seq(fr.entries, as_fields);
+}
+
+template <class Io, MaybeConst<core::RunResults> M>
+void fields(Io& io, M& r) {
+  io.f64(r.total_energy);
+  io.seq(r.process_energy, as_f64);
+  io.f64(r.cpu_energy);
+  io.f64(r.hw_energy);
+  io.f64(r.bus_energy);
+  io.f64(r.cache_energy);
+  io.u64(r.end_time);
+  io.u64(r.reactions);
+  io.u64(r.sw_reactions);
+  io.u64(r.hw_reactions);
+  io.u64(r.iss_invocations);
+  io.u64(r.iss_instructions);
+  io.u64(r.gate_sim_cycles);
+  io.u64(r.cache_hits_served);
+  io.u64(r.icache.accesses);
+  io.u64(r.icache.misses);
+  io.u64(r.icache.penalty_cycles);
+  io.f64(r.icache.energy);
+  io.u64(r.bus_totals.transfers);
+  io.u64(r.bus_totals.grants);
+  io.u64(r.bus_totals.bytes);
+  io.u64(r.bus_totals.addr_toggles);
+  io.u64(r.bus_totals.data_toggles);
+  io.u64(r.bus_totals.wait_cycles);
+  io.f64(r.bus_totals.energy);
+  io.u64(r.coherence.accesses);
+  io.u64(r.coherence.l1_hits);
+  io.u64(r.coherence.l1_misses);
+  io.u64(r.coherence.upgrades);
+  io.u64(r.coherence.invalidations);
+  io.u64(r.coherence.writebacks);
+  io.f64(r.coherence.energy);
+  io.f64(r.wall_seconds);
+  io.boolean(r.truncated);
+  io.seq(r.process_leakage, as_f64);
+  io.f64(r.leakage_energy);
+}
 
 /// Calibrated analytical-model coefficients (hw/analytical.hpp). Doubles
 /// travel bit-exactly, so a decoded model predicts bit-identically to the
 /// one the calibration fitted — the sharded prefilter and the serve
 /// checkpoint both rely on that.
-void put_analytical_model(WireWriter& w, const hw::AnalyticalModel& m);
-[[nodiscard]] bool get_analytical_model(WireReader& r,
-                                        hw::AnalyticalModel* out);
+template <class Io, MaybeConst<hw::AnalyticalUnitModel> M>
+void fields(Io& io, M& u) {
+  io.i32(u.task);
+  for (auto& c : u.coeff) io.f64(c);
+  io.f64(u.leakage_watts);
+  io.u32(u.calibration_vectors);
+  io.f64(u.residual_rms_j);
+}
+
+template <class Io, MaybeConst<hw::AnalyticalCalibrationState> M>
+void fields(Io& io, M& c) {
+  io.i32(c.task);
+  for (auto& x : c.moments.xtx) io.f64(x);
+  for (auto& x : c.moments.xty) io.f64(x);
+  io.f64(c.moments.yty);
+  io.u64(c.moments.n);
+}
+
+template <class Io, MaybeConst<hw::AnalyticalModel> M>
+void fields(Io& io, M& m) {
+  io.seq(m.units, as_fields);
+  io.seq(m.pending, as_fields);
+}
+
+// ---- encode / decode -------------------------------------------------------
+
+/// Appends `m` to `w` through its field list.
+template <class M>
+void encode(WireWriter& w, const M& m) {
+  fields(w, m);
+}
+
+/// Decodes into a fresh *out through its field list. False on a malformed
+/// payload; full-frame callers also check r.at_end().
+template <class M>
+[[nodiscard]] bool decode(WireReader& r, M* out) {
+  *out = M{};
+  fields(r, *out);
+  return r.ok();
+}
 
 }  // namespace socpower::dist

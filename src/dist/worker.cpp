@@ -95,74 +95,65 @@ std::optional<std::vector<std::uint8_t>> Worker::dispatch(
   WireReader r(payload);
   switch (type) {
     case MsgType::kBeginRun: {
-      if (!get_knobs(r, &cfg_, core::KnobScope::kRun) || !r.at_end())
-        protocol_abort("begin_run");
+      knobs(r, cfg_, core::KnobScope::kRun);
+      if (!r.ok() || !r.at_end()) protocol_abort("begin_run");
       hw_->begin_run();
       for (auto& a : accum_) a = {};
       return std::nullopt;
     }
     case MsgType::kResync: {
-      const cfsm::CfsmId task = r.get_i32();
+      cfsm::CfsmId task = cfsm::kNoCfsm;
+      r.i32(task);
       cfsm::CfsmState st;
-      if (!get_state(r, &st) || !r.at_end()) protocol_abort("resync");
+      if (!decode(r, &st) || !r.at_end()) protocol_abort("resync");
+      // The master sends kResync only when its mirror of this unit's
+      // registers says they went stale, so the sync is unconditional.
+      hw_->mark_skipped(task, true);
       hw_->resync_if_dirty(task, st);
       return std::nullopt;
     }
-    case MsgType::kMarkSkipped: {
-      const cfsm::CfsmId task = r.get_i32();
-      const bool skipped = r.get_u8() != 0;
-      if (!r.ok() || !r.at_end()) protocol_abort("mark_skipped");
-      hw_->mark_skipped(task, skipped);
-      return std::nullopt;
-    }
     case MsgType::kResetUnit: {
-      const cfsm::CfsmId task = r.get_i32();
+      cfsm::CfsmId task = cfsm::kNoCfsm;
+      r.i32(task);
       if (!r.ok() || !r.at_end()) protocol_abort("reset_unit");
       hw_->reset_unit(task);
       return std::nullopt;
     }
     case MsgType::kEnqueueChunk: {
       ChunkPayload chunk;
-      if (!get_chunk(r, &chunk) || !r.at_end()) protocol_abort("chunk");
+      if (!decode(r, &chunk) || !r.at_end()) protocol_abort("chunk");
       handle_chunk(chunk);
       return std::nullopt;
     }
     case MsgType::kCost: {
       CostPayload c;
-      if (!get_cost(r, &c) || !r.at_end()) protocol_abort("cost");
+      if (!decode(r, &c) || !r.at_end()) protocol_abort("cost");
       core::TransitionRequest req;
       req.task = c.task;
       req.inputs = &c.inputs;
       req.pre_state = &c.pre_state;
       req.reaction = &c.reaction;
       req.post_state = &c.post_state;
-      const core::TransitionCost cost = hw_->cost(req);
       WireWriter w;
-      put_transition_cost(w, cost);
+      encode(w, hw_->cost(req));
       return w.take();
     }
     case MsgType::kFlushUnit: {
       ChunkPayload chunk;
-      if (!get_chunk(r, &chunk) || !r.at_end()) protocol_abort("flush_unit");
+      if (!decode(r, &chunk) || !r.at_end()) protocol_abort("flush_unit");
       handle_chunk(chunk);
       WireWriter w;
-      put_flush_result(w, collect_flush(chunk.task));
+      encode(w, collect_flush(chunk.task));
       return w.take();
     }
-    case MsgType::kSeparateReset: {
-      const cfsm::CfsmId task = r.get_i32();
-      if (!r.ok() || !r.at_end()) protocol_abort("separate_reset");
-      hw_->separate_reset(task);
-      return std::nullopt;
-    }
     case MsgType::kSeparateStep: {
-      const cfsm::CfsmId task = r.get_i32();
+      cfsm::CfsmId task = cfsm::kNoCfsm;
+      r.i32(task);
       cfsm::ReactionInputs inputs;
-      if (!get_inputs(r, &inputs) || !r.at_end())
+      if (!decode(r, &inputs) || !r.at_end())
         protocol_abort("separate_step");
-      const Joules e = hw_->separate_step(task, inputs);
       WireWriter w;
-      w.put_f64(e);
+      w.f64(hw_->separate_step(task, inputs));
       return w.take();
     }
     case MsgType::kStats: {
@@ -170,7 +161,7 @@ std::optional<std::vector<std::uint8_t>> Worker::dispatch(
       core::RunResults tmp;
       hw_->stats(tmp);
       WireWriter w;
-      w.put_u64(tmp.gate_sim_cycles);
+      w.u64(tmp.gate_sim_cycles);
       return w.take();
     }
     default:

@@ -39,13 +39,6 @@ struct Checkpoint {
   core::CoEstimator::WarmSnapshot warm;
 };
 
-/// Warm-state payload codec (shared with tests that corrupt checkpoints at
-/// specific offsets).
-void put_warm_snapshot(dist::WireWriter& w,
-                       const core::CoEstimator::WarmSnapshot& snap);
-[[nodiscard]] bool get_warm_snapshot(dist::WireReader& r,
-                                     core::CoEstimator::WarmSnapshot* out);
-
 [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& c);
 [[nodiscard]] bool decode_checkpoint(const std::uint8_t* data,
                                      std::size_t size, Checkpoint* out,

@@ -17,7 +17,7 @@ Client Client::connect(const std::string& socket_path, std::string* error) {
     return c;
   }
   WireWriter w;
-  w.put_u32(kServeProtocolVersion);
+  w.u32(kServeProtocolVersion);
   Frame reply;
   if (!c.rpc(MsgType::kServeHello, w.bytes(), &reply, error)) c.ch_.close();
   return c;
@@ -43,7 +43,8 @@ bool Client::rpc(MsgType type, const std::vector<std::uint8_t>& payload,
   if (reply->type == MsgType::kServeError) {
     WireReader r(reply->payload);
     std::string message;
-    if (!dist::get_string(r, &message)) message = "malformed error reply";
+    r.string(message);
+    if (!r.ok()) message = "malformed error reply";
     if (error) *error = std::move(message);
     return false;
   }
@@ -54,28 +55,35 @@ bool Client::rpc(MsgType type, const std::vector<std::uint8_t>& payload,
   return true;
 }
 
+namespace {
+
+/// Decodes a whole reply payload into `out`; false on a malformed or
+/// oversized payload, with `what` as the error.
+template <class M>
+bool decode_reply(const Frame& reply, M* out, const char* what,
+                  std::string* error) {
+  WireReader r(reply.payload);
+  if (dist::decode(r, out) && r.at_end()) return true;
+  if (error) *error = what;
+  return false;
+}
+
+}  // namespace
+
 bool Client::open_session(const SystemParams& system,
                           const StructuralConfig& structural,
                           std::string* key, bool* created,
                           std::string* error) {
   WireWriter w;
-  put_system(w, system);
-  put_structural(w, structural);
+  dist::encode(w, system);
+  dist::encode(w, structural);
   Frame reply;
-  if (!rpc(MsgType::kServeOpen, w.bytes(), &reply, error)) return false;
-  WireReader r(reply.payload);
-  std::string k;
-  if (!dist::get_string(r, &k)) {
-    if (error) *error = "malformed open reply";
+  SessionReply s;
+  if (!rpc(MsgType::kServeOpen, w.bytes(), &reply, error) ||
+      !decode_reply(reply, &s, "malformed open reply", error))
     return false;
-  }
-  const bool fresh = r.get_u8() != 0;
-  if (!r.ok() || !r.at_end()) {
-    if (error) *error = "malformed open reply";
-    return false;
-  }
-  if (key) *key = std::move(k);
-  if (created) *created = fresh;
+  if (key) *key = std::move(s.key);
+  if (created) *created = s.fresh;
   return true;
 }
 
@@ -83,15 +91,14 @@ bool Client::estimate(const std::string& key, const RunRequest& req,
                       core::RunResults* res, RequestStats* stats,
                       std::string* error) {
   WireWriter w;
-  dist::put_string(w, key);
-  put_run_request(w, req);
+  w.string(key);
+  dist::encode(w, req);
   Frame reply;
   if (!rpc(MsgType::kServeEstimate, w.bytes(), &reply, error)) return false;
   WireReader r(reply.payload);
   core::RunResults decoded;
   RequestStats st;
-  if (!dist::get_run_results(r, &decoded) || !get_request_stats(r, &st) ||
-      !r.at_end()) {
+  if (!dist::decode(r, &decoded) || !dist::decode(r, &st) || !r.at_end()) {
     if (error) *error = "malformed estimate reply";
     return false;
   }
@@ -103,7 +110,7 @@ bool Client::estimate(const std::string& key, const RunRequest& req,
 bool Client::checkpoint(const std::string& key,
                         std::vector<std::uint8_t>* blob, std::string* error) {
   WireWriter w;
-  dist::put_string(w, key);
+  w.string(key);
   Frame reply;
   if (!rpc(MsgType::kServeCheckpoint, w.bytes(), &reply, error)) return false;
   if (blob) *blob = std::move(reply.payload);
@@ -113,32 +120,21 @@ bool Client::checkpoint(const std::string& key,
 bool Client::restore(const std::vector<std::uint8_t>& blob, std::string* key,
                      bool* restored, std::string* error) {
   Frame reply;
-  if (!rpc(MsgType::kServeRestore, blob, &reply, error)) return false;
-  WireReader r(reply.payload);
-  std::string k;
-  if (!dist::get_string(r, &k)) {
-    if (error) *error = "malformed restore reply";
+  SessionReply s;
+  if (!rpc(MsgType::kServeRestore, blob, &reply, error) ||
+      !decode_reply(reply, &s, "malformed restore reply", error))
     return false;
-  }
-  const bool fresh = r.get_u8() != 0;
-  if (!r.ok() || !r.at_end()) {
-    if (error) *error = "malformed restore reply";
-    return false;
-  }
-  if (key) *key = std::move(k);
-  if (restored) *restored = fresh;
+  if (key) *key = std::move(s.key);
+  if (restored) *restored = s.fresh;
   return true;
 }
 
 bool Client::stats(ServeStatsReply* out, std::string* error) {
   Frame reply;
-  if (!rpc(MsgType::kServeStats, {}, &reply, error)) return false;
-  WireReader r(reply.payload);
   ServeStatsReply s;
-  if (!get_stats_reply(r, &s) || !r.at_end()) {
-    if (error) *error = "malformed stats reply";
+  if (!rpc(MsgType::kServeStats, {}, &reply, error) ||
+      !decode_reply(reply, &s, "malformed stats reply", error))
     return false;
-  }
   if (out) *out = std::move(s);
   return true;
 }

@@ -11,7 +11,8 @@
 //
 // All payloads ride the dist wire codec (length-prefixed LE integers,
 // doubles as IEEE-754 bit patterns), so estimation results round-trip
-// bit-exactly through the server.
+// bit-exactly through the server. Each message below declares its wire
+// order once, as a field list that dist::encode/dist::decode run.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +51,14 @@ struct SystemParams {
                                  std::int64_t fallback) const;
   void set(const std::string& key, std::int64_t value);
 };
-void put_system(dist::WireWriter& w, const SystemParams& s);
-[[nodiscard]] bool get_system(dist::WireReader& r, SystemParams* out);
+template <class Io, dist::MaybeConst<SystemParams> M>
+void fields(Io& io, M& s) {
+  io.string(s.name);
+  io.seq(s.kv, [](auto& sub, auto& kv) {
+    sub.string(kv.first);
+    sub.i64(kv.second);
+  });
+}
 
 // ---- structural configuration ----------------------------------------------
 
@@ -66,14 +73,28 @@ struct StructuralConfig {
       const core::CoEstimatorConfig& cfg);
   void apply(core::CoEstimatorConfig* cfg) const;
 };
-void put_structural(dist::WireWriter& w, const StructuralConfig& s);
-[[nodiscard]] bool get_structural(dist::WireReader& r, StructuralConfig* out);
+template <class Io, dist::MaybeConst<StructuralConfig> M>
+void fields(Io& io, M& s) {
+  dist::knobs(io, s.config, core::KnobScope::kStructural);
+}
 
 /// Session identity: FNV-1a-64 over the wire encoding of (system,
 /// structural), rendered as 16 hex digits. Stable across processes — a
 /// checkpoint restored elsewhere lands under the same key.
 [[nodiscard]] std::string session_key(const SystemParams& system,
                                       const StructuralConfig& structural);
+
+/// kServeOpen and kServeRestore reply: the session's key, and whether this
+/// request created it (false when it joined a live session).
+struct SessionReply {
+  std::string key;
+  bool fresh = false;
+};
+template <class Io, dist::MaybeConst<SessionReply> M>
+void fields(Io& io, M& s) {
+  io.string(s.key);
+  io.boolean(s.fresh);
+}
 
 // ---- per-run request -------------------------------------------------------
 
@@ -88,8 +109,11 @@ struct RunRequest {
   [[nodiscard]] static RunRequest from(const core::CoEstimatorConfig& cfg);
   void apply(core::CoEstimatorConfig* cfg) const;
 };
-void put_run_request(dist::WireWriter& w, const RunRequest& rr);
-[[nodiscard]] bool get_run_request(dist::WireReader& r, RunRequest* out);
+template <class Io, dist::MaybeConst<RunRequest> M>
+void fields(Io& io, M& rr) {
+  io.boolean(rr.separate);
+  dist::knobs(io, rr.config, core::KnobScope::kRun);
+}
 
 // ---- per-request telemetry -------------------------------------------------
 
@@ -103,8 +127,15 @@ struct RequestStats {
   std::uint64_t warm_hits = 0;    // ISS block + HW reaction cache hits
   std::uint64_t warm_fills = 0;   // ... and fills (misses), this run
 };
-void put_request_stats(dist::WireWriter& w, const RequestStats& s);
-[[nodiscard]] bool get_request_stats(dist::WireReader& r, RequestStats* out);
+template <class Io, dist::MaybeConst<RequestStats> M>
+void fields(Io& io, M& s) {
+  io.f64(s.wall_ms);
+  io.u64(s.run_index);
+  io.boolean(s.restored_session);
+  io.u64(s.ecache_hits);
+  io.u64(s.warm_hits);
+  io.u64(s.warm_fills);
+}
 
 // ---- server-wide stats -----------------------------------------------------
 
@@ -123,7 +154,18 @@ struct ServeStatsReply {
   double latency_max_ms = 0.0;
   std::string rendered;
 };
-void put_stats_reply(dist::WireWriter& w, const ServeStatsReply& s);
-[[nodiscard]] bool get_stats_reply(dist::WireReader& r, ServeStatsReply* out);
+template <class Io, dist::MaybeConst<ServeStatsReply> M>
+void fields(Io& io, M& s) {
+  io.u64(s.sessions);
+  io.u64(s.requests);
+  io.u64(s.checkpoint_bytes);
+  io.u64(s.restore_hits);
+  io.u64(s.evictions);
+  io.u64(s.latency_count);
+  io.f64(s.latency_mean_ms);
+  io.f64(s.latency_min_ms);
+  io.f64(s.latency_max_ms);
+  io.string(s.rendered);
+}
 
 }  // namespace socpower::serve

@@ -18,6 +18,13 @@
 
 namespace socpower::serve {
 
+namespace {
+
+/// Per-frame I/O timeout toward clients.
+constexpr int kIoTimeoutMs = 30'000;
+
+}  // namespace
+
 using dist::Frame;
 using dist::MsgType;
 using dist::WireReader;
@@ -111,7 +118,7 @@ void Server::serve_connection(int fd) {
 
     Frame reply;
     const bool keep_running = handle(req, &reply);
-    (void)ch.send_frame(reply.type, reply.payload, config_.io_timeout_ms);
+    (void)ch.send_frame(reply.type, reply.payload, kIoTimeoutMs);
     if (!keep_running) {
       // kServeShutdown: the reply is out; flag every loop down. stop()'s
       // thread joins happen on the owner's thread (daemon main / test),
@@ -124,7 +131,7 @@ void Server::serve_connection(int fd) {
 
 void Server::reply_error(Frame* reply, std::string message) {
   WireWriter w;
-  dist::put_string(w, message);
+  w.string(message);
   reply->type = MsgType::kServeError;
   reply->payload = w.take();
 }
@@ -144,7 +151,8 @@ bool Server::handle(const Frame& req, Frame* reply) {
   WireReader r(req.payload);
   switch (req.type) {
     case MsgType::kServeHello: {
-      const std::uint32_t version = r.get_u32();
+      std::uint32_t version = 0;
+      r.u32(version);
       if (!r.ok() || !r.at_end()) {
         reply_error(reply, "malformed hello");
         return true;
@@ -154,7 +162,7 @@ bool Server::handle(const Frame& req, Frame* reply) {
         return true;
       }
       WireWriter w;
-      w.put_u32(kServeProtocolVersion);
+      w.u32(kServeProtocolVersion);
       reply->type = MsgType::kReply;
       reply->payload = w.take();
       return true;
@@ -163,7 +171,7 @@ bool Server::handle(const Frame& req, Frame* reply) {
     case MsgType::kServeOpen: {
       SystemParams system;
       StructuralConfig structural;
-      if (!get_system(r, &system) || !get_structural(r, &structural) ||
+      if (!dist::decode(r, &system) || !dist::decode(r, &structural) ||
           !r.at_end()) {
         reply_error(reply, "malformed open request");
         return true;
@@ -197,8 +205,7 @@ bool Server::handle(const Frame& req, Frame* reply) {
         }
       }
       WireWriter w;
-      dist::put_string(w, session->key());
-      w.put_u8(created ? 1 : 0);
+      dist::encode(w, SessionReply{session->key(), created});
       reply->type = MsgType::kReply;
       reply->payload = w.take();
       return true;
@@ -207,8 +214,8 @@ bool Server::handle(const Frame& req, Frame* reply) {
     case MsgType::kServeEstimate: {
       std::string key;
       RunRequest rr;
-      if (!dist::get_string(r, &key) || !get_run_request(r, &rr) ||
-          !r.at_end()) {
+      r.string(key);
+      if (!dist::decode(r, &rr) || !r.at_end()) {
         reply_error(reply, "malformed estimate request");
         return true;
       }
@@ -244,8 +251,8 @@ bool Server::handle(const Frame& req, Frame* reply) {
         return true;
       }
       WireWriter w;
-      dist::put_run_results(w, res);
-      put_request_stats(w, stats);
+      dist::encode(w, res);
+      dist::encode(w, stats);
       reply->type = MsgType::kReply;
       reply->payload = w.take();
       return true;
@@ -253,7 +260,8 @@ bool Server::handle(const Frame& req, Frame* reply) {
 
     case MsgType::kServeCheckpoint: {
       std::string key;
-      if (!dist::get_string(r, &key) || !r.at_end()) {
+      r.string(key);
+      if (!r.ok() || !r.at_end()) {
         reply_error(reply, "malformed checkpoint request");
         return true;
       }
@@ -304,8 +312,7 @@ bool Server::handle(const Frame& req, Frame* reply) {
         }
       }
       WireWriter w;
-      dist::put_string(w, session->key());
-      w.put_u8(restored ? 1 : 0);
+      dist::encode(w, SessionReply{session->key(), restored});
       reply->type = MsgType::kReply;
       reply->payload = w.take();
       return true;
@@ -317,7 +324,7 @@ bool Server::handle(const Frame& req, Frame* reply) {
         return true;
       }
       WireWriter w;
-      put_stats_reply(w, stats_snapshot());
+      dist::encode(w, stats_snapshot());
       reply->type = MsgType::kReply;
       reply->payload = w.take();
       return true;

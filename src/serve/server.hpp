@@ -42,8 +42,6 @@ struct ServerConfig {
   unsigned threads = 0;
   /// Acceptor poll period — bounds shutdown latency.
   int accept_poll_ms = 200;
-  /// Per-frame I/O timeout toward clients.
-  int io_timeout_ms = 30'000;
   /// Upper bound on live sessions (0 = unbounded): beyond it, opening a new
   /// session evicts the least-recently-used one (see SessionTable). The
   /// SOCPOWER_SERVE_MAX_SESSIONS knob of the daemon.

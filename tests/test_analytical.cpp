@@ -242,11 +242,11 @@ TEST(Analytical, WireRoundTripIsBitExact) {
   ASSERT_FALSE(model.empty());
 
   dist::WireWriter w;
-  dist::put_analytical_model(w, model);
+  dist::encode(w, model);
   const std::vector<std::uint8_t> bytes = w.bytes();
   dist::WireReader r(bytes.data(), bytes.size());
   hw::AnalyticalModel back;
-  ASSERT_TRUE(dist::get_analytical_model(r, &back));
+  ASSERT_TRUE(dist::decode(r, &back));
   EXPECT_TRUE(r.at_end());
   expect_models_bit_identical(model.units, back.units);
   // Mid-calibration moments ride along bit-exactly too.
@@ -264,7 +264,7 @@ TEST(Analytical, WireRoundTripIsBitExact) {
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     dist::WireReader tr(bytes.data(), cut);
     hw::AnalyticalModel junk;
-    EXPECT_FALSE(dist::get_analytical_model(tr, &junk) && tr.ok())
+    EXPECT_FALSE(dist::decode(tr, &junk) && tr.ok())
         << "cut at " << cut;
   }
 }

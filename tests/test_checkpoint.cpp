@@ -319,8 +319,8 @@ TEST(Checkpoint, UnknownSystemDecodesButCannotRestore) {
 
 // ---- byte stability --------------------------------------------------------
 //
-// Checkpoints embed put_structural() bytes and sessions are keyed by a hash
-// of them, so both must stay byte-identical across refactors: a checkpoint
+// Checkpoints embed the structural block's bytes and sessions are keyed by a
+// hash of them, so both must stay byte-identical across refactors: a checkpoint
 // written by an older build has to restore under the same key. The expected
 // values below were captured from the hand-written encoder that predates the
 // config's knob table.
@@ -337,7 +337,7 @@ std::string hex(const std::vector<std::uint8_t>& bytes) {
 
 std::string structural_hex(const StructuralConfig& sc) {
   dist::WireWriter w;
-  put_structural(w, sc);
+  dist::encode(w, sc);
   return hex(w.bytes());
 }
 
@@ -394,10 +394,10 @@ TEST(Checkpoint, StructuralBytesAndSessionKeyAreStable) {
 
   // The encoding decodes back to itself.
   dist::WireWriter w;
-  put_structural(w, changed);
+  dist::encode(w, changed);
   dist::WireReader r(w.bytes());
   StructuralConfig back;
-  ASSERT_TRUE(get_structural(r, &back));
+  ASSERT_TRUE(dist::decode(r, &back));
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(structural_hex(back), structural_hex(changed));
 }

@@ -129,9 +129,16 @@ void expect_run_knobs_equal(const core::CoEstimatorConfig& a,
   EXPECT_TRUE(bits_equal(a.hw_channel_length_nm, b.hw_channel_length_nm));
 }
 
+/// The knob block decoder as a bool, the shape the assertions below want.
+bool decode_knobs(WireReader& r, core::CoEstimatorConfig* cfg,
+                  core::KnobScope scope) {
+  knobs(r, *cfg, scope);
+  return r.ok();
+}
+
 std::vector<std::uint8_t> run_block(const core::CoEstimatorConfig& cfg) {
   WireWriter w;
-  put_knobs(w, cfg, core::KnobScope::kRun);
+  knobs(w, cfg, core::KnobScope::kRun);
   return w.take();
 }
 
@@ -161,9 +168,10 @@ TEST(DistWire, PrimitiveDoublesRoundTripBitExact) {
         std::numeric_limits<double>::infinity(),
         -std::numeric_limits<double>::infinity(), 1.0, -1.5e-300}) {
     WireWriter w;
-    w.put_f64(d);
+    w.f64(d);
     WireReader r(w.bytes());
-    const double back = r.get_f64();
+    double back = 0.0;
+    r.f64(back);
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r.at_end());
     EXPECT_TRUE(bits_equal(d, back))
@@ -181,10 +189,10 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
       {
         const ChunkPayload c = random_chunk(rng);
         WireWriter w;
-        put_chunk(w, c);
+        encode(w, c);
         WireReader r(w.bytes());
         ChunkPayload back;
-        ASSERT_TRUE(get_chunk(r, &back));
+        ASSERT_TRUE(decode(r, &back));
         ASSERT_TRUE(r.at_end());
         expect_chunks_equal(c, back);
       }
@@ -201,10 +209,10 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         c.pre_state = random_state(rng);
         c.post_state = random_state(rng);
         WireWriter w;
-        put_cost(w, c);
+        encode(w, c);
         WireReader r(w.bytes());
         CostPayload back;
-        ASSERT_TRUE(get_cost(r, &back));
+        ASSERT_TRUE(decode(r, &back));
         ASSERT_TRUE(r.at_end());
         EXPECT_EQ(c.task, back.task);
         expect_inputs_equal(c.inputs, back.inputs);
@@ -227,10 +235,10 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
           fr.entries.push_back({rng(), static_cast<cfsm::PathId>(rng() % 50),
                                 tricky_double(rng)});
         WireWriter w;
-        put_flush_result(w, fr);
+        encode(w, fr);
         WireReader r(w.bytes());
         core::ComponentEstimator::FlushResult back;
-        ASSERT_TRUE(get_flush_result(r, &back));
+        ASSERT_TRUE(decode(r, &back));
         ASSERT_TRUE(r.at_end());
         EXPECT_EQ(fr.gate_cycles, back.gate_cycles);
         ASSERT_EQ(fr.entries.size(), back.entries.size());
@@ -245,10 +253,10 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         core::TransitionCost c{tricky_double(rng), tricky_double(rng),
                                rng() % 2 == 0};
         WireWriter w;
-        put_transition_cost(w, c);
+        encode(w, c);
         WireReader r(w.bytes());
         core::TransitionCost back;
-        ASSERT_TRUE(get_transition_cost(r, &back));
+        ASSERT_TRUE(decode(r, &back));
         ASSERT_TRUE(r.at_end());
         EXPECT_TRUE(bits_equal(c.cycles, back.cycles));
         EXPECT_TRUE(bits_equal(c.energy, back.energy));
@@ -270,10 +278,10 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         res.wall_seconds = tricky_double(rng);
         res.truncated = rng() % 2 == 0;
         WireWriter w;
-        put_run_results(w, res);
+        encode(w, res);
         WireReader r(w.bytes());
         core::RunResults back;
-        ASSERT_TRUE(get_run_results(r, &back));
+        ASSERT_TRUE(decode(r, &back));
         ASSERT_TRUE(r.at_end());
         EXPECT_TRUE(bits_equal(res.total_energy, back.total_energy));
         ASSERT_EQ(res.process_energy.size(), back.process_energy.size());
@@ -296,7 +304,7 @@ TEST(DistWire, FuzzedRoundTripsFiveSeeds) {
         const std::vector<std::uint8_t> bytes = run_block(k);
         WireReader r(bytes);
         core::CoEstimatorConfig back;
-        ASSERT_TRUE(get_knobs(r, &back, core::KnobScope::kRun));
+        ASSERT_TRUE(decode_knobs(r, &back, core::KnobScope::kRun));
         ASSERT_TRUE(r.at_end());
         expect_run_knobs_equal(k, back);
         // Decoding the run block never reaches structural state.
@@ -313,13 +321,13 @@ TEST(DistWire, TruncatedFramesAreRejected) {
   std::mt19937_64 rng(42);
   const ChunkPayload c = random_chunk(rng);
   WireWriter w;
-  put_chunk(w, c);
+  encode(w, c);
   const std::vector<std::uint8_t>& full = w.bytes();
   ASSERT_FALSE(full.empty());
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     WireReader r(full.data(), cut);
     ChunkPayload out;
-    const bool clean = get_chunk(r, &out) && r.at_end();
+    const bool clean = decode(r, &out) && r.at_end();
     EXPECT_FALSE(clean) << "prefix of length " << cut << " decoded cleanly";
   }
 
@@ -329,11 +337,11 @@ TEST(DistWire, TruncatedFramesAreRejected) {
   cost.pre_state = random_state(rng);
   cost.post_state = random_state(rng);
   WireWriter wc;
-  put_cost(wc, cost);
+  encode(wc, cost);
   for (std::size_t cut = 0; cut < wc.bytes().size(); ++cut) {
     WireReader r(wc.bytes().data(), cut);
     CostPayload out;
-    EXPECT_FALSE(get_cost(r, &out) && r.at_end());
+    EXPECT_FALSE(decode(r, &out) && r.at_end());
   }
 }
 
@@ -343,7 +351,7 @@ TEST(DistWire, TruncatedRunBlocksAreRejected) {
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     WireReader r(full.data(), cut);
     core::CoEstimatorConfig out;
-    EXPECT_FALSE(get_knobs(r, &out, core::KnobScope::kRun))
+    EXPECT_FALSE(decode_knobs(r, &out, core::KnobScope::kRun))
         << "prefix of length " << cut << " decoded";
   }
 }
@@ -356,16 +364,16 @@ TEST(DistWire, OutOfRangeAccelIsRejected) {
   block[0] = kBadAccel;
   WireReader r(block);
   core::CoEstimatorConfig out;
-  EXPECT_FALSE(get_knobs(r, &out, core::KnobScope::kRun));
+  EXPECT_FALSE(decode_knobs(r, &out, core::KnobScope::kRun));
 
   // Same byte inside a serve RunRequest: [u8 separate][run block].
   WireWriter w;
-  serve::put_run_request(w, serve::RunRequest{});
+  encode(w, serve::RunRequest{});
   std::vector<std::uint8_t> request = w.take();
   request[1] = kBadAccel;
   WireReader rr(request);
   serve::RunRequest decoded;
-  EXPECT_FALSE(serve::get_run_request(rr, &decoded));
+  EXPECT_FALSE(decode(rr, &decoded));
 }
 
 using DistWireDeathTest = ::testing::Test;
@@ -389,14 +397,14 @@ TEST(DistWire, TrailingGarbageIsDetectable) {
   std::mt19937_64 rng(43);
   const ChunkPayload c = random_chunk(rng);
   WireWriter w;
-  put_chunk(w, c);
+  encode(w, c);
   std::vector<std::uint8_t> bytes = w.bytes();
   bytes.push_back(0xAB);
   WireReader r(bytes);
   ChunkPayload out;
   // The payload itself still parses, but at_end() exposes the extra byte —
   // full-frame consumers require both.
-  EXPECT_TRUE(get_chunk(r, &out));
+  EXPECT_TRUE(decode(r, &out));
   EXPECT_FALSE(r.at_end());
 }
 
@@ -404,12 +412,12 @@ TEST(DistWire, CorruptLengthFieldDoesNotAllocate) {
   // A frame claiming 2^32-1 entries must be rejected by the element-size
   // sanity bound before any giant reserve happens.
   WireWriter w;
-  w.put_i32(0);                    // task
-  w.put_u32(0);                    // base_paths
-  w.put_u32(0xFFFFFFFFu);          // new_paths length: absurd
+  w.i32(0);            // task
+  w.u32(0);            // base_paths
+  w.u32(0xFFFFFFFFu);  // new_paths length: absurd
   WireReader r(w.bytes());
   ChunkPayload out;
-  EXPECT_FALSE(get_chunk(r, &out));
+  EXPECT_FALSE(decode(r, &out));
 }
 
 TEST(DistWire, ExpectsReplyMatchesProtocol) {
@@ -556,7 +564,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
         {0x0102030405060708ull, pinned_inputs(), 2, {{-7, 0x7fffffff}}});
     c.entries.push_back({9, {}, cfsm::kNoPath, {}});
     WireWriter w;
-    put_chunk(w, c);
+    encode(w, c);
     EXPECT_EQ(hex(w.bytes()),
               "0300000007000000020000000300000001000000020000000300000000000000"
               "0200000008070605040302010200000005000000ffffffff090000002a000000"
@@ -573,7 +581,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
     c.pre_state.vars = {1, 2};
     c.post_state.vars = {3};
     WireWriter w;
-    put_cost(w, c);
+    encode(w, c);
     EXPECT_EQ(hex(w.bytes()),
               "010000000200000005000000ffffffff090000002a0000000100000004000000"
               "fdffffff03000000000000000500000009000000020000000100000002000000"
@@ -582,7 +590,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
   }
   {
     WireWriter w;
-    put_transition_cost(w, core::TransitionCost{1.5, kNaNPayload, false});
+    encode(w, core::TransitionCost{1.5, kNaNPayload, false});
     EXPECT_EQ(hex(w.bytes()),
               "000000000000f83f230100000000f87f00")
         << "transition cost";
@@ -594,7 +602,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
         {10, 1, 2.5e-12},
         {11, cfsm::kNoPath, std::numeric_limits<double>::denorm_min()}};
     WireWriter w;
-    put_flush_result(w, fr);
+    encode(w, fr);
     EXPECT_EQ(hex(w.bytes()),
               "3930000000000000020000000a0000000000000001000000956479e17ffd853d"
               "0b00000000000000ffffffff0100000000000000")
@@ -602,7 +610,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
   }
   {
     WireWriter w;
-    put_run_results(w, pinned_run_results());
+    encode(w, pinned_run_results());
     EXPECT_EQ(hex(w.bytes()),
               "3a8c30e28e79153e02000000230100000000f87f000000000000008000000000"
               "0000004000000000000008400000000000001040000000000000144008070605"
@@ -618,7 +626,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
   }
   {
     WireWriter w;
-    put_analytical_model(w, pinned_analytical_model());
+    encode(w, pinned_analytical_model());
     EXPECT_EQ(hex(w.bytes()),
               "0100000002000000000000000000f03f00000000000000400000000000000840"
               "00000000000010403a8c30e28e79353e400000001656e79eaf03d23c01000000"
@@ -636,7 +644,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
     s.set("num_packets", 3);
     s.set("seed", -2);
     WireWriter w;
-    serve::put_system(w, s);
+    encode(w, s);
     EXPECT_EQ(hex(w.bytes()),
               "050000007463706970020000000b0000006e756d5f7061636b65747303000000"
               "000000000400000073656564feffffffffffffff")
@@ -651,7 +659,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
     rr.config.energy_cache.thresh_variance = -0.0;
     rr.config.hw_temperature_k = kNaNPayload;
     WireWriter w;
-    serve::put_run_request(w, rr);
+    encode(w, rr);
     EXPECT_EQ(hex(w.bytes()),
               "0103000000010000000155443322110000000000000000000000000000000000"
               "00800300000000000000002d3101000000000001000000000000000000402301"
@@ -667,7 +675,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
     s.warm_hits = 5;
     s.warm_fills = 6;
     WireWriter w;
-    serve::put_request_stats(w, s);
+    encode(w, s);
     EXPECT_EQ(hex(w.bytes()),
               "0000000000002940030000000000000001040000000000000005000000000000"
               "000600000000000000")
@@ -686,7 +694,7 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
     s.latency_max_ms = 19.0;
     s.rendered = "tbl\n";
     WireWriter w;
-    serve::put_stats_reply(w, s);
+    encode(w, s);
     EXPECT_EQ(hex(w.bytes()),
               "0100000000000000020000000000000003000000000000000400000000000000"
               "050000000000000006000000000000000000000000001e40000000000000d03f"

@@ -302,10 +302,10 @@ TEST(Coherence, TotalsRoundTripThroughRunResultsWire) {
   res.coherence.writebacks = 1;
   res.coherence.energy = 3.5e-9;
   dist::WireWriter w;
-  dist::put_run_results(w, res);
+  dist::encode(w, res);
   dist::WireReader r(w.bytes());
   core::RunResults got;
-  ASSERT_TRUE(dist::get_run_results(r, &got));
+  ASSERT_TRUE(dist::decode(r, &got));
   EXPECT_EQ(got.coherence.accesses, 7u);
   EXPECT_EQ(got.coherence.l1_hits, 4u);
   EXPECT_EQ(got.coherence.l1_misses, 3u);

@@ -403,7 +403,7 @@ TEST_F(ServeTest, ErrorRepliesNameTheProblem) {
   dist::Channel raw = dist::Channel::connect_unix(server_->socket_path());
   ASSERT_TRUE(raw.valid());
   dist::WireWriter w;
-  w.put_u32(kServeProtocolVersion + 1);
+  w.u32(kServeProtocolVersion + 1);
   ASSERT_TRUE(raw.send_frame(dist::MsgType::kServeHello, w.bytes(), 5000));
   dist::Frame reply;
   ASSERT_EQ(raw.recv_frame(&reply, 5000), dist::Channel::RecvStatus::kOk);
