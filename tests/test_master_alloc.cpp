@@ -1,7 +1,9 @@
-// Heap allocations on the master's per-reaction path.
+// Heap allocations on the master's per-reaction path, and on the decode
+// path of crafted wire frames.
 //
 // This file is its own test executable because it replaces the global
-// operator new with a counting one. It runs the TCP/IP NIC system twice on
+// operator new with one that counts calls and bytes. It runs the TCP/IP NIC
+// system twice on
 // one CoEstimator per acceleration mode and counts the allocations of the
 // second run: by then the master's scratch (trigger grouping, merged
 // inputs, pre-state, reaction, traffic, bus-wait slots, the per-core ready
@@ -9,6 +11,11 @@
 // left is the work that really creates data (bus transfer payloads, new
 // energy-cache entries, the per-run result vectors) plus the interconnect's
 // by-value completion lists.
+//
+// The decoder cases feed frames whose declared lengths promise far more
+// elements than their bytes hold. A decode must reject them having
+// allocated no more than a small, fixed amount: what it allocates is
+// bounded by the bytes it was given, not by a length field.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,11 +27,14 @@
 #include <string>
 
 #include "core/coestimator.hpp"
+#include "dist/wire.hpp"
+#include "serve/checkpoint.hpp"
 #include "systems/tcpip.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 }  // namespace
 
@@ -36,6 +46,7 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -117,6 +128,95 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AllocCase>& info) {
       return std::string(info.param.name);
     });
+
+// ---- crafted frames --------------------------------------------------------
+
+/// What decoding one crafted frame may allocate.
+constexpr std::uint64_t kDecodeAllocBound = 64 * 1024;
+
+/// Bytes allocated while `f` runs.
+template <class F>
+std::uint64_t bytes_allocated(F&& f) {
+  const std::uint64_t b0 = g_allocated_bytes.load();
+  f();
+  return g_allocated_bytes.load() - b0;
+}
+
+// A 16-byte kEnqueueChunk payload that declares 2^21 batch entries and holds
+// none. Before the length rule, get_chunk sized the entry vector first:
+// +128 MB of peak RSS before the rejection.
+TEST(DistWireAlloc, CraftedChunkEntryCountIsRejectedCheaply) {
+  dist::WireWriter w;
+  w.i32(0);         // task
+  w.u32(0);         // base_paths
+  w.u32(0);         // new_paths: none
+  w.u32(1u << 21);  // entries: 2^21 declared, none present
+  ASSERT_EQ(w.bytes().size(), 16u);
+  bool ok = true;
+  const std::uint64_t bytes = bytes_allocated([&] {
+    dist::WireReader r(w.bytes());
+    dist::ChunkPayload chunk;
+    ok = dist::decode(r, &chunk);
+  });
+  EXPECT_FALSE(ok);
+  EXPECT_LE(bytes, kDecodeAllocBound);
+}
+
+// A serve kServeOpen system block that declares 2^24 parameters.
+TEST(ServeAlloc, CraftedSystemKeyCountIsRejectedCheaply) {
+  dist::WireWriter w;
+  w.string("tcpip");
+  w.u32(1u << 24);  // key/value pairs: 2^24 declared, none present
+  bool ok = true;
+  const std::uint64_t bytes = bytes_allocated([&] {
+    dist::WireReader r(w.bytes());
+    serve::SystemParams system;
+    ok = dist::decode(r, &system);
+  });
+  EXPECT_FALSE(ok);
+  EXPECT_LE(bytes, kDecodeAllocBound);
+}
+
+/// FNV-1a 64 — the SPCK payload hash, so a crafted payload can be sealed.
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// A checkpoint with a valid header and hash whose warm snapshot declares
+// 2^24 backends and holds none (about 190 bytes). Before the length rule,
+// decode_checkpoint sized the backend vector first: +1536 MB of peak RSS
+// before the rejection. The serve daemon decodes such blobs from any client
+// (kServeRestore).
+TEST(CheckpointAlloc, CraftedBackendCountIsRejectedCheaply) {
+  dist::WireWriter payload;
+  serve::SystemParams system;
+  system.name = "tcpip";
+  dist::encode(payload, system);
+  dist::encode(payload, serve::StructuralConfig{});
+  payload.u32(1u << 24);  // warm backends: 2^24 declared, none present
+  dist::WireWriter blob;
+  blob.u32(serve::kCheckpointMagic);
+  blob.u32(serve::kCheckpointVersion);
+  blob.u64(payload.bytes().size());
+  blob.u64(fnv1a64(payload.bytes()));
+  std::vector<std::uint8_t> bytes = blob.take();
+  bytes.insert(bytes.end(), payload.bytes().begin(), payload.bytes().end());
+
+  bool ok = true;
+  std::string error;
+  const std::uint64_t allocated = bytes_allocated([&] {
+    serve::Checkpoint c;
+    ok = serve::decode_checkpoint(bytes, &c, &error);
+  });
+  EXPECT_FALSE(ok);
+  EXPECT_NE(error.find("payload decode failed"), std::string::npos) << error;
+  EXPECT_LE(allocated, kDecodeAllocBound);
+}
 
 }  // namespace
 }  // namespace socpower::core
