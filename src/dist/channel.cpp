@@ -194,9 +194,14 @@ Channel::RecvStatus Channel::recv_frame(Frame* out, int timeout_ms) {
   // this bound is protocol corruption, not data.
   if (len > (1u << 30)) return RecvStatus::kError;
   out->type = static_cast<MsgType>(header[4]);
-  out->payload.resize(len);
-  if (len != 0) {
-    st = read_exact(out->payload.data(), len);
+  // Grow the buffer as the bytes arrive, not to the declared length: a
+  // peer's 5-byte header must not make this process allocate a gigabyte.
+  constexpr std::size_t kStep = std::size_t{1} << 15;
+  out->payload.clear();
+  while (out->payload.size() < len) {
+    const std::size_t have = out->payload.size();
+    out->payload.resize(std::min<std::size_t>(len, have + kStep));
+    st = read_exact(out->payload.data() + have, out->payload.size() - have);
     if (st != RecvStatus::kOk) return st;
   }
   return RecvStatus::kOk;

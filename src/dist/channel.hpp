@@ -51,7 +51,6 @@ class Channel {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   void close();
 
-
   /// Sends one frame. `timeout_ms` bounds the total blocking time (-1 =
   /// forever). False on timeout, peer death, or any error.
   [[nodiscard]] bool send_frame(MsgType type,

@@ -409,8 +409,8 @@ TEST(DistWire, TrailingGarbageIsDetectable) {
 }
 
 TEST(DistWire, CorruptLengthFieldDoesNotAllocate) {
-  // A frame claiming 2^32-1 entries must be rejected by the element-size
-  // sanity bound before any giant reserve happens.
+  // A frame claiming 2^32-1 entries must be rejected by the length rule
+  // before any giant reserve happens.
   WireWriter w;
   w.i32(0);            // task
   w.u32(0);            // base_paths

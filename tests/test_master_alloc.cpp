@@ -26,7 +26,13 @@
 #include <ostream>
 #include <string>
 
+#if !defined(_WIN32)
+#include <sys/socket.h>
+#include <unistd.h>
+#endif
+
 #include "core/coestimator.hpp"
+#include "dist/channel.hpp"
 #include "dist/wire.hpp"
 #include "serve/checkpoint.hpp"
 #include "systems/tcpip.hpp"
@@ -143,8 +149,7 @@ std::uint64_t bytes_allocated(F&& f) {
 }
 
 // A 16-byte kEnqueueChunk payload that declares 2^21 batch entries and holds
-// none. Before the length rule, get_chunk sized the entry vector first:
-// +128 MB of peak RSS before the rejection.
+// none. Sizing the entry vector from that count would allocate 128 MiB.
 TEST(DistWireAlloc, CraftedChunkEntryCountIsRejectedCheaply) {
   dist::WireWriter w;
   w.i32(0);         // task
@@ -162,7 +167,32 @@ TEST(DistWireAlloc, CraftedChunkEntryCountIsRejectedCheaply) {
   EXPECT_LE(bytes, kDecodeAllocBound);
 }
 
-// A serve kServeOpen system block that declares 2^24 parameters.
+#if !defined(_WIN32)
+// A frame header that declares a 1 GiB payload, from a peer that then hangs
+// up. Sizing the payload buffer from the header would allocate 1 GiB for 5
+// bytes, on any serve connection.
+TEST(DistWireAlloc, DeclaredFrameLengthIsNotAllocatedAhead) {
+  if (!dist::supported()) GTEST_SKIP() << "no socketpair";
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  dist::Channel rx = dist::Channel::adopt(sv[0]);
+  const std::uint8_t header[5] = {0, 0, 0, 0x40,  // payload_len = 2^30
+                                  static_cast<std::uint8_t>(
+                                      dist::MsgType::kServeOpen)};
+  ASSERT_EQ(::write(sv[1], header, sizeof header), 5);
+  ::close(sv[1]);
+  dist::Channel::RecvStatus st = dist::Channel::RecvStatus::kOk;
+  const std::uint64_t bytes = bytes_allocated([&] {
+    dist::Frame f;
+    st = rx.recv_frame(&f, /*timeout_ms=*/1000);
+  });
+  EXPECT_EQ(st, dist::Channel::RecvStatus::kClosed);
+  EXPECT_LE(bytes, kDecodeAllocBound);
+}
+#endif
+
+// A serve kServeOpen system block that declares 2^24 parameters (640 MiB of
+// key/value slots if reserved from the count).
 TEST(ServeAlloc, CraftedSystemKeyCountIsRejectedCheaply) {
   dist::WireWriter w;
   w.string("tcpip");
@@ -188,9 +218,8 @@ std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
 }
 
 // A checkpoint with a valid header and hash whose warm snapshot declares
-// 2^24 backends and holds none (about 190 bytes). Before the length rule,
-// decode_checkpoint sized the backend vector first: +1536 MB of peak RSS
-// before the rejection. The serve daemon decodes such blobs from any client
+// 2^24 backends and holds none (190 bytes): 1.5 GiB of backend slots if
+// sized from the count. The serve daemon decodes such blobs from any client
 // (kServeRestore).
 TEST(CheckpointAlloc, CraftedBackendCountIsRejectedCheaply) {
   dist::WireWriter payload;
