@@ -2,21 +2,14 @@
 
 #include <cstdio>
 
+#include "util/hash.hpp"
+
 namespace socpower::serve {
 
 using dist::WireReader;
 using dist::WireWriter;
 
 namespace {
-
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// The container header; the payload follows it.
 struct Header {
@@ -97,7 +90,7 @@ std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& c) {
 
   WireWriter w;
   dist::encode(w, Header{kCheckpointMagic, kCheckpointVersion, body.size(),
-                         fnv1a64(body.data(), body.size())});
+                         util::fnv1a64(body)});
   std::vector<std::uint8_t> out = w.take();
   out.insert(out.end(), body.begin(), body.end());
   return out;
@@ -119,7 +112,7 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t size,
   if (h.payload_len != size - kHeaderBytes)
     return fail("checkpoint truncated: payload length mismatch");
   const std::uint8_t* body = data + kHeaderBytes;
-  if (fnv1a64(body, static_cast<std::size_t>(h.payload_len)) !=
+  if (util::fnv1a64({body, static_cast<std::size_t>(h.payload_len)}) !=
       h.payload_hash)
     return fail("checkpoint corrupt: payload hash mismatch");
 

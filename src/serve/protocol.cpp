@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/hash.hpp"
+
 namespace socpower::serve {
 
 using dist::WireWriter;
@@ -42,14 +44,9 @@ std::string session_key(const SystemParams& system,
   WireWriter w;
   dist::encode(w, system);
   dist::encode(w, structural);
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis
-  for (const std::uint8_t b : w.bytes()) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(util::fnv1a64(w.bytes())));
   return std::string(buf);
 }
 

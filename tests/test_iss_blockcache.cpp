@@ -12,6 +12,7 @@
 
 #include "iss/assembler.hpp"
 #include "iss/iss.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace socpower::iss {
@@ -41,12 +42,9 @@ struct Observed {
 };
 
 std::uint64_t hash_memory(const Iss& iss, std::uint32_t bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (std::uint32_t a = 0; a < bytes; ++a) {
-    h ^= iss.load_byte(a);
-    h *= 1099511628211ull;
-  }
-  return h;
+  std::vector<std::uint8_t> mem(bytes);
+  for (std::uint32_t a = 0; a < bytes; ++a) mem[a] = iss.load_byte(a);
+  return util::fnv1a64(mem);
 }
 
 Observed observe_run(Iss& iss, std::uint64_t budget) {

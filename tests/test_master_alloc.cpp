@@ -36,6 +36,7 @@
 #include "dist/wire.hpp"
 #include "serve/checkpoint.hpp"
 #include "systems/tcpip.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -207,16 +208,6 @@ TEST(ServeAlloc, CraftedSystemKeyCountIsRejectedCheaply) {
   EXPECT_LE(bytes, kDecodeAllocBound);
 }
 
-/// FNV-1a 64 — the SPCK payload hash, so a crafted payload can be sealed.
-std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // A checkpoint with a valid header and hash whose warm snapshot declares
 // 2^24 backends and holds none (190 bytes): 1.5 GiB of backend slots if
 // sized from the count. The serve daemon decodes such blobs from any client
@@ -232,7 +223,7 @@ TEST(CheckpointAlloc, CraftedBackendCountIsRejectedCheaply) {
   blob.u32(serve::kCheckpointMagic);
   blob.u32(serve::kCheckpointVersion);
   blob.u64(payload.bytes().size());
-  blob.u64(fnv1a64(payload.bytes()));
+  blob.u64(util::fnv1a64(payload.bytes()));  // the SPCK payload hash
   std::vector<std::uint8_t> bytes = blob.take();
   bytes.insert(bytes.end(), payload.bytes().begin(), payload.bytes().end());
 

@@ -30,6 +30,7 @@
 #include "serve/checkpoint.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
+#include "util/hash.hpp"
 
 namespace socpower::serve {
 namespace {
@@ -274,15 +275,6 @@ TEST(DistWireMutation, SeededMutantsDecodeOrReject) {
 
 // ---- checkpoints -----------------------------------------------------------
 
-std::uint64_t fnv1a64(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 constexpr std::size_t kHeaderBytes = 24;
 
 /// Header [magic][version][u64 payload_len][u64 fnv1a64] around `payload`.
@@ -291,7 +283,7 @@ Bytes seal(const Bytes& payload) {
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
   w.u64(payload.size());
-  w.u64(fnv1a64(payload.data(), payload.size()));
+  w.u64(util::fnv1a64(payload));
   Bytes out = w.take();
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
