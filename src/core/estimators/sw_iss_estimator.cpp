@@ -1,6 +1,8 @@
 #include "core/estimators/sw_iss_estimator.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "telemetry/registry.hpp"
 
@@ -27,10 +29,24 @@ void SwIssEstimator::prepare(const EstimatorContext& ctx) {
   for (const cfsm::CfsmId task : components_) {
     auto img = std::make_unique<swsyn::SwImage>(swsyn::compile_cfsm(
         net_->cfsm(task), next_code_word, next_data_base));
+    // Iss::load_program drops the words that do not fit, so an oversized
+    // image would run truncated: refuse it in every build type.
+    const std::uint64_t mem = iss_->config().memory_bytes;
+    if (std::uint64_t{img->code_base_word} + img->code.size() >
+            mem / iss::kInstrBytes ||
+        std::uint64_t{img->data_base} + img->data_bytes > mem) {
+      std::fprintf(stderr,
+                   "SwIssEstimator: process \"%s\" does not fit the ISS: "
+                   "%zu code words at word %u and %u data bytes at 0x%x, but "
+                   "the ISS holds %llu code words and %llu data bytes\n",
+                   net_->cfsm(task).name().c_str(), img->code.size(),
+                   img->code_base_word, img->data_bytes, img->data_base,
+                   static_cast<unsigned long long>(mem / iss::kInstrBytes),
+                   static_cast<unsigned long long>(mem));
+      std::abort();
+    }
     next_code_word += static_cast<std::uint32_t>(img->code.size()) + 16;
     next_data_base += (img->data_bytes + 15u) & ~15u;
-    assert((next_code_word + 1) * iss::kInstrBytes < config_->iss.memory_bytes);
-    assert(next_data_base < config_->iss.memory_bytes);
     iss_->load_program(img->code, img->code_base_word);
     images_[static_cast<std::size_t>(task)] = std::move(img);
   }

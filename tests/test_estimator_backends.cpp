@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "cfsm/dsl.hpp"
 #include "core/coestimator.hpp"
 #include "core/estimators/registry.hpp"
 #include "core/estimators/sw_iss_estimator.hpp"
@@ -225,6 +226,24 @@ TEST(EstimatorBackendsDeathTest, PrepareAbortsOnUnmappedProcess) {
       sys.network().cfsm(static_cast<cfsm::CfsmId>(n - 1)).name();
   EXPECT_DEATH(est.prepare(), "process \"" + name + "\" is mapped to "
                               "neither software nor hardware");
+}
+
+TEST(EstimatorBackendsDeathTest, PrepareAbortsOnImageLargerThanTheIss) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // 8000 straight-line statements compile to more code words than the
+  // default ISS memory holds. prepare() must refuse the image in every build
+  // type; an unchecked one used to load truncated under NDEBUG and run as a
+  // shorter program.
+  std::string src = "event GO;\nprocess big {\n  input GO;\n  var x = 0;\n";
+  for (int i = 0; i < 8000; ++i) src += "  x = x + 3;\n";
+  src += "}\n";
+  cfsm::Network net;
+  const cfsm::DslResult parsed = cfsm::parse_network(src, net);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  CoEstimator est(&net);
+  est.map_sw(net.cfsm_id("big"), 1);
+  EXPECT_DEATH(est.prepare(),
+               "process \"big\" does not fit the ISS: [0-9]+ code words");
 }
 
 TEST(EstimatorBackendsDeathTest, StructuralMutationAfterPrepareAborts) {
