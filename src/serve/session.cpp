@@ -13,7 +13,7 @@ std::unique_ptr<Session> Session::create(const SystemParams& system,
   std::unique_ptr<SystemInstance> sys = make_system(system, error);
   if (!sys) return nullptr;
 
-  core::CoEstimatorConfig cfg;
+  core::CoEstimatorConfig cfg = sys->config_template();
   structural.apply(&cfg);
   // configure() maps tasks onto cores and map_sw aborts the process on an
   // out-of-range core — reject the request before it can get there.

@@ -116,6 +116,9 @@ class MulticoreInstance final : public SystemInstance {
   [[nodiscard]] unsigned min_cores() const override {
     return sys_.params().cores;
   }
+  [[nodiscard]] core::CoEstimatorConfig config_template() const override {
+    return sys_.config_template();
+  }
 
  private:
   systems::MulticoreSystem sys_;

@@ -34,6 +34,12 @@ class SystemInstance {
   /// the process on an out-of-range core, which a server must never let a
   /// request reach.
   [[nodiscard]] virtual unsigned min_cores() const { return 1; }
+  /// The config a session starts from; Session::create applies the
+  /// client's structural knobs on top, so fields outside the knob table
+  /// (e.g. the multicore NoC mesh) come from here.
+  [[nodiscard]] virtual core::CoEstimatorConfig config_template() const {
+    return {};
+  }
 };
 
 /// Builds the named system. Returns nullptr with `*error` set on an unknown

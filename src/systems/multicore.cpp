@@ -139,13 +139,13 @@ core::CoEstimatorConfig MulticoreSystem::config_template() const {
   core::CoEstimatorConfig cfg;
   cfg.cores = params_.cores;
   cfg.interconnect = params_.interconnect;
-  if (params_.interconnect == core::InterconnectKind::kNoc) {
-    // Mesh sized to fit every worker plus the memory node in the far
-    // corner: 2 columns, enough rows for cores + 1 nodes.
-    cfg.noc.mesh_cols = 2;
-    cfg.noc.mesh_rows = (params_.cores + 2) / 2;
-    cfg.noc.memory_node = -1;
-  }
+  // Mesh sized to fit every worker plus the memory node in the far corner:
+  // 2 columns, enough rows for cores + 1 nodes. Sized for either
+  // interconnect, since only a kNoc run reads it and a served session takes
+  // the interconnect from its structural config, not from params_.
+  cfg.noc.mesh_cols = 2;
+  cfg.noc.mesh_rows = (params_.cores + 2) / 2;
+  cfg.noc.memory_node = -1;
   cfg.coherence.enabled = params_.coherent;
   return cfg;
 }

@@ -68,8 +68,8 @@ class MulticoreSystem {
   [[nodiscard]] cfsm::EventId byte_done_event() const { return ev_byte_done_; }
 
   /// A CoEstimatorConfig with the structural multicore knobs filled in:
-  /// cores, interconnect kind (a mesh sized to fit cores + memory when
-  /// kNoc) and the coherent data side.
+  /// cores, interconnect kind, a mesh sized to fit cores + memory (read
+  /// only under kNoc) and the coherent data side.
   [[nodiscard]] core::CoEstimatorConfig config_template() const;
 
   /// Map worker i to SW on core i, timer and collector to HW, and install

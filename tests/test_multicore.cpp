@@ -263,28 +263,38 @@ TEST_F(MulticoreServeTest, MulticoreSessionMatchesInProcessRun) {
       serve::Client::connect(server_->socket_path(), &error);
   ASSERT_TRUE(client.valid()) << error;
 
-  const systems::MulticoreParams mp{.cores = 3, .num_packets = 4};
-  systems::MulticoreSystem ref_sys(mp);
-  core::CoEstimator ref(&ref_sys.network(), ref_sys.config_template());
-  ref_sys.configure(ref);
-  ref.prepare();
-  const core::RunResults want = ref.run(ref_sys.stimulus(4096));
+  // The served session must run on the system's own config template: from
+  // 4 cores on, the NoC mesh is larger than the default 2x2 one.
+  for (const core::InterconnectKind ic :
+       {core::InterconnectKind::kBus, core::InterconnectKind::kNoc}) {
+    for (const unsigned cores : {3u, 4u, 6u}) {
+      SCOPED_TRACE(std::string(core::interconnect_name(ic)) + " x " +
+                   std::to_string(cores) + " cores");
+      const systems::MulticoreParams mp{
+          .cores = cores, .num_packets = 4, .interconnect = ic};
+      systems::MulticoreSystem ref_sys(mp);
+      core::CoEstimator ref(&ref_sys.network(), ref_sys.config_template());
+      ref_sys.configure(ref);
+      ref.prepare();
+      const core::RunResults want = ref.run(ref_sys.stimulus(4096));
 
-  serve::SystemParams sp;
-  sp.name = "multicore";
-  sp.set("cores", 3);
-  sp.set("num_packets", 4);
-  sp.set("horizon", 4096);
-  const serve::StructuralConfig structural =
-      serve::StructuralConfig::from(ref_sys.config_template());
-  std::string key;
-  ASSERT_TRUE(client.open_session(sp, structural, &key, nullptr, &error))
-      << error;
-  core::RunResults got;
-  ASSERT_TRUE(client.estimate(key, serve::RunRequest{}, &got, nullptr,
-                              &error))
-      << error;
-  expect_bit_identical(want, got);
+      serve::SystemParams sp;
+      sp.name = "multicore";
+      sp.set("cores", cores);
+      sp.set("num_packets", 4);
+      sp.set("horizon", 4096);
+      const serve::StructuralConfig structural =
+          serve::StructuralConfig::from(ref_sys.config_template());
+      std::string key;
+      ASSERT_TRUE(client.open_session(sp, structural, &key, nullptr, &error))
+          << error;
+      core::RunResults got;
+      ASSERT_TRUE(client.estimate(key, serve::RunRequest{}, &got, nullptr,
+                                  &error))
+          << error;
+      expect_bit_identical(want, got);
+    }
+  }
 }
 
 TEST_F(MulticoreServeTest, UnderCoredStructuralConfigIsRejectedNotFatal) {
