@@ -7,11 +7,8 @@
 // Usage: explore_tcpip [num_packets] [packet_bytes] [threads]
 // (threads defaults to $SOCPOWER_THREADS, then 1; 0 = one per hardware
 // thread. Results are bit-identical for any thread count.)
-// Set SOCPOWER_BLOCK_CACHE=0 to run the reference ISS interpreter instead
-// of the block-cache fast path — results are bit-identical either way; the
-// knob exists to measure the speedup end to end.
-// SOCPOWER_HW_REACTION_CACHE=0 likewise disables the gate-level reaction
-// cache (also bit-identical).
+// Set SOCPOWER_HW_REACTION_CACHE=0 to disable the gate-level reaction cache
+// (results are bit-identical either way).
 // Set SOCPOWER_DIST_WORKERS=N (>= 2) to run the two-phase exploration
 // sharded over N forked worker processes instead of pool threads, and
 // SOCPOWER_HW_REMOTE=1 to put every hardware estimator behind an
@@ -55,7 +52,6 @@ int main(int argc, char** argv) {
                : clamp_threads(util::env_int("SOCPOWER_THREADS", 1));
   threads = resolve_thread_count(threads);
 
-  const bool block_cache = util::env_bool("SOCPOWER_BLOCK_CACHE", true);
   const bool hw_rcache = util::env_bool("SOCPOWER_HW_REACTION_CACHE", true);
   const bool hw_remote = util::env_bool("SOCPOWER_HW_REMOTE", false);
   const unsigned dist_workers = clamp_threads(
@@ -108,7 +104,6 @@ int main(int argc, char** argv) {
     core::CoEstimatorConfig cfg;
     cfg.bus.line_cap_f = 10e-9;
     cfg.accel = core::Acceleration::kCaching;  // exploration-speed mode
-    cfg.iss.block_cache = block_cache;
     cfg.hw_reaction_cache = hw_rcache;
     cfg.hw_remote = hw_remote;
     core::CoEstimator est(&sys.network(), cfg);
@@ -178,8 +173,7 @@ int main(int argc, char** argv) {
         core::CoEstimatorConfig cfg;
         cfg.bus.line_cap_f = 10e-9;
         cfg.accel = accel;
-        cfg.iss.block_cache = block_cache;
-        cfg.hw_reaction_cache = hw_rcache;
+            cfg.hw_reaction_cache = hw_rcache;
         cfg.hw_remote = hw_remote;
         if (analytical) {
           cfg.estimators.hw_gate = "hw.analytical";

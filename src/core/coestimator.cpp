@@ -22,6 +22,10 @@ constexpr sim::SimTime kInfTime = std::numeric_limits<sim::SimTime>::max();
 /// wait_of_job_ entry of a JobId that gates no BusWait.
 constexpr std::uint32_t kNoWait = std::numeric_limits<std::uint32_t>::max();
 
+/// Supply current (mA) the CPU draws while blocked on its shared-memory
+/// transfers (low-power wait state; lower than a pipeline stall).
+constexpr double kBusWaitCurrentMa = 70.0;
+
 /// Create a backend by registry name and downcast it to its role interface.
 /// Aborts (in every build type) when the name resolves to a backend that
 /// does not implement the role — a config error no run can recover from.
@@ -53,7 +57,7 @@ std::unique_ptr<ComponentEstimator> create_role_backend(
 
 CoEstimator::CoEstimator(const cfsm::Network* network, CoEstimatorConfig config)
     : net_(network), config_(std::move(config)),
-      rtos_(config_.rtos, config_.electrical),
+      rtos_({}, config_.electrical),
       ecache_(config_.energy_cache) {
   impl_is_sw_.resize(net_->cfsm_count());
   hw_kind_.assign(net_->cfsm_count(), HwEstimatorKind::kGateLevel);
@@ -130,8 +134,8 @@ void CoEstimator::prepare() {
       hw_by_kind[static_cast<std::size_t>(hw_kind_[c])].push_back(task);
   }
 
-  macromodel_ = MacroModelLibrary::characterize(instruction_power_model(config_),
-                                                config_.iss);
+  macromodel_ =
+      MacroModelLibrary::characterize(instruction_power_model(config_));
   path_tables_.resize(net_->cfsm_count());
 
   // Instantiate the selected backends (only the roles with work) and let
@@ -478,7 +482,7 @@ RunResults CoEstimator::run(const sim::Stimulus& stimulus) {
           // priorities and DMA sizing feed back into software energy even
           // when the code is unchanged (the paper's Figure 7 effect).
           if (done > w.cpu_issue) {
-            const Joules wait_e = config_.bus_wait_current_ma * 1e-3 *
+            const Joules wait_e = kBusWaitCurrentMa * 1e-3 *
                                   config_.electrical.vdd_volts *
                                   static_cast<double>(done - w.cpu_issue) /
                                   config_.electrical.clock_hz;

@@ -77,14 +77,6 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
     err("electrical.clock_hz must be > 0 (got %g)", electrical.clock_hz);
   if (data_nj_per_toggle < 0.0)
     err("data_nj_per_toggle must be >= 0 (got %g)", data_nj_per_toggle);
-  if (bus_wait_current_ma < 0.0)
-    err("bus_wait_current_ma must be >= 0 (got %g)", bus_wait_current_ma);
-  if (rtos.dispatch_current_ma < 0.0)
-    err("rtos.dispatch_current_ma must be >= 0 (got %g)",
-        rtos.dispatch_current_ma);
-
-  if (iss.memory_bytes == 0)
-    err("iss.memory_bytes must be > 0 — the ISS needs code and data room");
 
   if (cores == 0)
     err("cores must be > 0 — the software tasks need at least one CPU");
@@ -164,10 +156,6 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
     err("sampling.k_memory must be > 0 — the compactor buffers K symbols "
         "per selection round");
 
-  if (hw_reaction_cache && hw_reaction_cache_max_entries == 0)
-    err("hw_reaction_cache_max_entries must be > 0 with hw_reaction_cache "
-        "on — a zero-entry table can never hit; disable the cache instead");
-
   if (hw_flush_threads != 1 && !hw_batch)
     err("hw_flush_threads=%u requested with hw_batch off: the offline flush "
         "never runs, so the parallelism is silently dead — set "
@@ -184,17 +172,6 @@ std::vector<std::string> CoEstimatorConfig::validate() const {
         "that the calibration prefix costs more than the gate-level run it "
         "replaces",
         1u << 20, hw_analytical_calibration_vectors);
-  if (hw_leakage_nw_per_gate < 0.0)
-    err("hw_leakage_nw_per_gate must be >= 0 (got %g)",
-        hw_leakage_nw_per_gate);
-  if (hw_temperature_k <= 0.0)
-    err("hw_temperature_k must be > 0 (got %g) — the leakage model scales "
-        "exponentially from the 300 K reference",
-        hw_temperature_k);
-  if (hw_channel_length_nm <= 0.0)
-    err("hw_channel_length_nm must be > 0 (got %g) — leakage scales as "
-        "250 / channel length",
-        hw_channel_length_nm);
 
   if (dist_flush_chunk == 0)
     err("dist_flush_chunk must be > 0 — a zero slice can never ship a "

@@ -18,9 +18,7 @@
 #include "cfsm/cfsm.hpp"
 #include "core/compactor.hpp"
 #include "core/energy_cache.hpp"
-#include "iss/iss.hpp"
 #include "sim/event_queue.hpp"
-#include "swsyn/rtos.hpp"
 
 namespace socpower::core {
 
@@ -79,7 +77,6 @@ inline constexpr unsigned kHwReactionCycles = 1;
 // what the acceleration-mode sweeps in the benches and examples do.
 struct CoEstimatorConfig {
   ElectricalParams electrical;
-  iss::IssConfig iss;
   /// Data-dependent (DSP-style) term of the instruction power model; the
   /// default 0 models the SPARClite (data-independent, caching is exact).
   double data_nj_per_toggle = 0.0;
@@ -104,10 +101,6 @@ struct CoEstimatorConfig {
   /// MSI-coherent private-L1/shared-L2 model for the cores' shared-data
   /// traffic. Off by default (single-CPU configs don't pay for it).
   cache::CoherenceConfig coherence;
-  swsyn::RtosConfig rtos;
-  /// Supply current (mA) the CPU draws while blocked on its shared-memory
-  /// transfers (low-power wait state; lower than a pipeline stall).
-  double bus_wait_current_ma = 70.0;
 
   Acceleration accel = Acceleration::kNone;
   EnergyCacheConfig energy_cache;
@@ -147,9 +140,6 @@ struct CoEstimatorConfig {
   /// computed and the restored simulator state is exact (see
   /// hw/reaction_cache.hpp for the keying and invalidation rules).
   bool hw_reaction_cache = true;
-  /// Entry bound per hardware unit; reaching it drops that unit's table
-  /// wholesale (generation clear), like the ISS block cache's bound.
-  std::size_t hw_reaction_cache_max_entries = 4096;
   /// Worker threads for the offline hardware batch flush. Each HW backend
   /// unit owns its gate simulator and batch vector, so units evaluate
   /// concurrently; per-unit energies/trace records/hook calls are
@@ -165,15 +155,6 @@ struct CoEstimatorConfig {
   /// An imported AnalyticalModel (warm checkpoint, prefilter sweep) skips
   /// the phase entirely.
   unsigned hw_analytical_calibration_vectors = 256;
-  /// Static-power knobs of the analytical backend (per McPAT: per-gate
-  /// leakage at the 300 K / 250 nm reference, scaled by channel length and
-  /// exponentially by temperature — see hw::analytical_leakage_watts).
-  /// Leakage integrates over each reaction's latency and is billed into the
-  /// unit's energy, with the static share reported separately
-  /// (RunResults::process_leakage).
-  double hw_leakage_nw_per_gate = 2.0;
-  double hw_temperature_k = 300.0;
-  double hw_channel_length_nm = 250.0;
   /// Host the hardware power estimators out-of-process: the master selects
   /// the "<hw backend>.remote" proxy, which forks a worker process per
   /// backend and ships batched vectors over the dist wire protocol while
@@ -202,7 +183,7 @@ struct CoEstimatorConfig {
   std::uint64_t max_reactions = 20'000'000;
 
   /// Checks the configuration for values that would make the simulators
-  /// misbehave silently — zero bus widths, negative energies/currents,
+  /// misbehave silently — zero bus widths, negative energies,
   /// a parallel hw_flush_threads request with hw_batch off, unknown
   /// estimator-backend names, out-of-range sampling parameters. Returns one
   /// actionable message per problem; empty means the config is usable.
@@ -233,15 +214,6 @@ void visit_knobs(F&& f, Cfg&... cfgs) {
   constexpr KnobScope S = KnobScope::kStructural;
   f("electrical.vdd_volts", S, cfgs.electrical.vdd_volts...);
   f("electrical.clock_hz", S, cfgs.electrical.clock_hz...);
-  f("iss.memory_bytes", S, cfgs.iss.memory_bytes...);
-  f("iss.pipeline_fill_cycles", S, cfgs.iss.pipeline_fill_cycles...);
-  f("iss.taken_branch_penalty", S, cfgs.iss.taken_branch_penalty...);
-  f("iss.default_max_instructions", S, cfgs.iss.default_max_instructions...);
-  f("iss.block_cache", S, cfgs.iss.block_cache...);
-  f("iss.block_cache_max_blocks", S, cfgs.iss.block_cache_max_blocks...);
-  f("iss.block_cache_max_ops", S, cfgs.iss.block_cache_max_ops...);
-  f("rtos.dispatch_cycles", S, cfgs.rtos.dispatch_cycles...);
-  f("rtos.dispatch_current_ma", S, cfgs.rtos.dispatch_current_ma...);
   f("data_nj_per_toggle", S, cfgs.data_nj_per_toggle...);
   f("estimators.sw", S, cfgs.estimators.sw...);
   f("estimators.hw_gate", S, cfgs.estimators.hw_gate...);
@@ -261,7 +233,6 @@ void visit_knobs(F&& f, Cfg&... cfgs) {
   f("hw_batch", R, cfgs.hw_batch...);
   f("hw_flush_threads", R, cfgs.hw_flush_threads...);
   f("hw_reaction_cache", R, cfgs.hw_reaction_cache...);
-  f("hw_reaction_cache_max_entries", R, cfgs.hw_reaction_cache_max_entries...);
   f("sync_spin", R, cfgs.sync_spin...);
   f("cache_hit_spin", R, cfgs.cache_hit_spin...);
   f("energy_cache.thresh_variance", R, cfgs.energy_cache.thresh_variance...);
@@ -269,9 +240,6 @@ void visit_knobs(F&& f, Cfg&... cfgs) {
   f("max_reactions", R, cfgs.max_reactions...);
   f("hw_analytical_calibration_vectors", R,
     cfgs.hw_analytical_calibration_vectors...);
-  f("hw_leakage_nw_per_gate", R, cfgs.hw_leakage_nw_per_gate...);
-  f("hw_temperature_k", R, cfgs.hw_temperature_k...);
-  f("hw_channel_length_nm", R, cfgs.hw_channel_length_nm...);
 }
 
 }  // namespace detail
@@ -293,7 +261,7 @@ void copy_knobs(const CoEstimatorConfig& src, CoEstimatorConfig* dst,
                 KnobScope scope);
 
 /// Compares the structural knobs of two configs; returns the name of the
-/// first one that differs (e.g. "iss.memory_bytes"), or nullptr when they
+/// first one that differs (e.g. "electrical.clock_hz"), or nullptr when they
 /// match. The master snapshots the config at prepare() and runs this check
 /// at every run() to catch post-prepare mutation of baked-in options.
 [[nodiscard]] const char* structural_mismatch(const CoEstimatorConfig& a,

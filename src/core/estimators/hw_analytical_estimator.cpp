@@ -20,19 +20,16 @@ void HwAnalyticalEstimator::prepare(const EstimatorContext& ctx) {
 void HwAnalyticalEstimator::begin_run() {
   HwEstimatorBase::begin_run();
   calib_target_ = std::max(1u, config_->hw_analytical_calibration_vectors);
-  const hw::AnalyticalLeakageParams lp{config_->hw_leakage_nw_per_gate,
-                                       config_->hw_temperature_k,
-                                       config_->hw_channel_length_nm};
   for (const cfsm::CfsmId task : components_) {
     UnitCalib& c = calib_[static_cast<std::size_t>(task)];
     c.tracker.reset();
     c.leakage_watts = hw::analytical_leakage_watts(
-        unit(task).image.netlist->gate_count(), lp);
+        unit(task).image.netlist->gate_count(), {});
     c.leak_per_reaction =
         c.leakage_watts *
         config_->electrical.seconds(static_cast<double>(kHwReactionCycles));
     c.run_leakage = 0.0;
-    // Keep the exported model's static power current with this run's knobs.
+    // An imported model's static power is recomputed, not trusted.
     if (c.fitted) c.model.leakage_watts = c.leakage_watts;
   }
 }

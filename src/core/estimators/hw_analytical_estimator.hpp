@@ -52,7 +52,7 @@ class HwAnalyticalEstimator final : public HwEstimatorBase {
     hw::ActivityTracker tracker;
     hw::AnalyticalUnitModel model;
     bool fitted = false;
-    double leakage_watts = 0.0;     // from the per-run leakage knobs
+    double leakage_watts = 0.0;     // at hw::AnalyticalLeakageParams{}
     Joules leak_per_reaction = 0.0; // leakage_watts × reaction latency
     Joules run_leakage = 0.0;       // static energy billed this run
   };

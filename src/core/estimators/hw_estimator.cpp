@@ -10,7 +10,6 @@ namespace socpower::core {
 hw::ReactionCacheConfig HwEstimatorBase::reaction_cache_config() const {
   hw::ReactionCacheConfig rc;
   rc.enabled = config_->hw_reaction_cache;
-  rc.max_entries = config_->hw_reaction_cache_max_entries;
   rc.telemetry_prefix = "estimator." + std::string(name()) + ".rcache";
   return rc;
 }

@@ -21,8 +21,7 @@ void SwIssEstimator::prepare(const EstimatorContext& ctx) {
   config_ = ctx.config;
   components_ = ctx.components;
 
-  iss_ = std::make_unique<iss::Iss>(instruction_power_model(*config_),
-                                    config_->iss);
+  iss_ = std::make_unique<iss::Iss>(instruction_power_model(*config_));
   images_.resize(net_->cfsm_count());
   std::uint32_t next_code_word = 16;
   std::uint32_t next_data_base = 0x4000;

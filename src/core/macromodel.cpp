@@ -9,8 +9,8 @@ namespace socpower::core {
 using swsyn::MacroOp;
 
 MacroModelLibrary MacroModelLibrary::characterize(
-    const iss::InstructionPowerModel& model, const iss::IssConfig& config) {
-  iss::Iss scratch(model, config);
+    const iss::InstructionPowerModel& model) {
+  iss::Iss scratch(model);
   constexpr std::uint32_t kCodeBase = 0x100;
 
   auto measure = [&scratch](const iss::Program& prog) {

@@ -46,10 +46,9 @@ class MacroModelLibrary {
   MacroModelLibrary() = default;
 
   /// Runs the characterization flow: every macro-op template is executed on
-  /// a scratch ISS built from `model`/`config`, and the empty-template
-  /// baseline is subtracted.
-  static MacroModelLibrary characterize(const iss::InstructionPowerModel& model,
-                                        const iss::IssConfig& config = {});
+  /// a scratch ISS built from `model`, and the empty-template baseline is
+  /// subtracted.
+  static MacroModelLibrary characterize(const iss::InstructionPowerModel& model);
 
   [[nodiscard]] const MacroCost& cost(swsyn::MacroOp op) const;
   void set_cost(swsyn::MacroOp op, MacroCost cost);

@@ -31,7 +31,8 @@ namespace socpower::serve {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b435053u;  // "SPCK" LE
 // v2: BackendWarmState gained the calibrated AnalyticalModel coefficients.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+// v3: the structural block lost the ISS and RTOS knobs.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 struct Checkpoint {
   SystemParams system;

@@ -35,7 +35,9 @@ namespace socpower::serve {
 /// evaluation was deleted.
 /// v5: RunRequest is [u8 separate][run knob block], generated from the knob
 /// table; the structural bytes are unchanged.
-inline constexpr std::uint32_t kServeProtocolVersion = 5;
+/// v6: the ISS and RTOS knobs left the structural block, and the
+/// reaction-cache bound and the three leakage knobs left the run block.
+inline constexpr std::uint32_t kServeProtocolVersion = 6;
 
 // ---- system selection ------------------------------------------------------
 

@@ -232,6 +232,12 @@ TEST(Checkpoint, RejectsBadMagicVersionTruncationAndCorruption) {
     EXPECT_FALSE(decode_checkpoint(bad, &out, &error));
     EXPECT_NE(error.find("version"), std::string::npos) << error;
   }
+  {  // v2, whose structural block still carried the ISS and RTOS knobs
+    std::vector<std::uint8_t> bad = good;
+    bad[4] = 2;
+    EXPECT_FALSE(decode_checkpoint(bad, &out, &error));
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
   {  // truncated: shorter than the header
     std::vector<std::uint8_t> bad(good.begin(), good.begin() + 10);
     EXPECT_FALSE(decode_checkpoint(bad, &out, &error));
@@ -346,15 +352,6 @@ StructuralConfig every_structural_field_changed() {
   StructuralConfig sc;
   sc.config.electrical.vdd_volts = 1.8;
   sc.config.electrical.clock_hz = 250.0e6;
-  sc.config.iss.memory_bytes = 1u << 20;
-  sc.config.iss.pipeline_fill_cycles = 5;
-  sc.config.iss.taken_branch_penalty = 2;
-  sc.config.iss.default_max_instructions = 123'456'789;
-  sc.config.iss.block_cache = false;
-  sc.config.iss.block_cache_max_blocks = 512;
-  sc.config.iss.block_cache_max_ops = 32;
-  sc.config.rtos.dispatch_cycles = 40;
-  sc.config.rtos.dispatch_current_ma = 190.5;
   sc.config.data_nj_per_toggle = 0.125;
   sc.config.estimators.sw = "sw.x";
   sc.config.estimators.hw_gate = "hw.gate.x";
@@ -376,21 +373,18 @@ TEST(Checkpoint, StructuralBytesAndSessionKeyAreStable) {
 
   const StructuralConfig plain;
   EXPECT_EQ(structural_hex(plain),
-            "6666666666660a400000000084d7974100000100030000000000000080969800"
-            "0000000001000800004000000018000000000000000000000000e06f40000000"
-            "00000000000600000073772e6973730700000068772e67617465060000006877"
-            "2e72746c0c00000063616368652e6963616368650b0000006275732e61726269"
-            "746572070000006275732e6e6f6300010000000000");
-  EXPECT_EQ(session_key(sp, plain), "447be1b8382df34c");
+            "6666666666660a400000000084d7974100000000000000000600000073772e69"
+            "73730700000068772e676174650600000068772e72746c0c0000006361636865"
+            "2e6963616368650b0000006275732e61726269746572070000006275732e6e6f"
+            "6300010000000000");
+  EXPECT_EQ(session_key(sp, plain), "d6ce32eff8b49bd0");
 
   const StructuralConfig changed = every_structural_field_changed();
   EXPECT_EQ(structural_hex(changed),
-            "cdccccccccccfc3f0000000065cdad4100001000050000000200000015cd5b07"
-            "0000000000000200002000000028000000000000000000000000d06740000000"
-            "000000c03f0400000073772e780900000068772e676174652e78080000006877"
-            "2e72746c2e780700000063616368652e78050000006275732e78050000006e6f"
-            "632e7801040000000101");
-  EXPECT_EQ(session_key(sp, changed), "04e76e6dba73043e");
+            "cdccccccccccfc3f0000000065cdad41000000000000c03f0400000073772e78"
+            "0900000068772e676174652e780800000068772e72746c2e7807000000636163"
+            "68652e78050000006275732e78050000006e6f632e7801040000000101");
+  EXPECT_EQ(session_key(sp, changed), "1e25dbfcc71b8b44");
 
   // The encoding decodes back to itself.
   dist::WireWriter w;

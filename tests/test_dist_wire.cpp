@@ -94,16 +94,12 @@ core::CoEstimatorConfig random_run_knobs(std::mt19937_64& rng) {
   c.hw_batch = rng() % 2 == 0;
   c.hw_flush_threads = static_cast<unsigned>(rng());
   c.hw_reaction_cache = rng() % 2 == 0;
-  c.hw_reaction_cache_max_entries = rng();
   c.sync_spin = static_cast<unsigned>(rng());
   c.cache_hit_spin = static_cast<unsigned>(rng());
   c.energy_cache.thresh_variance = tricky_double(rng);
   c.energy_cache.thresh_iss_calls = rng();
   c.max_reactions = rng();
   c.hw_analytical_calibration_vectors = static_cast<unsigned>(rng());
-  c.hw_leakage_nw_per_gate = tricky_double(rng);
-  c.hw_temperature_k = tricky_double(rng);
-  c.hw_channel_length_nm = tricky_double(rng);
   return c;
 }
 
@@ -115,7 +111,6 @@ void expect_run_knobs_equal(const core::CoEstimatorConfig& a,
   EXPECT_EQ(a.hw_batch, b.hw_batch);
   EXPECT_EQ(a.hw_flush_threads, b.hw_flush_threads);
   EXPECT_EQ(a.hw_reaction_cache, b.hw_reaction_cache);
-  EXPECT_EQ(a.hw_reaction_cache_max_entries, b.hw_reaction_cache_max_entries);
   EXPECT_EQ(a.sync_spin, b.sync_spin);
   EXPECT_EQ(a.cache_hit_spin, b.cache_hit_spin);
   EXPECT_TRUE(bits_equal(a.energy_cache.thresh_variance,
@@ -124,9 +119,6 @@ void expect_run_knobs_equal(const core::CoEstimatorConfig& a,
   EXPECT_EQ(a.max_reactions, b.max_reactions);
   EXPECT_EQ(a.hw_analytical_calibration_vectors,
             b.hw_analytical_calibration_vectors);
-  EXPECT_TRUE(bits_equal(a.hw_leakage_nw_per_gate, b.hw_leakage_nw_per_gate));
-  EXPECT_TRUE(bits_equal(a.hw_temperature_k, b.hw_temperature_k));
-  EXPECT_TRUE(bits_equal(a.hw_channel_length_nm, b.hw_channel_length_nm));
 }
 
 /// The knob block decoder as a bool, the shape the assertions below want.
@@ -655,15 +647,12 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
     rr.separate = true;
     rr.config.accel = core::Acceleration::kSampling;
     rr.config.hw_batch = false;
-    rr.config.hw_reaction_cache_max_entries = 0x1122334455ull;
     rr.config.energy_cache.thresh_variance = -0.0;
-    rr.config.hw_temperature_k = kNaNPayload;
     WireWriter w;
     encode(w, rr);
     EXPECT_EQ(hex(w.bytes()),
-              "0103000000010000000155443322110000000000000000000000000000000000"
-              "00800300000000000000002d3101000000000001000000000000000000402301"
-              "00000000f87f0000000000406f40")
+              "0103000000010000000100000000000000000000000000000080030000000000"
+              "0000002d31010000000000010000")
         << "run request";
   }
   {
@@ -704,28 +693,26 @@ TEST(DistWire, EveryMessageEncodesToPinnedBytes) {
   // The warm snapshot travels inside the SPCK container: header, system,
   // structural block, then the snapshot itself.
   EXPECT_EQ(hex(serve::encode_checkpoint(pinned_checkpoint())),
-            "5350434b020000008d020000000000007828ba64517a6cf10500000074637069"
+            "5350434b030000006002000000000000e44f9524edfe98c00500000074637069"
             "70010000000b0000006e756d5f7061636b657473030000000000000066666666"
-            "66660a400000000084d797410000010003000000000000008096980000000000"
-            "01000800004000000018000000000000000000000000e06f4000000000000000"
-            "000600000073772e6973730700000068772e676174650600000068772e72746c"
-            "0c00000063616368652e6963616368650b0000006275732e6172626974657207"
-            "0000006275732e6e6f6300010000000000020000000200000000010000000200"
-            "0000000000000000000000000000000000010000000100000001000000020000"
-            "0001000000000000001032547698badcfe1adfc44166638a3d03000000040000"
-            "0005000000060000000200000007000000000000000100000002000000000000"
-            "000000f03f0000000000000040000000000000084000000000000010403a8c30"
-            "e28e79353e400000001656e79eaf03d23c010000000400000000000000000000"
-            "00000000000000e03f000000000000f03f000000000000f83f00000000000000"
-            "40000000000000044000000000000008400000000000000c4000000000000010"
-            "4000000000000012400000000000001440000000000000164000000000000018"
-            "400000000000001a400000000000001c400000000000001e4000000000000000"
-            "80000000000000d0bf000000000000e0bf000000000000e8bf0000000000001c"
-            "4011000000000000000100000000000000010000000300000000000000000000"
-            "0000002440000000000000e03f00000000000022400000000000002640000000"
-            "0000003e40030000000000000011ea2d819997713da0c2ebfe4b48b43952a552"
-            "b57aaa6f3d7981b2a7f559733d1adfc44166638a3d09000000000000000a0000"
-            "0000000000")
+            "66660a400000000084d7974100000000000000000600000073772e6973730700"
+            "000068772e676174650600000068772e72746c0c00000063616368652e696361"
+            "6368650b0000006275732e61726269746572070000006275732e6e6f63000100"
+            "0000000002000000020000000001000000020000000000000000000000000000"
+            "0000000001000000010000000100000002000000010000000000000010325476"
+            "98badcfe1adfc44166638a3d0300000004000000050000000600000002000000"
+            "07000000000000000100000002000000000000000000f03f0000000000000040"
+            "000000000000084000000000000010403a8c30e28e79353e400000001656e79e"
+            "af03d23c01000000040000000000000000000000000000000000e03f00000000"
+            "0000f03f000000000000f83f0000000000000040000000000000044000000000"
+            "000008400000000000000c400000000000001040000000000000124000000000"
+            "00001440000000000000164000000000000018400000000000001a4000000000"
+            "00001c400000000000001e400000000000000080000000000000d0bf00000000"
+            "0000e0bf000000000000e8bf0000000000001c40110000000000000001000000"
+            "000000000100000003000000000000000000000000002440000000000000e03f"
+            "000000000000224000000000000026400000000000003e400300000000000000"
+            "11ea2d819997713da0c2ebfe4b48b43952a552b57aaa6f3d7981b2a7f559733d"
+            "1adfc44166638a3d09000000000000000a00000000000000")
       << "warm snapshot";
 }
 

@@ -152,12 +152,10 @@ TEST(EstimatorBackends, ValidateRejectsBusWidthsTheSchedulerCannotPack) {
   }
 }
 
-TEST(EstimatorBackends, ValidateRejectsBadIssAndCache) {
+TEST(EstimatorBackends, ValidateRejectsBadIcache) {
   CoEstimatorConfig cfg;
-  cfg.iss.memory_bytes = 0;
   cfg.icache.size_bytes = 0;
   const auto errs = cfg.validate();
-  EXPECT_TRUE(contains_substr(errs, "iss.memory_bytes"));
   EXPECT_TRUE(contains_substr(errs, "icache geometry"));
 }
 
@@ -252,7 +250,7 @@ TEST(EstimatorBackendsDeathTest, StructuralMutationAfterPrepareAborts) {
   CoEstimator est(&sys.network());
   sys.configure(est);
   est.prepare();
-  est.config().iss.memory_bytes *= 2;  // structural: baked into the ISS
+  est.config().electrical.clock_hz *= 2;  // structural: baked into the models
   EXPECT_DEATH(est.run(sys.stimulus()), "structural");
 }
 
@@ -311,23 +309,6 @@ const KnobMutation kStructuralKnobs[] = {
      [](CoEstimatorConfig& c) { c.electrical.vdd_volts += 1.0; }},
     {"electrical.clock_hz",
      [](CoEstimatorConfig& c) { c.electrical.clock_hz *= 2.0; }},
-    {"iss.memory_bytes", [](CoEstimatorConfig& c) { c.iss.memory_bytes *= 2; }},
-    {"iss.pipeline_fill_cycles",
-     [](CoEstimatorConfig& c) { ++c.iss.pipeline_fill_cycles; }},
-    {"iss.taken_branch_penalty",
-     [](CoEstimatorConfig& c) { ++c.iss.taken_branch_penalty; }},
-    {"iss.default_max_instructions",
-     [](CoEstimatorConfig& c) { ++c.iss.default_max_instructions; }},
-    {"iss.block_cache",
-     [](CoEstimatorConfig& c) { c.iss.block_cache = !c.iss.block_cache; }},
-    {"iss.block_cache_max_blocks",
-     [](CoEstimatorConfig& c) { ++c.iss.block_cache_max_blocks; }},
-    {"iss.block_cache_max_ops",
-     [](CoEstimatorConfig& c) { ++c.iss.block_cache_max_ops; }},
-    {"rtos.dispatch_cycles",
-     [](CoEstimatorConfig& c) { ++c.rtos.dispatch_cycles; }},
-    {"rtos.dispatch_current_ma",
-     [](CoEstimatorConfig& c) { c.rtos.dispatch_current_ma += 1.0; }},
     {"data_nj_per_toggle",
      [](CoEstimatorConfig& c) { c.data_nj_per_toggle += 0.5; }},
     {"estimators.sw", [](CoEstimatorConfig& c) { c.estimators.sw += "x"; }},
@@ -357,8 +338,6 @@ const KnobMutation kRunKnobs[] = {
     {"hw_flush_threads", [](CoEstimatorConfig& c) { ++c.hw_flush_threads; }},
     {"hw_reaction_cache",
      [](CoEstimatorConfig& c) { c.hw_reaction_cache = !c.hw_reaction_cache; }},
-    {"hw_reaction_cache_max_entries",
-     [](CoEstimatorConfig& c) { ++c.hw_reaction_cache_max_entries; }},
     {"sync_spin", [](CoEstimatorConfig& c) { ++c.sync_spin; }},
     {"cache_hit_spin", [](CoEstimatorConfig& c) { ++c.cache_hit_spin; }},
     {"energy_cache.thresh_variance",
@@ -368,12 +347,6 @@ const KnobMutation kRunKnobs[] = {
     {"max_reactions", [](CoEstimatorConfig& c) { ++c.max_reactions; }},
     {"hw_analytical_calibration_vectors",
      [](CoEstimatorConfig& c) { ++c.hw_analytical_calibration_vectors; }},
-    {"hw_leakage_nw_per_gate",
-     [](CoEstimatorConfig& c) { c.hw_leakage_nw_per_gate += 1.0; }},
-    {"hw_temperature_k",
-     [](CoEstimatorConfig& c) { c.hw_temperature_k += 1.0; }},
-    {"hw_channel_length_nm",
-     [](CoEstimatorConfig& c) { c.hw_channel_length_nm += 1.0; }},
 };
 
 TEST(EstimatorBackends, StructuralMismatchNamesEachStructuralKnob) {
@@ -408,6 +381,8 @@ TEST(EstimatorBackends, KnobTableMatchesTheHandWrittenScopes) {
   for (const KnobMutation& k : kRunKnobs) want_run.emplace_back(k.name);
   EXPECT_EQ(structural, want_structural);
   EXPECT_EQ(run, want_run);
+  EXPECT_EQ(structural.size(), 13u);
+  EXPECT_EQ(run.size(), 12u);
 }
 
 TEST(EstimatorBackends, CopyKnobsCopiesOnlyItsScope) {
@@ -420,7 +395,8 @@ TEST(EstimatorBackends, CopyKnobsCopiesOnlyItsScope) {
   copy_knobs(src, &run_only, KnobScope::kRun);
   EXPECT_EQ(structural_mismatch(run_only, CoEstimatorConfig{}), nullptr);
   EXPECT_EQ(run_only.accel, Acceleration::kSampling);
-  EXPECT_EQ(run_only.hw_channel_length_nm, src.hw_channel_length_nm);
+  EXPECT_EQ(run_only.hw_analytical_calibration_vectors,
+            src.hw_analytical_calibration_vectors);
 
   CoEstimatorConfig structural_only;
   copy_knobs(src, &structural_only, KnobScope::kStructural);

@@ -209,7 +209,7 @@ TEST(ServeAlloc, CraftedSystemKeyCountIsRejectedCheaply) {
 }
 
 // A checkpoint with a valid header and hash whose warm snapshot declares
-// 2^24 backends and holds none (190 bytes): 1.5 GiB of backend slots if
+// 2^24 backends and holds none (145 bytes): 1.5 GiB of backend slots if
 // sized from the count. The serve daemon decodes such blobs from any client
 // (kServeRestore).
 TEST(CheckpointAlloc, CraftedBackendCountIsRejectedCheaply) {
