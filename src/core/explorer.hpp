@@ -138,6 +138,13 @@ struct PointEval {
     const std::function<std::vector<PointEval>(
         const std::vector<std::size_t>&, int)>& eval_phase);
 
+/// Evaluate point `idx` in-process for `phase`: 2 analytical (falling back
+/// to coarse), 0 coarse, 1 exact. A point with no runner for the phase is
+/// skipped. explore(), the sharded workers and the sharded master's
+/// fallback all evaluate through here.
+[[nodiscard]] PointEval eval_point(const std::vector<ExplorationPoint>& points,
+                                   std::size_t idx, int phase);
+
 /// The three-tier funnel behind explore() and explore_sharded() when
 /// analytical_prefilter > 0: phase 2 (analytical) over every point, keep
 /// the `prefilter` best (ties break by point index), then run
@@ -146,13 +153,6 @@ struct PointEval {
 /// `prefilter` is 0 or covers all points. Sharing this reduction between
 /// both entry points is what makes the sharded funnel bit-identical to the
 /// serial one.
-/// Evaluate point `idx` in-process for `phase`: 2 analytical (falling back
-/// to coarse), 0 coarse, 1 exact. A point with no runner for the phase is
-/// skipped. explore(), the sharded workers and the sharded master's
-/// fallback all evaluate through here.
-[[nodiscard]] PointEval eval_point(const std::vector<ExplorationPoint>& points,
-                                   std::size_t idx, int phase);
-
 [[nodiscard]] ExplorationOutcome funnel_outcome(
     const std::vector<ExplorationPoint>& points, std::size_t verify_top,
     std::size_t prefilter,
