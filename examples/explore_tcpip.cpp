@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
         core::CoEstimatorConfig cfg;
         cfg.bus.line_cap_f = 10e-9;
         cfg.accel = accel;
-            cfg.hw_reaction_cache = hw_rcache;
+        cfg.hw_reaction_cache = hw_rcache;
         cfg.hw_remote = hw_remote;
         if (analytical) {
           cfg.estimators.hw_gate = "hw.analytical";
