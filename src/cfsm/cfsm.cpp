@@ -17,44 +17,27 @@ void ReactionInputs::set(EventId e, std::int32_t value) {
   events_.emplace_back(e, value);
 }
 
-bool ReactionInputs::present(EventId e) const {
-  return std::any_of(events_.begin(), events_.end(),
-                     [e](const auto& p) { return p.first == e; });
-}
-
-std::int32_t ReactionInputs::value(EventId e) const {
-  for (const auto& [ev, val] : events_)
-    if (ev == e) return val;
-  return 0;
-}
-
 namespace {
 
-/// Adapts (state, inputs) to the expression evaluator and receives
-/// assignments; writes are immediately visible to later reads, giving the
-/// sequential semantics of an s-graph path.
-class ReactionEnv final : public EvalContext, public VarStore {
- public:
-  ReactionEnv(CfsmState& st, const ReactionInputs& in) : st_(st), in_(in) {}
+/// The s-graph's environment for one reaction: reads from (state, inputs),
+/// assignments into the state, so writes are immediately visible to later
+/// reads — the sequential semantics of an s-graph path.
+struct ReactionEnv {
+  std::vector<std::int32_t>& vars;
+  const ReactionInputs& in;
 
-  [[nodiscard]] std::int32_t var(VarId v) const override {
-    assert(v >= 0 && static_cast<std::size_t>(v) < st_.vars.size());
-    return st_.vars[static_cast<std::size_t>(v)];
+  [[nodiscard]] std::int32_t var(VarId v) const {
+    assert(v >= 0 && static_cast<std::size_t>(v) < vars.size());
+    return vars[static_cast<std::size_t>(v)];
   }
-  [[nodiscard]] bool event_present(EventId e) const override {
-    return in_.present(e);
+  [[nodiscard]] bool event_present(EventId e) const { return in.present(e); }
+  [[nodiscard]] std::int32_t event_value(EventId e) const {
+    return in.value(e);  // 0 when absent
   }
-  [[nodiscard]] std::int32_t event_value(EventId e) const override {
-    return in_.value(e);
+  void set_var(VarId v, std::int32_t value) {
+    assert(v >= 0 && static_cast<std::size_t>(v) < vars.size());
+    vars[static_cast<std::size_t>(v)] = value;
   }
-  void set_var(VarId v, std::int32_t value) override {
-    assert(v >= 0 && static_cast<std::size_t>(v) < st_.vars.size());
-    st_.vars[static_cast<std::size_t>(v)] = value;
-  }
-
- private:
-  CfsmState& st_;
-  const ReactionInputs& in_;
 };
 
 }  // namespace
@@ -95,16 +78,16 @@ void Cfsm::reset_state(CfsmState& st) const {
   for (const auto& v : vars_) st.vars.push_back(v.init);
 }
 
-void Cfsm::react(const ReactionInputs& inputs, CfsmState& st, Reaction& out,
-                 ExecutionObserver* observer) const {
+void Cfsm::react(const ReactionInputs& inputs, CfsmState& st,
+                 Reaction& out) const {
   if (reset_event_ && inputs.present(*reset_event_)) {
     reset_state(st);
     out.emissions.clear();  // empty trace: reset consumes the instant
     out.trace.clear();
     return;
   }
-  ReactionEnv env(st, inputs);
-  graph_->run(env, env, out, observer);
+  ReactionEnv env{st.vars, inputs};
+  graph_->run(env, out);
 }
 
 EventId Network::declare_event(std::string name) {

@@ -43,8 +43,19 @@ class ReactionInputs {
  public:
   void clear();
   void set(EventId e, std::int32_t value);
-  [[nodiscard]] bool present(EventId e) const;
-  [[nodiscard]] std::int32_t value(EventId e) const;
+  // Inline: the s-graph evaluator and HW input staging read events on
+  // every reaction, and the list holds a handful of entries.
+  [[nodiscard]] bool present(EventId e) const {
+    for (const auto& [ev, val] : events_)
+      if (ev == e) return true;
+    return false;
+  }
+  /// The event's value, 0 when it is absent.
+  [[nodiscard]] std::int32_t value(EventId e) const {
+    for (const auto& [ev, val] : events_)
+      if (ev == e) return val;
+    return 0;
+  }
   [[nodiscard]] const std::vector<std::pair<EventId, std::int32_t>>& all()
       const {
     return events_;
@@ -107,13 +118,11 @@ class Cfsm {
   /// reused). When the reset event is present the state is re-initialized,
   /// the s-graph is NOT run (POLIS "watching RESET" semantics) and `out` is
   /// left empty.
-  void react(const ReactionInputs& inputs, CfsmState& st, Reaction& out,
-             ExecutionObserver* observer = nullptr) const;
+  void react(const ReactionInputs& inputs, CfsmState& st, Reaction& out) const;
   /// Convenience for one-off callers (tests, tools): a fresh Reaction.
-  Reaction react(const ReactionInputs& inputs, CfsmState& st,
-                 ExecutionObserver* observer = nullptr) const {
+  Reaction react(const ReactionInputs& inputs, CfsmState& st) const {
     Reaction r;
-    react(inputs, st, r, observer);
+    react(inputs, st, r);
     return r;
   }
 

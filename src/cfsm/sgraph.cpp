@@ -178,47 +178,4 @@ std::vector<std::vector<NodeId>> SGraph::enumerate_paths(
   return out;
 }
 
-void SGraph::run(const EvalContext& ctx, VarStore& store, Reaction& r,
-                 ExecutionObserver* observer) const {
-  assert(root_ != kNoNode);
-  r.emissions.clear();
-  r.trace.clear();
-  NodeId id = root_;
-  // Node count bounds path length in a DAG; guards against accidental cycles
-  // in unvalidated graphs.
-  const std::size_t limit = nodes_.size() + 1;
-  while (true) {
-    assert(r.trace.size() < limit && "cycle in s-graph (run validate())");
-    (void)limit;
-    r.trace.push_back(id);
-    const SNode& n = nodes_[static_cast<std::size_t>(id)];
-    switch (n.kind) {
-      case NodeKind::kEnd:
-        if (observer) observer->on_node(id, n, false);
-        return;
-      case NodeKind::kAssign: {
-        const std::int32_t v = arena_->eval(n.expr, ctx);
-        store.set_var(n.var, v);
-        if (observer) observer->on_node(id, n, false);
-        id = n.next;
-        break;
-      }
-      case NodeKind::kEmit: {
-        const std::int32_t v =
-            n.expr == kNoExpr ? 0 : arena_->eval(n.expr, ctx);
-        r.emissions.push_back({n.event, v});
-        if (observer) observer->on_node(id, n, false);
-        id = n.next;
-        break;
-      }
-      case NodeKind::kTest: {
-        const bool taken = arena_->eval(n.expr, ctx) != 0;
-        if (observer) observer->on_node(id, n, taken);
-        id = taken ? n.next : n.next_else;
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace socpower::cfsm

@@ -9,6 +9,7 @@
 // ("path_id" in Figure 4(c)).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -33,22 +34,6 @@ struct SNode {
   EventId event = -1;      // Emit target
   NodeId next = kNoNode;   // Assign/Emit successor; Test: taken branch
   NodeId next_else = kNoNode;  // Test: not-taken branch
-};
-
-/// Write access to variables during a reaction.
-class VarStore {
- public:
-  virtual ~VarStore() = default;
-  virtual void set_var(VarId v, std::int32_t value) = 0;
-};
-
-/// Observer invoked once per executed node, in execution order. Used by the
-/// path recorder (energy cache keys), the software synthesizer (macro-op
-/// stream) and debug tracing.
-class ExecutionObserver {
- public:
-  virtual ~ExecutionObserver() = default;
-  virtual void on_node(NodeId node, const SNode& n, bool test_taken) = 0;
 };
 
 struct EmittedEvent {
@@ -111,12 +96,12 @@ class SGraph {
   // -- execution ------------------------------------------------------------
   /// Run one reaction into `out` (cleared first; its capacity is reused, so
   /// a caller that keeps one Reaction across calls allocates only when a
-  /// longer path or more emissions than before come along). `ctx` supplies
-  /// variable/event reads, `store` receives assignments (reads see earlier
-  /// writes via ctx, which the caller backs with the same storage).
-  /// `observer` may be nullptr.
-  void run(const EvalContext& ctx, VarStore& store, Reaction& out,
-           ExecutionObserver* observer = nullptr) const;
+  /// longer path or more emissions than before come along). `env` supplies
+  /// the reads ExprArena::eval() makes and receives assignments through
+  /// set_var(VarId, value); later reads must see earlier writes. A template
+  /// for the same reason eval() is one.
+  template <class Env>
+  void run(Env& env, Reaction& out) const;
 
  private:
   ExprArena* arena_;
@@ -124,5 +109,37 @@ class SGraph {
   std::vector<bool> defined_;
   NodeId root_ = kNoNode;
 };
+
+template <class Env>
+void SGraph::run(Env& env, Reaction& r) const {
+  assert(root_ != kNoNode);
+  r.emissions.clear();
+  r.trace.clear();
+  NodeId id = root_;
+  // Node count bounds path length in a DAG; guards against accidental cycles
+  // in unvalidated graphs.
+  [[maybe_unused]] const std::size_t limit = nodes_.size() + 1;
+  while (true) {
+    assert(r.trace.size() < limit && "cycle in s-graph (run validate())");
+    r.trace.push_back(id);
+    const SNode& n = nodes_[static_cast<std::size_t>(id)];
+    switch (n.kind) {
+      case NodeKind::kEnd:
+        return;
+      case NodeKind::kAssign:
+        env.set_var(n.var, arena_->eval(n.expr, env));
+        id = n.next;
+        break;
+      case NodeKind::kEmit:
+        r.emissions.push_back(
+            {n.event, n.expr == kNoExpr ? 0 : arena_->eval(n.expr, env)});
+        id = n.next;
+        break;
+      case NodeKind::kTest:
+        id = arena_->eval(n.expr, env) != 0 ? n.next : n.next_else;
+        break;
+    }
+  }
+}
 
 }  // namespace socpower::cfsm

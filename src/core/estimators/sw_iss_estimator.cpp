@@ -28,8 +28,9 @@ void SwIssEstimator::prepare(const EstimatorContext& ctx) {
   for (const cfsm::CfsmId task : components_) {
     auto img = std::make_unique<swsyn::SwImage>(swsyn::compile_cfsm(
         net_->cfsm(task), next_code_word, next_data_base));
-    // Iss::load_program drops the words that do not fit, so an oversized
-    // image would run truncated: refuse it in every build type.
+    // Refused in every build type. Iss::load_program would abort on the
+    // code too, but without naming the process, and nothing else checks
+    // the data segment.
     const std::uint64_t mem = iss_->config().memory_bytes;
     if (std::uint64_t{img->code_base_word} + img->code.size() >
             mem / iss::kInstrBytes ||

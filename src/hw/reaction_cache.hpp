@@ -5,10 +5,10 @@
 // first time a situation is seen, replay it after — applied one layer below
 // the (task, path) energy cache: CFSMs revisit a small set of
 // (register-state, input-vector) pairs, yet every GateSim::step() re-sweeps
-// the levelized netlist. A hit here replays a whole reaction with one hash
-// lookup plus an exact state restore, bit-identical to the uncached path
-// (the cached energy is the double computed on the miss; the restored net
-// values, pending dirty marks and counters are exact).
+// the levelized netlist. A hit here replays a whole reaction with one probe
+// of a flat table plus an exact state restore, bit-identical to the uncached
+// path (the cached energy is the double computed on the miss; the restored
+// net values, pending dirty marks and counters are exact).
 //
 // Keying. A reaction's outcome is a pure function of the simulator's
 // complete state at entry (net values + pending dirty marks) and the staged
@@ -38,12 +38,20 @@
 // table persists across runs for warm-start hits. Per-run config changes
 // that matter clear the table; reaching max_entries clears it wholesale
 // (generation clear), like the ISS block cache.
+//
+// Layout. The table is flat: an open-addressed slot array of {hash tag,
+// entry index} probed linearly, every entry's key words back to back in one
+// array (compared with memcmp), and every entry's toggles in fixed-size
+// blocks. A miss appends to these and allocates only when one of them is
+// full; nothing is ever copied to grow except the small per-entry arrays.
+// A generation clear resets the counts and the slots and returns the toggle
+// blocks to the allocator.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/gatesim.hpp"
@@ -110,7 +118,7 @@ class ReactionCache {
   void clear();
 
   [[nodiscard]] bool enabled() const { return cfg_.enabled; }
-  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const ReactionCacheStats& stats() const { return stats_; }
 
   /// All memoized entries, sorted by key words so checkpoint bytes are
@@ -126,15 +134,51 @@ class ReactionCache {
   void import_entries(std::vector<ExportedReaction> entries);
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::vector<std::uint64_t>& k) const;
-  };
+  /// One memoized reaction. Its key words are keys_[i * key_words_ ..) for
+  /// entry i, its toggles toggle_count NetIds at `offset` in toggle block
+  /// `block`. The full hash is kept so growing the slot array never re-reads
+  /// keys.
   struct Entry {
+    std::uint64_t hash = 0;
     Joules energy = 0.0;
-    std::vector<NetId> toggles;   // commit-ordered; latch suffix at latch_begin
-    std::uint32_t latch_begin = 0;
     std::uint64_t gate_evals = 0;  // evaluations the original miss performed
+    std::uint32_t block = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t toggle_count = 0;
+    std::uint32_t latch_begin = 0;  // commit-ordered; latch suffix starts here
   };
+  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  /// An open-addressing slot: the hash's upper half (checked before the
+  /// key) and the entry it points at, kNoEntry when free.
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t entry = kNoEntry;
+  };
+  /// Toggle storage granule: a block holds the toggles of many reactions;
+  /// a reaction longer than a block gets a block of its own length.
+  static constexpr std::size_t kToggleBlockNets = std::size_t{1} << 14;
+  struct ToggleBlock {
+    std::unique_ptr<NetId[]> nets;
+    std::size_t capacity = 0;
+  };
+
+  /// Entry whose key equals `key` (key_words_ words), or kNoEntry.
+  [[nodiscard]] std::uint32_t find(const std::uint64_t* key,
+                                   std::uint64_t hash) const;
+  /// Appends an entry whose key is known to be absent. The caller keeps
+  /// size() below max_entries.
+  void insert(const std::uint64_t* key, std::uint64_t hash, Joules energy,
+              std::span<const NetId> toggles, std::uint32_t latch_begin,
+              std::uint64_t gate_evals);
+  [[nodiscard]] std::span<const NetId> toggles_of(const Entry& e) const;
+  /// Copies `toggles` into the block arena; sets `e`'s block and offset.
+  void store_toggles(std::span<const NetId> toggles, Entry& e);
+  /// Points the first free slot of `hash`'s probe sequence at `entry`.
+  static void place(std::vector<Slot>& slots, std::uint64_t hash,
+                    std::size_t entry);
+  /// Doubles the slot array (at least 16 slots) and re-places every entry
+  /// by its stored hash.
+  void grow_slots();
 
   /// Telemetry handles, resolved once per prefix (registry entries are
   /// stable) so the hot path never builds counter names.
@@ -160,7 +204,6 @@ class ReactionCache {
   void observe_sim_state();  // detect resets / forced writes since last step
   void build_key();          // into key_scratch_
   void capture_regs(std::vector<std::uint64_t>* out);
-  [[nodiscard]] std::size_t key_words() const;
 
   GateSim* sim_;
   std::vector<NetRun> pi_runs_;  // primary-input nets, in index order
@@ -169,10 +212,15 @@ class ReactionCache {
   ReactionCacheConfig cfg_;
   ReactionCacheStats stats_;
   // Key layout: [post-reset flag, applied-PI words, previous-entry register
-  // words, staged-input words]; the scratch buffer is reused for lookups so
-  // steady-state hits allocate only on insertion.
-  std::unordered_map<std::vector<std::uint64_t>, Entry, KeyHash> table_;
+  // words, staged-input words]; built in place in key_scratch_ for every
+  // lookup.
+  std::size_t key_words_;
   std::vector<std::uint64_t> key_scratch_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full; lazy
+  std::vector<Entry> entries_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<ToggleBlock> blocks_;  // the last one receives new toggles
+  std::size_t fill_used_ = 0;        // nets used in the last block
   std::vector<std::uint64_t> q_prev_;  // register values at last step's entry
   std::vector<std::uint64_t> q_cur_scratch_;
   bool after_reset_ = true;   // no step since the last reset()

@@ -34,8 +34,7 @@ const DecodedBlock* BlockCache::insert(DecodedBlock block) {
   if (blocks_.size() >= max_blocks_) {
     // Generation clear: wholesale flush is simpler than LRU and the working
     // set of a CFSM program is far below any sane capacity anyway.
-    blocks_.clear();
-    std::fill(index_.begin(), index_.end(), nullptr);
+    clear();
     ++stats_.capacity_flushes;
   }
   ++stats_.decodes;
@@ -54,11 +53,16 @@ std::vector<std::uint32_t> BlockCache::entry_pcs() const {
   return pcs;
 }
 
+void BlockCache::clear() {
+  // Only cached entries hold index slots, so clearing theirs empties the
+  // index without sweeping the whole instruction-memory-sized table.
+  for (const auto& [entry, block] : blocks_)
+    if (entry < index_.size()) index_[entry] = nullptr;
+  blocks_.clear();
+}
+
 void BlockCache::invalidate() {
-  if (!blocks_.empty()) {
-    blocks_.clear();
-    std::fill(index_.begin(), index_.end(), nullptr);
-  }
+  clear();
   ++stats_.invalidations;
 }
 

@@ -124,6 +124,9 @@ class BlockCache {
   [[nodiscard]] std::vector<std::uint32_t> entry_pcs() const;
 
  private:
+  /// Drops every block and its index slot.
+  void clear();
+
   std::vector<const DecodedBlock*> index_;  // direct-mapped view of blocks_
   std::unordered_map<std::uint32_t, std::unique_ptr<DecodedBlock>> blocks_;
   std::size_t max_blocks_;

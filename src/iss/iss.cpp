@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -53,11 +55,16 @@ Iss::Iss(InstructionPowerModel model, IssConfig config)
 
 void Iss::load_program(std::span<const Instruction> prog,
                        std::uint32_t base_word) {
-  assert(base_word + prog.size() <= imem_.size());
-  if (base_word >= imem_.size()) return;
-  const std::size_t room = imem_.size() - base_word;
-  const std::size_t n = prog.size() < room ? prog.size() : room;
-  std::copy(prog.begin(), prog.begin() + n, imem_.begin() + base_word);
+  // Checked in every build type: copying only the words that fit would
+  // leave a shorter program running as if it were the whole image.
+  if (base_word > imem_.size() || prog.size() > imem_.size() - base_word) {
+    std::fprintf(stderr,
+                 "Iss: a %zu-word image at word %u does not fit the "
+                 "%zu-word instruction memory — refusing to load\n",
+                 prog.size(), base_word, imem_.size());
+    std::abort();
+  }
+  std::copy(prog.begin(), prog.end(), imem_.begin() + base_word);
   // Decoded blocks alias the old instruction memory contents.
   blocks_.invalidate();
   telemetry::registry().counter("iss.block_cache.invalidations").add();

@@ -62,6 +62,7 @@ class Iss {
 
   // -- program / state ------------------------------------------------------
   /// Copies `prog` into instruction memory at word address `base_word`.
+  /// An image that does not fit aborts with a message in every build type.
   void load_program(std::span<const Instruction> prog,
                     std::uint32_t base_word);
   void set_pc(std::uint32_t word_addr) { pc_ = word_addr; }

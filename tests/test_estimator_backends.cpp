@@ -229,9 +229,9 @@ TEST(EstimatorBackendsDeathTest, PrepareAbortsOnUnmappedProcess) {
 TEST(EstimatorBackendsDeathTest, PrepareAbortsOnImageLargerThanTheIss) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // 8000 straight-line statements compile to more code words than the
-  // default ISS memory holds. Iss::load_program drops the words that do not
-  // fit, so prepare() must refuse the image in every build type, -DNDEBUG
-  // included, or the process runs as a shorter program.
+  // default ISS memory holds. prepare() must refuse the image in every build
+  // type, -DNDEBUG included, and name the process (Iss::load_program's own
+  // refusal, IssDeathTest.LoadProgramAbortsOnImageLargerThanMemory, cannot).
   std::string src = "event GO;\nprocess big {\n  input GO;\n  var x = 0;\n";
   for (int i = 0; i < 8000; ++i) src += "  x = x + 3;\n";
   src += "}\n";

@@ -11,20 +11,20 @@
 namespace socpower::cfsm {
 namespace {
 
-class MapContext final : public EvalContext {
+class MapContext final {
  public:
   std::vector<std::int32_t> vars;
   std::vector<std::pair<EventId, std::int32_t>> events;
 
-  [[nodiscard]] std::int32_t var(VarId v) const override {
+  [[nodiscard]] std::int32_t var(VarId v) const {
     return vars.at(static_cast<std::size_t>(v));
   }
-  [[nodiscard]] bool event_present(EventId e) const override {
+  [[nodiscard]] bool event_present(EventId e) const {
     for (const auto& [ev, _] : events)
       if (ev == e) return true;
     return false;
   }
-  [[nodiscard]] std::int32_t event_value(EventId e) const override {
+  [[nodiscard]] std::int32_t event_value(EventId e) const {
     for (const auto& [ev, val] : events)
       if (ev == e) return val;
     return 0;
@@ -92,7 +92,11 @@ INSTANTIATE_TEST_SUITE_P(
         OpCase{ExprOp::kDiv, 42, 6, 7}, OpCase{ExprOp::kDiv, -7, 2, -3},
         OpCase{ExprOp::kDiv, 5, 0, 0},  // guarded divide
         OpCase{ExprOp::kMod, 42, 5, 2}, OpCase{ExprOp::kMod, -7, 3, -1},
-        OpCase{ExprOp::kMod, 9, 0, 9}));  // x mod 0 == x
+        OpCase{ExprOp::kMod, 9, 0, 9},  // x mod 0 == x
+        // INT_MIN / -1 wraps (as the ISS's DIV does) instead of trapping.
+        OpCase{ExprOp::kDiv, INT32_MIN, -1, INT32_MIN},
+        OpCase{ExprOp::kDiv, 7, -1, -7},
+        OpCase{ExprOp::kMod, INT32_MIN, -1, 0}));
 
 INSTANTIATE_TEST_SUITE_P(
     Bitwise, ExprOpSemantics,

@@ -285,6 +285,86 @@ TEST(HwReactionCache, ImportRejectsEntriesThatDoNotFitTheNetlist) {
   }
 }
 
+// -- table lifecycle -----------------------------------------------------------
+
+void expect_same_entries(const std::vector<ExportedReaction>& a,
+                         const std::vector<ExportedReaction>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key) << "entry " << i;
+    EXPECT_EQ(a[i].energy, b[i].energy) << "entry " << i;  // bitwise
+    EXPECT_EQ(a[i].toggles, b[i].toggles) << "entry " << i;
+    EXPECT_EQ(a[i].latch_begin, b[i].latch_begin) << "entry " << i;
+    EXPECT_EQ(a[i].gate_evals, b[i].gate_evals) << "entry " << i;
+  }
+}
+
+TEST(HwReactionCache, LifecycleCountsAcrossClearsAndShrink) {
+  // A seeded stream (random enables, occasional resets) through the 4-bit
+  // counter, first into a 40-entry table, which fills and generation-clears,
+  // then, after configure() shrinks the bound below the table's size, into
+  // an 8-entry one. The counts pin when lookups hit, when entries go in and
+  // when the table clears; they follow from the stream and the bound alone,
+  // not from how the table stores its entries. Every step stays
+  // bit-identical to an uncached simulator.
+  Counter c;
+  GateSim ref(&c.nl);
+  GateSim sim(&c.nl);
+  ReactionCache cache(&sim, cache_config(true, 40));
+  Rng rng(11);
+  auto run = [&](int steps) {
+    for (int step = 0; step < steps; ++step) {
+      if (rng.chance(0.03)) {
+        ref.reset();
+        sim.reset();
+      }
+      const bool en = rng.chance(0.7);
+      ref.set_input(0, en);
+      sim.set_input(0, en);
+      const CycleResult re = ref.step();
+      const CycleResult ce = cache.step();
+      ASSERT_EQ(re.energy, ce.energy) << "step " << step;  // bitwise
+      ASSERT_EQ(re.toggles, ce.toggles) << "step " << step;
+    }
+  };
+
+  run(400);
+  const ReactionCacheStats first = cache.stats();
+  EXPECT_EQ(first.hits, 168u);
+  EXPECT_EQ(first.misses, 232u);
+  EXPECT_EQ(first.insertions, 232u);
+  EXPECT_EQ(first.capacity_clears, 5u);
+  EXPECT_EQ(first.evicted_entries, 200u);
+  EXPECT_EQ(cache.size(), 32u);
+
+  // Export, import into a fresh table, export again: the same entries.
+  const std::vector<ExportedReaction> exported = cache.export_entries();
+  ASSERT_EQ(exported.size(), cache.size());
+  GateSim other(&c.nl);
+  ReactionCache copy(&other, cache_config(true, 40));
+  copy.import_entries(exported);
+  EXPECT_EQ(copy.size(), exported.size());
+  EXPECT_EQ(copy.stats().rejected_imports, 0u);
+  expect_same_entries(exported, copy.export_entries());
+
+  // Shrinking below the current size drops the table without counting a
+  // capacity clear; the smaller bound then clears more often.
+  cache.configure(cache_config(true, 8));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().capacity_clears, first.capacity_clears);
+  EXPECT_EQ(cache.stats().evicted_entries, first.evicted_entries);
+  run(200);
+  const ReactionCacheStats second = cache.stats();
+  EXPECT_EQ(second.hits - first.hits, 10u);
+  EXPECT_EQ(second.misses - first.misses, 190u);
+  EXPECT_EQ(second.insertions - first.insertions, 190u);
+  EXPECT_EQ(second.capacity_clears - first.capacity_clears, 23u);
+  EXPECT_EQ(second.evicted_entries - first.evicted_entries, 184u);
+  EXPECT_EQ(cache.size(), 6u);
+  EXPECT_EQ(ref.total_energy(), sim.total_energy());  // bitwise
+  expect_same_nets(c.nl, ref, sim);
+}
+
 TEST(HwReactionCache, DisabledBypassesAndStaysIdentical) {
   Counter c;
   GateSim ref(&c.nl);

@@ -3,6 +3,8 @@
 // round-trips, assembler, and the instruction-level power model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "iss/assembler.hpp"
 #include "iss/isa.hpp"
 #include "iss/iss.hpp"
@@ -166,6 +168,24 @@ TEST(IssExec, JalAndJrImplementCallReturn) {
   )");
   EXPECT_EQ(iss.reg(4), 4);
   EXPECT_EQ(iss.reg(5), 5);
+}
+
+TEST(IssDeathTest, LoadProgramAbortsOnImageLargerThanMemory) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Checked in every build type, -DNDEBUG included: copying only the words
+  // that fit would run a shorter program as if it were the whole image.
+  IssConfig cfg;
+  cfg.memory_bytes = 64 * kInstrBytes;
+  Iss iss = make_iss(cfg);
+  const std::vector<Instruction> fits(64, Instruction{Opcode::kNop});
+  iss.load_program(fits, 0);  // exactly full: accepted
+  const std::vector<Instruction> one_word(1, Instruction{Opcode::kNop});
+  EXPECT_DEATH(iss.load_program(one_word, 64),
+               "1-word image at word 64 does not fit the 64-word");
+  const std::vector<Instruction> too_long(65, Instruction{Opcode::kNop});
+  EXPECT_DEATH(iss.load_program(too_long, 0),
+               "65-word image at word 0 does not fit");
+  EXPECT_DEATH(iss.load_program(fits, 1), "64-word image at word 1");
 }
 
 TEST(IssTiming, LoadUseInterlockAddsOneStall) {

@@ -1,5 +1,5 @@
-// Heap allocations on the master's per-reaction path, and on the decode
-// path of crafted wire frames.
+// Heap allocations on the master's per-reaction path, on the gate-level
+// reaction cache's miss path, and on the decode path of crafted wire frames.
 //
 // This file is its own test executable because it replaces the global
 // operator new with one that counts calls and bytes. It runs the TCP/IP NIC
@@ -34,9 +34,14 @@
 #include "core/coestimator.hpp"
 #include "dist/channel.hpp"
 #include "dist/wire.hpp"
+#include "hw/gatesim.hpp"
+#include "hw/netlist.hpp"
+#include "hw/reaction_cache.hpp"
+#include "hwsyn/rtl.hpp"
 #include "serve/checkpoint.hpp"
 #include "systems/tcpip.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -135,6 +140,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AllocCase>& info) {
       return std::string(info.param.name);
     });
+
+// ---- reaction-cache misses --------------------------------------------------
+
+// A cold reaction table: a 16-bit accumulator fed fresh inputs, so nearly
+// every step misses and inserts. The table grows its flat arrays by
+// doubling and keeps them across generation clears, and takes toggle
+// storage a block of many reactions at a time, so the allocations amortize
+// to almost nothing per miss. A node-based table paid about three per
+// miss: a map node, its key vector and its toggle vector.
+TEST(ReactionCacheAlloc, ColdMissesAllocateAlmostNothing) {
+  hw::Netlist nl;
+  hwsyn::RtlBuilder rtl(&nl);
+  const hwsyn::Word in = rtl.input_word("in", 16);
+  const hwsyn::Word acc = rtl.reg_word(0, 16);
+  rtl.connect_reg(acc, rtl.add(acc, rtl.word_xor(in, acc)));
+  for (const hw::NetId q : acc) nl.mark_output(q, "acc");
+  hw::GateSim sim(&nl);
+  hw::ReactionCacheConfig cfg;
+  cfg.max_entries = 1024;  // the 3000-step stream clears the table twice
+  hw::ReactionCache cache(&sim, cfg);
+  Rng rng(5);
+
+  const std::uint64_t a0 = g_allocations.load();
+  for (int step = 0; step < 3000; ++step) {
+    sim.set_input_word(0, rng.next(), 16);
+    (void)cache.step();
+  }
+  const std::uint64_t allocations = g_allocations.load() - a0;
+
+  const hw::ReactionCacheStats& s = cache.stats();
+  EXPECT_GE(s.misses, 2900u);
+  EXPECT_EQ(s.capacity_clears, 2u);
+  const double per_miss =
+      static_cast<double>(allocations) / static_cast<double>(s.misses);
+  std::printf("[ alloc    ] reaction cache: %llu allocations for %llu misses "
+              "(%.4f per miss)\n",
+              static_cast<unsigned long long>(allocations),
+              static_cast<unsigned long long>(s.misses), per_miss);
+  EXPECT_LE(per_miss, 0.05);
+}
 
 // ---- crafted frames --------------------------------------------------------
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -150,8 +151,9 @@ class OperatorLowering : public ::testing::TestWithParam<ExprOp> {};
 
 TEST_P(OperatorLowering, MatchesInterpreter) {
   const ExprOp op = GetParam();
-  const std::int32_t operands[] = {0, 1, -1, 7, -13, 255, 4096, -32768,
-                                   0x7fffffff};
+  const std::int32_t operands[] = {0,      1,          -1,        7,
+                                   -13,    255,        4096,      -32768,
+                                   0x7fffffff, INT32_MIN};
   for (const std::int32_t x : operands) {
     for (const std::int32_t y : operands) {
       TestCfsm t;
