@@ -3,6 +3,11 @@
 // shape), plus the parallel hardware batch flush. Energies must be
 // bit-identical to the serial paths — the speedup is free accuracy-wise.
 //
+// It also prints, without gating, what the dist wire protocol costs when it
+// is NOT amortized over whole design points: one co-estimation run with the
+// hardware estimators behind forked workers (hw_remote) vs in-process. That
+// is the per-RPC overhead ceiling of the remote backends.
+//
 // Threads to sweep come from argv[1] or $SOCPOWER_THREADS (default 4).
 #include <chrono>
 #include <cstdio>
@@ -12,6 +17,7 @@
 
 #include "bench_common.hpp"
 #include "core/explorer.hpp"
+#include "dist/wire.hpp"
 #include "util/env.hpp"
 
 using namespace socpower;
@@ -75,19 +81,24 @@ bool outcomes_identical(const core::ExplorationOutcome& a,
   return a.winner_confirmed == b.winner_confirmed;
 }
 
-core::RunResults run_flush(unsigned threads) {
+/// One full TCP/IP co-estimation under `cfg`.
+core::RunResults run_tcpip(const core::CoEstimatorConfig& cfg) {
   systems::TcpIpParams p;
   p.num_packets = 8;
   p.packet_bytes = 128;
   p.ip_check_in_hw = true;  // two ASICs -> two gate-level batches
   systems::TcpIpSystem sys(p);
-  core::CoEstimatorConfig cfg;
-  cfg.hw_flush_threads = threads;
-  cfg.sync_spin = 200'000;
   core::CoEstimator est(&sys.network(), cfg);
   sys.configure(est);
   est.prepare();
   return est.run(sys.stimulus());
+}
+
+core::RunResults run_flush(unsigned threads) {
+  core::CoEstimatorConfig cfg;
+  cfg.hw_flush_threads = threads;
+  cfg.sync_spin = 200'000;
+  return run_tcpip(cfg);
 }
 
 }  // namespace
@@ -158,6 +169,27 @@ int main(int argc, char** argv) {
       "  serial %.3fs, %u threads %.3fs (%.2fx), totals %s\n", flush_serial_s,
       max_threads, flush_par_s, flush_serial_s / flush_par_s,
       flush_same ? "bit-identical" : "MISMATCH");
+
+  // ---- remote hardware estimator overhead (printed, not gated) -----------
+  if (dist::supported()) {
+    core::CoEstimatorConfig remote_cfg;
+    remote_cfg.hw_remote = true;
+    t0 = now_seconds();
+    const auto inproc = run_tcpip({});
+    const double inproc_s = now_seconds() - t0;
+    t0 = now_seconds();
+    const auto remote = run_tcpip(remote_cfg);
+    const double remote_s = now_seconds() - t0;
+    const bool remote_same = inproc.total_energy == remote.total_energy &&
+                             inproc.hw_energy == remote.hw_energy &&
+                             inproc.process_energy == remote.process_energy &&
+                             inproc.gate_sim_cycles == remote.gate_sim_cycles;
+    std::printf(
+        "\nremote HW estimator workers (hw_remote, one full run):\n"
+        "  in-process %.3fs, remote %.3fs (%.2fx overhead), totals %s\n",
+        inproc_s, remote_s, remote_s / inproc_s,
+        remote_same ? "bit-identical" : "MISMATCH");
+  }
 
   bench::BenchJson json("parallel_explore");
   json.metric("points", static_cast<double>(points.size()))

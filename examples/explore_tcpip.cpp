@@ -9,11 +9,9 @@
 // thread. Results are bit-identical for any thread count.)
 // Set SOCPOWER_HW_REACTION_CACHE=0 to disable the gate-level reaction cache
 // (results are bit-identical either way).
-// Set SOCPOWER_DIST_WORKERS=N (>= 2) to run the two-phase exploration
-// sharded over N forked worker processes instead of pool threads, and
-// SOCPOWER_HW_REMOTE=1 to put every hardware estimator behind an
-// out-of-process worker — both bit-identical, both degrade gracefully
-// where fork is unavailable.
+// Set SOCPOWER_HW_REMOTE=1 to put every hardware estimator behind an
+// out-of-process worker — bit-identical, and it degrades gracefully where
+// fork is unavailable.
 // Set SOCPOWER_HW_ANALYTICAL=1 to give every exploration point a third,
 // cheapest tier — the calibrated "hw.analytical" backend — and
 // SOCPOWER_ANALYTICAL_PREFILTER=K to run the three-tier funnel: the
@@ -54,8 +52,6 @@ int main(int argc, char** argv) {
 
   const bool hw_rcache = util::env_bool("SOCPOWER_HW_REACTION_CACHE", true);
   const bool hw_remote = util::env_bool("SOCPOWER_HW_REMOTE", false);
-  const unsigned dist_workers = clamp_threads(
-      util::env_int("SOCPOWER_DIST_WORKERS", 1));
   const bool hw_analytical = util::env_bool("SOCPOWER_HW_ANALYTICAL", false);
   const auto prefilter = static_cast<std::size_t>(
       std::clamp(util::env_int("SOCPOWER_ANALYTICAL_PREFILTER", 0), 0l,
@@ -196,15 +192,9 @@ int main(int argc, char** argv) {
   if (hw_analytical)
     std::printf("analytical tier enabled%s\n",
                 prefilter > 0 ? " (three-tier funnel)" : "");
-  // Sharded over forked worker processes when asked; identical outcome.
-  const auto outcome =
-      dist_workers >= 2
-          ? core::explore_sharded(dma_points, /*verify_top=*/2,
-                                  {.workers = dist_workers,
-                                   .analytical_prefilter = prefilter})
-          : core::explore(dma_points, /*verify_top=*/2,
-                          {.threads = threads,
-                           .analytical_prefilter = prefilter});
+  const auto outcome = core::explore(
+      dma_points, /*verify_top=*/2,
+      {.threads = threads, .analytical_prefilter = prefilter});
   std::printf("%s", outcome.render().c_str());
 
   if (telemetry::enabled()) {

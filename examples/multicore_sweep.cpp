@@ -11,8 +11,6 @@
 // Usage: multicore_sweep [num_packets] [threads]
 // (threads defaults to $SOCPOWER_THREADS, then 1; 0 = one per hardware
 // thread. Results are bit-identical for any thread count.)
-// Set SOCPOWER_DIST_WORKERS=N (>= 2) to shard the exploration over forked
-// worker processes instead — also bit-identical.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -54,8 +52,6 @@ int main(int argc, char** argv) {
       argc > 2 ? clamp_threads(std::strtol(argv[2], nullptr, 10))
                : clamp_threads(util::env_int("SOCPOWER_THREADS", 1));
   threads = resolve_thread_count(threads);
-  const unsigned dist_workers =
-      clamp_threads(util::env_int("SOCPOWER_DIST_WORKERS", 1));
 
   std::printf("multicore SoC sweep: %d packets/worker, %u worker thread(s)\n\n",
               packets, threads);
@@ -90,8 +86,7 @@ int main(int argc, char** argv) {
   std::printf("%s", t.render().c_str());
 
   // Two-phase exploration over the same space: coarse macro-model sweep,
-  // exact verification of the shortlist. Sharded over forked workers when
-  // SOCPOWER_DIST_WORKERS >= 2; identical outcome either way.
+  // exact verification of the shortlist.
   std::printf("\n--- two-phase exploration over (cores, interconnect) ---\n");
   std::vector<core::ExplorationPoint> pts;
   for (const core::InterconnectKind ic : kinds) {
@@ -113,10 +108,7 @@ int main(int argc, char** argv) {
     }
   }
   const auto outcome =
-      dist_workers >= 2
-          ? core::explore_sharded(pts, /*verify_top=*/2,
-                                  {.workers = dist_workers})
-          : core::explore(pts, /*verify_top=*/2, {.threads = threads});
+      core::explore(pts, /*verify_top=*/2, {.threads = threads});
   std::printf("%s", outcome.render().c_str());
   return outcome.winner_confirmed ? 0 : 1;
 }

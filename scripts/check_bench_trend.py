@@ -86,12 +86,6 @@ PINNED = {
     "serve_warm.warm_hit_rate": "higher",
     "serve_warm.checkpoint_bytes": "info",
     "serve_warm.bit_identical": "exact",
-    "sharded_explore.points": "info",
-    "sharded_explore.max_workers": "info",
-    "sharded_explore.explore_serial_s": "lower",
-    "sharded_explore.explore_best_speedup": "higher",
-    "sharded_explore.remote_overhead_x": "lower",
-    "sharded_explore.bit_identical": "exact",
     "table1_caching.speedup_min": "higher",
     "table1_caching.speedup_max": "higher",
     "table1_caching.zero_energy_error": "exact",

@@ -9,9 +9,6 @@
 # SOCPOWER_ISS_RUNS sets the invocations per kernel for the ISS throughput
 # benchmark (bench_iss_throughput); results are bit-identical for any value.
 #
-# SOCPOWER_DIST_WORKERS sets the forked-worker count for the distributed
-# paths (sharded exploration, bench_sharded_explore); also bit-identical.
-#
 # SOCPOWER_SERVE_SOCKET / SOCPOWER_SERVE_THREADS place the session-server
 # pass's socket and size its worker pool (defaults below); bit-identical too.
 set -e
@@ -19,8 +16,6 @@ cd "$(dirname "$0")/.."
 
 SOCPOWER_THREADS="${SOCPOWER_THREADS:-$(nproc 2>/dev/null || echo 1)}"
 export SOCPOWER_THREADS
-SOCPOWER_DIST_WORKERS="${SOCPOWER_DIST_WORKERS:-$SOCPOWER_THREADS}"
-export SOCPOWER_DIST_WORKERS
 
 cmake -B build -G Ninja
 cmake --build build
@@ -43,8 +38,8 @@ done
 ./build/examples/explore_tcpip 2 64 "$SOCPOWER_THREADS" 2>&1 \
   | tee explore_output.txt
 
-# Same exploration with remote HW estimators + process-sharded two-phase
-# sweep: results must match the in-process run above bit for bit.
+# Same exploration with every HW estimator behind a forked worker process:
+# results must match the in-process run above bit for bit.
 SOCPOWER_HW_REMOTE=1 ./build/examples/explore_tcpip 2 64 \
   "$SOCPOWER_THREADS" 2>&1 | tee explore_remote_output.txt
 
@@ -59,7 +54,7 @@ SOCPOWER_HW_ANALYTICAL=1 SOCPOWER_ANALYTICAL_PREFILTER=3 \
 # interconnects (co- vs separate-estimated energy, then the two-phase
 # (cores, interconnect) exploration). bench_noc_contention already ran in
 # the bench loop above and persisted BENCH_noc_contention.json; this run
-# exercises the same family through the explorer surface, process-sharded.
+# exercises the same family through the threaded explorer surface.
 ./build/examples/multicore_sweep 6 "$SOCPOWER_THREADS" 2>&1 \
   | tee multicore_output.txt
 

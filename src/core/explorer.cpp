@@ -14,70 +14,90 @@ namespace socpower::core {
 
 namespace {
 
-/// Runs fn(0..n-1) either inline or on a transient pool. Results must be
-/// stored by index by the caller; the reduction happens afterwards in index
-/// order either way, which is what makes the threaded outcome bit-identical
-/// to the serial one.
-void for_each_index(std::size_t n, unsigned threads,
-                    const std::function<void(std::size_t)>& fn) {
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(resolve_thread_count(threads), n));
+/// One evaluated design point, reduced to what the outcome depends on.
+struct PointEval {
+  Joules total_energy = 0.0;
+  double wall_seconds = 0.0;
+  bool has_result = false;  // false: skipped (no run_exact for this point)
+};
+
+/// kAnalytical falls back to run_coarse where run_analytical is unset.
+enum class Phase { kCoarse, kExact, kAnalytical };
+
+/// Evaluates points[idxs[j]] for `phase`, inline or on a transient pool; a
+/// point with no runner for the phase is skipped. Results are stored by
+/// position and reduced afterwards in that order either way, which is what
+/// makes the threaded outcome bit-identical to the serial one.
+std::vector<PointEval> eval_phase(const std::vector<ExplorationPoint>& points,
+                                  const std::vector<std::size_t>& idxs,
+                                  Phase phase, unsigned threads) {
+  std::vector<PointEval> evals(idxs.size());
+  const auto eval = [&](std::size_t j) {
+    SOCPOWER_TRACE_SPAN("explore.point", 0, idxs[j]);
+    const ExplorationPoint& p = points[idxs[j]];
+    const auto& run =
+        phase == Phase::kAnalytical && p.run_analytical ? p.run_analytical
+        : phase == Phase::kExact                         ? p.run_exact
+                                                         : p.run_coarse;
+    if (!run) return;
+    const RunResults r = run();
+    evals[j] = {r.total_energy, r.wall_seconds, true};
+  };
+  const unsigned workers = static_cast<unsigned>(
+      std::min<std::size_t>(resolve_thread_count(threads), idxs.size()));
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
+    for (std::size_t j = 0; j < idxs.size(); ++j) eval(j);
+  } else {
+    ThreadPool pool(workers);
+    pool.parallel_for(idxs.size(), eval);
   }
-  ThreadPool pool(workers);
-  pool.parallel_for(n, fn);
+  return evals;
 }
 
-}  // namespace
-
-namespace detail {
-
+/// The two-phase reduction over `candidates` (point indices, ascending):
+/// coarse sweep, coarse ranking, exact verification of the best
+/// `verify_top`, final sort.
 ExplorationOutcome two_phase_outcome(
-    const std::vector<ExplorationPoint>& points, std::size_t verify_top,
-    const std::function<std::vector<PointEval>(
-        const std::vector<std::size_t>&, int)>& eval_phase) {
-  assert(!points.empty());
+    const std::vector<ExplorationPoint>& points,
+    const std::vector<std::size_t>& candidates, std::size_t verify_top,
+    unsigned threads) {
+  const std::size_t n = candidates.size();
   ExplorationOutcome out;
-  out.ranked.reserve(points.size());
+  out.ranked.reserve(n);
 
-  telemetry::registry().counter("explore.points").add(points.size());
+  telemetry::registry().counter("explore.points").add(n);
 
-  // Coarse sweep: evaluate every point, then reduce by point index.
-  std::vector<std::size_t> all(points.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
+  // Coarse sweep: evaluate every candidate, then reduce in candidate order.
   std::vector<PointEval> coarse;
   {
     SOCPOWER_TRACE_SPAN("explore.coarse");
-    coarse = eval_phase(all, 0);
+    coarse = eval_phase(points, candidates, Phase::kCoarse, threads);
   }
-  assert(coarse.size() == points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     out.coarse_seconds += coarse[i].wall_seconds;
     out.ranked.push_back(
-        {points[i].label, coarse[i].total_energy, std::nullopt, 0});
+        {points[candidates[i]].label, coarse[i].total_energy, std::nullopt, 0});
   }
   // Coarse ranking.
-  std::vector<std::size_t> order(points.size());
+  std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return out.ranked[a].coarse_energy < out.ranked[b].coarse_energy;
   });
-  for (std::size_t rank = 0; rank < order.size(); ++rank)
+  for (std::size_t rank = 0; rank < n; ++rank)
     out.ranked[order[rank]].coarse_rank = rank;
 
   // Exact verification of the shortlist (reduced in shortlist order).
-  const std::size_t k = std::min(verify_top, points.size());
+  const std::size_t k = std::min(verify_top, n);
   telemetry::registry().counter("explore.verified").add(k);
-  std::vector<std::size_t> shortlist(order.begin(),
-                                     order.begin() + static_cast<long>(k));
+  std::vector<std::size_t> shortlist(k);
+  for (std::size_t rank = 0; rank < k; ++rank)
+    shortlist[rank] = candidates[order[rank]];
   std::vector<PointEval> exact;
   {
     SOCPOWER_TRACE_SPAN("explore.verify");
-    exact = eval_phase(shortlist, 1);
+    exact = eval_phase(points, shortlist, Phase::kExact, threads);
   }
-  assert(exact.size() == k);
   std::vector<double> coarse_v, exact_v;
   for (std::size_t rank = 0; rank < k; ++rank) {
     if (!exact[rank].has_result) continue;
@@ -102,90 +122,48 @@ ExplorationOutcome two_phase_outcome(
   return out;
 }
 
-ExplorationOutcome funnel_outcome(
-    const std::vector<ExplorationPoint>& points, std::size_t verify_top,
-    std::size_t prefilter,
-    const std::function<std::vector<PointEval>(
-        const std::vector<std::size_t>&, int)>& eval_phase) {
-  if (prefilter == 0 || prefilter >= points.size())
-    return two_phase_outcome(points, verify_top, eval_phase);
+}  // namespace
 
+ExplorationOutcome explore(const std::vector<ExplorationPoint>& points,
+                           std::size_t verify_top,
+                           const ExploreOptions& options) {
+  assert(!points.empty());
+  std::vector<std::size_t> candidates(points.size());
+  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+  const std::size_t prefilter = options.analytical_prefilter;
+  if (prefilter == 0 || prefilter >= points.size())
+    return two_phase_outcome(points, candidates, verify_top, options.threads);
+
+  // Three-tier funnel: analytical sweep over every point first.
   telemetry::registry().counter("explore.analytical_points")
       .add(points.size());
-  std::vector<std::size_t> all(points.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
   std::vector<PointEval> an;
   {
     SOCPOWER_TRACE_SPAN("explore.analytical");
-    an = eval_phase(all, 2);
+    an = eval_phase(points, candidates, Phase::kAnalytical, options.threads);
   }
-  assert(an.size() == points.size());
   double an_seconds = 0.0;
   for (const PointEval& e : an) an_seconds += e.wall_seconds;
 
   // Keep the best `prefilter` candidates. The (energy, index) tiebreak
   // pins the survivor set — and therefore everything downstream — for any
-  // evaluation strategy.
-  std::vector<std::size_t> order(points.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (an[a].total_energy != an[b].total_energy)
-      return an[a].total_energy < an[b].total_energy;
-    return a < b;
-  });
-  std::vector<std::size_t> kept(order.begin(),
-                                order.begin() + static_cast<long>(prefilter));
-  std::sort(kept.begin(), kept.end());  // survivors in original point order
+  // thread count.
+  std::sort(candidates.begin(), candidates.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (an[a].total_energy != an[b].total_energy)
+                return an[a].total_energy < an[b].total_energy;
+              return a < b;
+            });
+  candidates.resize(prefilter);
+  std::sort(candidates.begin(), candidates.end());  // original point order
 
-  // Two-phase over the survivors, with the phase-0/1 index stream remapped
-  // to the original points — the same thunks a non-prefiltered run would
-  // evaluate, which is the whole bit-identity argument.
-  std::vector<ExplorationPoint> kept_points;
-  kept_points.reserve(kept.size());
-  for (const std::size_t i : kept) kept_points.push_back(points[i]);
-  ExplorationOutcome out = two_phase_outcome(
-      kept_points, verify_top,
-      [&](const std::vector<std::size_t>& idxs, int phase) {
-        std::vector<std::size_t> orig(idxs.size());
-        for (std::size_t j = 0; j < idxs.size(); ++j) orig[j] = kept[idxs[j]];
-        return eval_phase(orig, phase);
-      });
+  // Two-phase over the survivors: the same thunks a non-prefiltered run
+  // would evaluate, which is the whole bit-identity argument.
+  ExplorationOutcome out =
+      two_phase_outcome(points, candidates, verify_top, options.threads);
   out.analytical_seconds = an_seconds;
-  out.prefilter_kept = kept.size();
+  out.prefilter_kept = candidates.size();
   return out;
-}
-
-PointEval eval_point(const std::vector<ExplorationPoint>& points,
-                     std::size_t idx, int phase) {
-  SOCPOWER_TRACE_SPAN("explore.point", 0, idx);
-  const ExplorationPoint& p = points[idx];
-  const auto& run = phase == 2 && p.run_analytical ? p.run_analytical
-                    : phase == 1                   ? p.run_exact
-                                                   : p.run_coarse;
-  if (!run) return {};
-  const RunResults r = run();
-  return {r.total_energy, r.wall_seconds, true};
-}
-
-}  // namespace detail
-
-ExplorationOutcome explore(const std::vector<ExplorationPoint>& points,
-                           std::size_t verify_top) {
-  return explore(points, verify_top, ExploreOptions{});
-}
-
-ExplorationOutcome explore(const std::vector<ExplorationPoint>& points,
-                           std::size_t verify_top,
-                           const ExploreOptions& options) {
-  return detail::funnel_outcome(
-      points, verify_top, options.analytical_prefilter,
-      [&](const std::vector<std::size_t>& idxs, int phase) {
-        std::vector<detail::PointEval> evals(idxs.size());
-        for_each_index(idxs.size(), options.threads, [&](std::size_t j) {
-          evals[j] = detail::eval_point(points, idxs[j], phase);
-        });
-        return evals;
-      });
 }
 
 std::string ExplorationOutcome::render() const {

@@ -82,83 +82,7 @@ struct ExploreOptions {
 /// Runs the two-phase exploration. `verify_top` exact evaluations are spent
 /// on the best coarse candidates (0 = coarse-only).
 [[nodiscard]] ExplorationOutcome explore(
-    const std::vector<ExplorationPoint>& points, std::size_t verify_top);
-/// Same, with explicit options (threaded evaluation of both phases).
-[[nodiscard]] ExplorationOutcome explore(
     const std::vector<ExplorationPoint>& points, std::size_t verify_top,
-    const ExploreOptions& options);
-
-struct ShardedExploreOptions {
-  /// Worker processes. Each forked worker evaluates the design points
-  /// assigned to its shard (point index modulo worker count, for both the
-  /// coarse sweep and the exact shortlist) in its own address space; the
-  /// master reduces the results in point-index order through the same
-  /// reduction as explore(), so the outcome — winner, ranking, every energy
-  /// bit — is identical to the serial path. A worker that dies or times out
-  /// is dropped and its unanswered points are evaluated in the master
-  /// (telemetry "dist.fallbacks"), which preserves results too: point
-  /// thunks are deterministic wherever they run. 1 = serial explore(),
-  /// 0 = one per hardware thread; platforms without fork degrade to serial.
-  unsigned workers = 0;
-  /// Fault injection for tests: the worker with this shard index exits
-  /// abruptly on its first request. -1 = off.
-  int debug_crash_worker = -1;
-  /// Three-tier funnel, exactly as ExploreOptions::analytical_prefilter:
-  /// the prefilter sweep shards over the same worker fleet as the coarse
-  /// and verify phases (one phase-2 request per point), and the survivors'
-  /// phases reduce through the identical code path.
-  std::size_t analytical_prefilter = 0;
-};
-
-/// Two-phase exploration sharded over forked worker processes (implemented
-/// in src/dist/; declared here because it is the process-level analogue of
-/// ExploreOptions::threads).
-[[nodiscard]] ExplorationOutcome explore_sharded(
-    const std::vector<ExplorationPoint>& points, std::size_t verify_top,
-    const ShardedExploreOptions& options);
-
-namespace detail {
-
-/// One evaluated design point, reduced to what the outcome depends on.
-struct PointEval {
-  Joules total_energy = 0.0;
-  double wall_seconds = 0.0;
-  bool has_result = false;  // false: skipped (no run_exact for this point)
-};
-
-/// The shared two-phase reduction behind explore() and explore_sharded().
-/// `eval_phase(indices, phase)` evaluates the given point indices — phase 0
-/// coarse, phase 1 exact — and returns one PointEval per index, in order.
-/// Everything else (ranking, shortlist selection, correlation, final sort)
-/// happens here, identically for every evaluation strategy; that shared
-/// code path is what makes the sharded outcome bit-identical to the serial
-/// one.
-[[nodiscard]] ExplorationOutcome two_phase_outcome(
-    const std::vector<ExplorationPoint>& points, std::size_t verify_top,
-    const std::function<std::vector<PointEval>(
-        const std::vector<std::size_t>&, int)>& eval_phase);
-
-/// Evaluate point `idx` in-process for `phase`: 2 analytical (falling back
-/// to coarse), 0 coarse, 1 exact. A point with no runner for the phase is
-/// skipped. explore(), the sharded workers and the sharded master's
-/// fallback all evaluate through here.
-[[nodiscard]] PointEval eval_point(const std::vector<ExplorationPoint>& points,
-                                   std::size_t idx, int phase);
-
-/// The three-tier funnel behind explore() and explore_sharded() when
-/// analytical_prefilter > 0: phase 2 (analytical) over every point, keep
-/// the `prefilter` best (ties break by point index), then run
-/// two_phase_outcome over the surviving points with the phase-0/1 indices
-/// remapped to the originals. Degrades to two_phase_outcome when
-/// `prefilter` is 0 or covers all points. Sharing this reduction between
-/// both entry points is what makes the sharded funnel bit-identical to the
-/// serial one.
-[[nodiscard]] ExplorationOutcome funnel_outcome(
-    const std::vector<ExplorationPoint>& points, std::size_t verify_top,
-    std::size_t prefilter,
-    const std::function<std::vector<PointEval>(
-        const std::vector<std::size_t>&, int)>& eval_phase);
-
-}  // namespace detail
+    const ExploreOptions& options = {});
 
 }  // namespace socpower::core

@@ -8,11 +8,11 @@
 // estimator.<name>.dist.bytes_{tx,rx} telemetry.
 //
 // Worker processes: fork_child() and end_child() are the one way a worker
-// is started and ended (the remote HW proxy and sharded exploration both go
-// through them). fork() hygiene: every parent-side fd registers itself in a
-// process-wide list, and a freshly forked child closes them all so it does
-// not hold other workers' parent endpoints open (a stray duplicate would
-// defeat EOF-based crash detection for those workers).
+// is started and ended (the remote HW proxy forks one per HW unit). fork()
+// hygiene: every parent-side fd registers itself in a process-wide list,
+// and a freshly forked child closes them all so it does not hold other
+// workers' parent endpoints open (a stray duplicate would defeat EOF-based
+// crash detection for those workers).
 #pragma once
 
 #include <cstdint>

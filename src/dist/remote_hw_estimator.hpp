@@ -10,15 +10,15 @@
 //
 // Fault tolerance: the worker is forked once, at prepare() (forking later,
 // from pool threads mid-flush, risks inheriting a mutex held by another
-// thread), and a dead worker is never replaced — the rule explore_sharded
-// follows too. Every frame is appended to a request log that is compacted
-// at begin_run() to [path preloads + kBeginRun], so it is bounded by one
-// run. On a send/recv failure or timeout the worker is shut down and the
-// log replayed into an in-process dist::Worker, which serves every later
-// request ("estimator.<name>.dist.fallbacks" and the global
-// "dist.fallbacks"). Replay drives the exact same frame stream through the
-// exact same Worker code, so recovered runs stay bit-identical — only the
-// reaction cache's cross-run warmth (a wall-time effect) is lost.
+// thread), and a dead worker is never replaced. Every frame is appended to
+// a request log that is compacted at begin_run() to [path preloads +
+// kBeginRun], so it is bounded by one run. On a send/recv failure or
+// timeout the worker is shut down and the log replayed into an in-process
+// dist::Worker, which serves every later request
+// ("estimator.<name>.dist.fallbacks" and the global "dist.fallbacks").
+// Replay drives the exact same frame stream through the exact same Worker
+// code, so recovered runs stay bit-identical — only the reaction cache's
+// cross-run warmth (a wall-time effect) is lost.
 #pragma once
 
 #include <cstdint>

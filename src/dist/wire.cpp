@@ -18,7 +18,6 @@ bool expects_reply(MsgType t) {
     case MsgType::kFlushUnit:
     case MsgType::kSeparateStep:
     case MsgType::kStats:
-    case MsgType::kEvalPoint:
     case MsgType::kServeHello:
     case MsgType::kServeOpen:
     case MsgType::kServeEstimate:

@@ -42,7 +42,7 @@ namespace socpower::dist {
 
 /// True when this platform can run out-of-process workers (POSIX fork +
 /// socketpair). On anything else the remote backends degrade to their
-/// in-process fallback at prepare() and sharded exploration runs serially.
+/// in-process fallback at prepare().
 [[nodiscard]] bool supported();
 
 enum class MsgType : std::uint8_t {
@@ -58,8 +58,6 @@ enum class MsgType : std::uint8_t {
   kSeparateStep = 9,   // Section 2 baseline step (RPC)
   kStats = 10,         // per-run backend counters (RPC)
   kShutdown = 11,      // worker exits cleanly
-  // master -> sharded-exploration worker
-  kEvalPoint = 12,     // phase + point index (RPC)
   // client -> session server (src/serve). All are request/reply.
   kServeHello = 32,      // protocol-version handshake (RPC)
   kServeOpen = 33,       // system + structural config -> session key (RPC)
@@ -387,8 +385,7 @@ void fields(Io& io, M& r) {
 
 /// Calibrated analytical-model coefficients (hw/analytical.hpp). Doubles
 /// travel bit-exactly, so a decoded model predicts bit-identically to the
-/// one the calibration fitted — the sharded prefilter and the serve
-/// checkpoint both rely on that.
+/// one the calibration fitted — the serve checkpoint relies on that.
 template <class Io, MaybeConst<hw::AnalyticalUnitModel> M>
 void fields(Io& io, M& u) {
   io.i32(u.task);

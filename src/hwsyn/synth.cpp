@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace socpower::hwsyn {
 
@@ -23,6 +25,17 @@ struct SynthContext {
   std::vector<Word> input_flags1;   // one-bit words (flag nets)
   std::vector<Word> input_values;
 };
+
+/// Refuses the hardware mapping in every build type: a netlist that
+/// silently computes another function than its CFSM would misprice every
+/// reaction of the ASIC.
+[[noreturn]] void refuse(const SynthContext& sc, const char* what) {
+  std::fprintf(stderr,
+               "hwsyn: process \"%s\" cannot be mapped to hardware: %s; "
+               "map it to software instead\n",
+               sc.cfsm->name().c_str(), what);
+  std::abort();
+}
 
 Word synth_expr(SynthContext& sc, ExprId e, const std::vector<Word>& vars) {
   RtlBuilder& rtl = *sc.rtl;
@@ -60,8 +73,10 @@ Word synth_expr(SynthContext& sc, ExprId e, const std::vector<Word>& vars) {
   // Constant shift amounts are resolved structurally.
   if (n.op == ExprOp::kShl || n.op == ExprOp::kShr) {
     const ExprNode& rn = a.at(n.rhs);
-    assert(rn.op == ExprOp::kConst &&
-           "hardware synthesis requires constant shift amounts");
+    if (rn.op != ExprOp::kConst)
+      refuse(sc, n.op == ExprOp::kShl
+                     ? "the shift amount of '<<' is not a constant"
+                     : "the shift amount of '>>' is not a constant");
     const unsigned k = static_cast<std::uint32_t>(rn.value) & 31u;
     return n.op == ExprOp::kShl ? rtl.shl_const(lhs, k)
                                 : rtl.shr_arith_const(lhs, k);
@@ -88,10 +103,8 @@ Word synth_expr(SynthContext& sc, ExprId e, const std::vector<Word>& vars) {
     case ExprOp::kLogicOr:
       return rtl.from_bit(rtl.bit_or(rtl.reduce_or(lhs), rtl.reduce_or(rhs)),
                           w);
-    case ExprOp::kDiv:
-    case ExprOp::kMod:
-      assert(false && "division is not synthesizable to hardware");
-      return rtl.constant(0, w);
+    case ExprOp::kDiv: refuse(sc, "operator '/' is not synthesizable");
+    case ExprOp::kMod: refuse(sc, "operator '%' is not synthesizable");
     default:
       assert(false);
       return rtl.constant(0, w);

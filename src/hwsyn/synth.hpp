@@ -11,7 +11,9 @@
 //
 // Restrictions (documented; the behavioral front end accepts them anyway):
 // division/modulo are not synthesizable, and shift amounts must be
-// constants. Software-mapped processes have no such limits.
+// constants. synthesize_cfsm() aborts with a message naming the process and
+// the operator when a process breaks them, in every build type.
+// Software-mapped processes have no such limits.
 #pragma once
 
 #include <cstdint>

@@ -506,26 +506,26 @@ TEST(AnalyticalExplorer, RealSystemFunnelKeepsWinner) {
   expect_top_entries_equal(full, funneled);
 }
 
+/// The funnel with its three phases sharded over three pool threads
+/// reduces to the serial outcome.
 TEST(AnalyticalExplorer, ShardedFunnelMatchesSerial) {
-  if (!dist::supported()) GTEST_SKIP() << "no fork/socketpair";
   const auto pts = synthetic_points(8);
   ExploreOptions serial_opt;
   serial_opt.threads = 1;
   serial_opt.analytical_prefilter = 4;
   const ExplorationOutcome serial = explore(pts, /*verify_top=*/2, serial_opt);
-  ShardedExploreOptions sharded_opt;
-  sharded_opt.workers = 3;
-  sharded_opt.analytical_prefilter = 4;
-  const ExplorationOutcome sharded =
-      explore_sharded(pts, /*verify_top=*/2, sharded_opt);
-  EXPECT_EQ(sharded.prefilter_kept, serial.prefilter_kept);
-  ASSERT_EQ(sharded.ranked.size(), serial.ranked.size());
+  ExploreOptions threaded_opt = serial_opt;
+  threaded_opt.threads = 3;
+  const ExplorationOutcome threaded =
+      explore(pts, /*verify_top=*/2, threaded_opt);
+  EXPECT_EQ(threaded.prefilter_kept, serial.prefilter_kept);
+  ASSERT_EQ(threaded.ranked.size(), serial.ranked.size());
   for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
-    EXPECT_EQ(sharded.ranked[i].label, serial.ranked[i].label);
-    EXPECT_EQ(sharded.ranked[i].coarse_energy, serial.ranked[i].coarse_energy);
-    EXPECT_EQ(sharded.ranked[i].exact_energy, serial.ranked[i].exact_energy);
+    EXPECT_EQ(threaded.ranked[i].label, serial.ranked[i].label);
+    EXPECT_EQ(threaded.ranked[i].coarse_energy, serial.ranked[i].coarse_energy);
+    EXPECT_EQ(threaded.ranked[i].exact_energy, serial.ranked[i].exact_energy);
   }
-  EXPECT_EQ(sharded.winner_confirmed, serial.winner_confirmed);
+  EXPECT_EQ(threaded.winner_confirmed, serial.winner_confirmed);
 }
 
 }  // namespace

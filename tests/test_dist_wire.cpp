@@ -417,7 +417,6 @@ TEST(DistWire, ExpectsReplyMatchesProtocol) {
   EXPECT_TRUE(expects_reply(MsgType::kFlushUnit));
   EXPECT_TRUE(expects_reply(MsgType::kSeparateStep));
   EXPECT_TRUE(expects_reply(MsgType::kStats));
-  EXPECT_TRUE(expects_reply(MsgType::kEvalPoint));
   EXPECT_FALSE(expects_reply(MsgType::kBeginRun));
   EXPECT_FALSE(expects_reply(MsgType::kEnqueueChunk));
   EXPECT_FALSE(expects_reply(MsgType::kShutdown));

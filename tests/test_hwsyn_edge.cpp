@@ -1,7 +1,10 @@
 // Hardware-synthesis edge cases: processes without variables or outputs,
 // duplicate emissions of one event in a path, diamond-shaped DAGs with
-// shared tails, and reset interaction with the netlist state.
+// shared tails, reset interaction with the netlist state, and the operators
+// the FSMD datapath cannot implement.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "cfsm/dsl.hpp"
 #include "core/coestimator.hpp"
@@ -29,6 +32,36 @@ TEST(HwSynEdge, PureCombinationalProcess) {
   const auto ems = read_hw_emissions(sim, img);
   ASSERT_EQ(ems.size(), 1u);
   EXPECT_EQ(ems[0].value, 40);
+}
+
+/// Parses a one-process network whose output is `expr` of input IN and the
+/// variable `v`, then synthesizes that process.
+void synthesize_expr(const std::string& expr) {
+  cfsm::Network net;
+  const auto ok = cfsm::parse_network(
+      "event IN, OUT;\n"
+      "process alu { input IN; output OUT; var v = 3;\n"
+      "  emit OUT(" + expr + "); v = v + val(IN); }",
+      net);
+  ASSERT_TRUE(ok.ok()) << ok.error;
+  (void)synthesize_cfsm(net.cfsm(0));
+}
+
+TEST(HwSynEdge, UnsynthesizableOperatorsAbortInEveryBuild) {
+  // Division, modulo and variable shift amounts have no datapath in the
+  // FSMD. Synthesis must refuse them by name, also under NDEBUG, rather
+  // than emit a netlist that computes another function than the CFSM.
+  EXPECT_DEATH(synthesize_expr("val(IN) / v"),
+               "process \"alu\" cannot be mapped to hardware: operator '/'");
+  EXPECT_DEATH(synthesize_expr("val(IN) % v"),
+               "process \"alu\" cannot be mapped to hardware: operator '%'");
+  EXPECT_DEATH(synthesize_expr("val(IN) << v"),
+               "process \"alu\" cannot be mapped to hardware: the shift "
+               "amount of '<<' is not a constant");
+  EXPECT_DEATH(synthesize_expr("val(IN) >> v"),
+               "the shift amount of '>>' is not a constant");
+  // Constant shift amounts are resolved structurally.
+  synthesize_expr("val(IN) << 2");
 }
 
 TEST(HwSynEdge, ProcessWithNoOutputs) {

@@ -2,7 +2,7 @@
 //
 // Covers the determinism matrix the single-CPU suites pin for the original
 // systems — bit-identical results across hw_flush_threads 1 vs 4, serial
-// explore() vs explore_sharded(), reaction cache on vs off — plus the
+// vs threaded explore(), reaction cache on vs off — plus the
 // multicore-only contracts: per-core mapping aborts on an out-of-range
 // core, NoC/coherence configs are validated before prepare(), the serve
 // daemon hosts multicore sessions (and rejects structurally under-cored
@@ -135,7 +135,7 @@ TEST(Multicore, RepeatedRunsBitIdentical) {
 }
 
 /// Design points sweeping the core count and interconnect — the multicore
-/// family reachable through core::explore / explore_sharded.
+/// family reachable through core::explore.
 std::vector<core::ExplorationPoint> multicore_points() {
   std::vector<core::ExplorationPoint> pts;
   for (const unsigned cores : {1u, 2u, 4u}) {
@@ -164,20 +164,22 @@ std::vector<core::ExplorationPoint> multicore_points() {
   return pts;
 }
 
+/// The points sharded over three pool threads reduce to the serial outcome.
 TEST(MulticoreExplore, ShardedMatchesSerial) {
-  if (!dist::supported()) GTEST_SKIP() << "no fork/socketpair";
   const auto pts = multicore_points();
   const core::ExplorationOutcome serial = core::explore(pts, 2);
-  const core::ExplorationOutcome sharded =
-      core::explore_sharded(pts, 2, {.workers = 3});
-  ASSERT_EQ(serial.ranked.size(), sharded.ranked.size());
+  const core::ExplorationOutcome threaded =
+      core::explore(pts, 2, {.threads = 3});
+  ASSERT_EQ(serial.ranked.size(), threaded.ranked.size());
   for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(serial.ranked[i].label, sharded.ranked[i].label);
-    EXPECT_EQ(serial.ranked[i].coarse_energy, sharded.ranked[i].coarse_energy);
-    EXPECT_EQ(serial.ranked[i].exact_energy, sharded.ranked[i].exact_energy);
+    EXPECT_EQ(serial.ranked[i].label, threaded.ranked[i].label);
+    EXPECT_EQ(serial.ranked[i].coarse_energy, threaded.ranked[i].coarse_energy);
+    EXPECT_EQ(serial.ranked[i].exact_energy, threaded.ranked[i].exact_energy);
   }
-  EXPECT_EQ(serial.winner_confirmed, sharded.winner_confirmed);
+  EXPECT_EQ(serial.winner_confirmed, threaded.winner_confirmed);
+  EXPECT_EQ(serial.verification_correlation,
+            threaded.verification_correlation);
 }
 
 TEST(Multicore, SeparateErrorExceedsSingleCpuScenario) {
