@@ -7,9 +7,11 @@
 #include "core/compactor.hpp"
 #include "hw/gatesim.hpp"
 #include "hwsyn/rtl.hpp"
+#include "hwsyn/synth.hpp"
 #include "iss/assembler.hpp"
 #include "iss/iss.hpp"
 #include "sim/event_queue.hpp"
+#include "systems/tcpip.hpp"
 #include "util/rng.hpp"
 
 namespace socpower {
@@ -78,6 +80,53 @@ void BM_GateSimAdderChurn(benchmark::State& state) {
   state.SetLabel("gate-evals/s");
 }
 BENCHMARK(BM_GateSimAdderChurn);
+
+// The TCP/IP checksum ASIC at gate level, stepped the way an exact NIC
+// co-estimation steps it: per 128-byte packet one CHK_START reaction, then
+// one MEM_DATA reaction per 2-byte DMA block (a beat holding two seeded
+// packet bytes), with the sampled DMA_CFG present in every reaction. One
+// iteration is one staged reaction plus GateSim::step().
+void BM_GateSimTcpChecksum(benchmark::State& state) {
+  constexpr int kPacketBytes = 128;
+  constexpr int kDmaBlock = 2;
+  systems::TcpIpParams p;
+  p.packet_bytes = kPacketBytes;
+  p.dma_block_size = kDmaBlock;
+  const systems::TcpIpSystem sys(p);
+  const cfsm::Network& net = sys.network();
+  const hwsyn::HwImage img = hwsyn::synthesize_cfsm(net.cfsm(sys.checksum()));
+  const cfsm::EventId chk_start = net.event_id("CHK_START");
+  const cfsm::EventId mem_data = net.event_id("MEM_DATA");
+  const cfsm::EventId dma_cfg = net.event_id("DMA_CFG");
+
+  Rng rng(5);
+  std::vector<cfsm::ReactionInputs> stream;
+  for (int packet = 0; packet < 120; ++packet) {
+    stream.emplace_back();
+    stream.back().set(dma_cfg, kDmaBlock);
+    stream.back().set(chk_start, kPacketBytes);
+    for (int block = 0; block < kPacketBytes / kDmaBlock; ++block) {
+      stream.emplace_back();
+      stream.back().set(dma_cfg, kDmaBlock);
+      stream.back().set(mem_data,
+                        static_cast<std::int32_t>(rng.below(1 << 16)));
+    }
+  }
+
+  hw::GateSim sim(img.netlist.get());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    hwsyn::stage_hw_reaction(sim, img, stream[next]);
+    benchmark::DoNotOptimize(sim.step().energy);
+    if (++next == stream.size()) next = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["gates/step"] = benchmark::Counter(
+      static_cast<double>(sim.gates_evaluated()),
+      benchmark::Counter::kAvgIterations);
+  state.SetLabel("steps/s; time is per step");
+}
+BENCHMARK(BM_GateSimTcpChecksum);
 
 void BM_CompactorSelect(benchmark::State& state) {
   core::SequenceCompactor c(

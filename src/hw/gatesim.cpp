@@ -1,9 +1,11 @@
 #include "hw/gatesim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "telemetry/registry.hpp"
 
@@ -42,22 +44,53 @@ GateSim::GateSim(const Netlist* netlist, TechParams tech,
 
   // Event-driven evaluation (a la SIS: only gates whose inputs changed are
   // re-evaluated), with everything the sweep needs precomputed here: flat
-  // gates with truth tables, stored in level order (so settle() is one pass
-  // over them and a level's gates sit together), consumers tagged with
-  // their level, and one work-slot range per level.
+  // gates with truth tables and their output's consumer range, stored in
+  // level order (so settle() is one pass over them and a level's gates sit
+  // together), consumers tagged with their level, and one work-slot range
+  // per level. A gate's level is its netlist level + 1: level kLatchLevel
+  // (0) holds the DFFs, DFF i being a consumer of its D net with kernel
+  // index gates.size() + i.
   const auto& gates = netlist_->gates();
-  level_begin_.assign(lv.num_levels + 1, 0);
-  for (const std::uint32_t l : lv.level) ++level_begin_[l + 1];
-  for (std::uint32_t l = 0; l < lv.num_levels; ++l)
+  const auto& dffs = netlist_->dffs();
+  const auto n_gates = static_cast<std::uint32_t>(gates.size());
+  level_begin_.assign(lv.num_levels + 2, 0);
+  level_begin_[1] = static_cast<std::uint32_t>(dffs.size());
+  for (const std::uint32_t l : lv.level) ++level_begin_[l + 2];
+  for (std::uint32_t l = 0; l <= lv.num_levels; ++l)
     level_begin_[l + 1] += level_begin_[l];
   // Kernel index of each netlist gate: by level, then by netlist index.
   std::vector<std::uint32_t> kernel_index(gates.size());
   {
-    std::vector<std::uint32_t> next(level_begin_.begin(),
+    std::vector<std::uint32_t> next(level_begin_.begin() + 1,
                                     level_begin_.end() - 1);
+    for (std::uint32_t& n : next) n -= static_cast<std::uint32_t>(dffs.size());
     for (std::size_t gi = 0; gi < gates.size(); ++gi)
       kernel_index[gi] = next[lv.level[gi]]++;
   }
+  // Consumer lists: each net's gates as levelize() lists them, then the
+  // DFFs whose D it is (levelize's offsets shift by the DFFs of lower nets).
+  std::vector<std::uint32_t> dffs_by_d(dffs.size());
+  for (std::uint32_t i = 0; i < dffs_by_d.size(); ++i) dffs_by_d[i] = i;
+  std::stable_sort(dffs_by_d.begin(), dffs_by_d.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return dffs[x].d < dffs[y].d;
+                   });
+  consumer_offsets_ = std::move(lv.consumer_offsets);
+  consumers_.resize(lv.consumers.size() + dffs.size());
+  std::uint32_t shift = 0;
+  for (std::size_t n = 0, k = 0; n < netlist_->net_count(); ++n) {
+    const std::uint32_t begin = consumer_offsets_[n];
+    const std::uint32_t end = consumer_offsets_[n + 1];
+    consumer_offsets_[n] = begin + shift;
+    for (std::uint32_t c = begin; c < end; ++c)
+      consumers_[c + shift] = {kernel_index[lv.consumers[c]],
+                               lv.level[lv.consumers[c]] + 1};
+    for (; k < dffs_by_d.size() &&
+           static_cast<std::size_t>(dffs[dffs_by_d[k]].d) == n;
+         ++k)
+      consumers_[end + shift++] = {n_gates + dffs_by_d[k], kLatchLevel};
+  }
+  consumer_offsets_.back() += shift;
   const auto const0 = static_cast<std::uint32_t>(netlist_->const0());
   gates_.resize(gates.size());
   for (std::size_t gi = 0; gi < gates.size(); ++gi) {
@@ -66,17 +99,18 @@ GateSim::GateSim(const Netlist* netlist, TechParams tech,
     for (int i = 0; i < 3; ++i)
       f.in[i] = g.in[i] == kNoNet ? const0
                                   : static_cast<std::uint32_t>(g.in[i]);
-    f.out_tt = static_cast<std::uint32_t>(g.out) << 8 | truth_table(g.type);
+    const auto out = static_cast<std::uint32_t>(g.out);
+    f.out_tt = out << 8 | truth_table(g.type);
+    f.consumers_begin = consumer_offsets_[out];
+    f.consumers_end = consumer_offsets_[out + 1];
   }
-  consumer_offsets_ = std::move(lv.consumer_offsets);
-  consumers_.resize(lv.consumers.size());
-  for (std::size_t c = 0; c < lv.consumers.size(); ++c)
-    consumers_[c] = {kernel_index[lv.consumers[c]], lv.level[lv.consumers[c]]};
-  // Work slots: level l's gates plus one spare slot each below it.
-  for (std::uint32_t l = 0; l <= lv.num_levels; ++l) level_begin_[l] += l;
+  // Work slots: each level's gates (the latch level's DFFs) plus one spare
+  // slot each below it.
+  for (std::uint32_t l = 0; l < level_begin_.size(); ++l) level_begin_[l] += l;
   work_.assign(level_begin_.back(), 0);
   level_fill_.assign(level_begin_.begin(), level_begin_.end() - 1);
-  gate_dirty_.assign(gates.size(), 0);
+  // The edge reads the DFF flags eight at a time.
+  gate_dirty_.assign(gates.size() + (dffs.size() + 7) / 8 * 8, 0);
 
   net_energy_.resize(netlist_->net_count());
   for (std::size_t n = 0; n < netlist_->net_count(); ++n)
@@ -84,8 +118,8 @@ GateSim::GateSim(const Netlist* netlist, TechParams tech,
         netlist_->net_capacitance(static_cast<NetId>(n), tech_));
   value_.assign(netlist_->net_count(), 0);
   input_next_.assign(netlist_->primary_inputs().size(), 0);
-  latch_next_.assign(netlist_->dffs().size(), 0);
-  latch_marks_.reserve(netlist_->dffs().size());
+  toggled_ = std::make_unique_for_overwrite<NetId[]>(netlist_->net_count());
+  latch_marks_.reserve(dffs.size());
   clock_energy_per_cycle_ =
       params_.switch_energy(tech_.clock_cap_per_dff_f) *
       static_cast<double>(netlist_->dff_count());
@@ -104,14 +138,28 @@ void GateSim::set_input(std::size_t input_index, bool value) {
 
 void GateSim::set_input_word(std::size_t first_input_index,
                              std::uint64_t value, unsigned width) {
+  static_assert(std::endian::native == std::endian::little,
+                "staging writes bit b of a byte to the b-th input");
   const std::size_t in_range =
       first_input_index < input_next_.size()
           ? std::min<std::size_t>(width, input_next_.size() - first_input_index)
           : 0;
-  for (std::size_t b = 0; b < in_range; ++b)
-    input_next_[first_input_index + b] =
-        static_cast<std::uint8_t>((value >> b) & 1u);
   dropped_input_writes_ += width - in_range;
+  if (in_range == 0) return;
+  std::uint8_t* const out = input_next_.data() + first_input_index;
+  std::size_t b = 0;
+  // Eight inputs per store, the inverse of the reaction cache's pack_bytes:
+  // copy the byte into every lane, keep bit i in lane i, and turn each
+  // nonzero lane into 1 (adding 0x7f carries a nonzero lane into its top
+  // bit and never out of the lane).
+  for (; b + 8 <= in_range; b += 8) {
+    std::uint64_t x = ((value >> b) & 0xffu) * 0x0101010101010101ull;
+    x &= 0x8040201008040201ull;
+    x = ((x + 0x7f7f7f7f7f7f7f7full) >> 7) & 0x0101010101010101ull;
+    std::memcpy(out + b, &x, sizeof x);
+  }
+  for (; b < in_range; ++b)
+    out[b] = static_cast<std::uint8_t>((value >> b) & 1u);
 }
 
 void GateSim::mark_consumers_dirty(std::uint32_t net) {
@@ -154,65 +202,112 @@ CycleResult GateSim::step() {
   // energy is accumulated in one pass at the end of the step from the
   // cached per-net switch energies, in that same order.
   mark_latch_consumers();  // the previous clock edge's marks come first
-  toggled_.clear();
+  // Every array base and the dirty range live in locals: the uint8_t value
+  // and dirty stores may alias any member, which would otherwise be
+  // reloaded after each of them.
   std::uint8_t* const value = value_.data();
-  auto commit = [&](std::uint32_t net, std::uint8_t nv) {
-    if (value[net] != nv) {
-      value[net] = nv;
-      toggled_.push_back(static_cast<NetId>(net));
-      mark_consumers_dirty(net);
+  std::uint8_t* const dirty = gate_dirty_.data();
+  std::uint32_t* const work = work_.data();
+  std::uint32_t* const fill = level_fill_.data();
+  const std::uint32_t* const level_begin = level_begin_.data();
+  const FlatGate* const gates = gates_.data();
+  const Consumer* const consumers = consumers_.data();
+  const std::uint32_t* const consumer_offsets = consumer_offsets_.data();
+  NetId* const toggled = toggled_.get();
+  std::size_t n_toggled = 0;
+  std::uint32_t lo = dirty_lo_;
+  std::uint32_t hi = dirty_hi_;
+
+  // A net changed: record the toggle and mark its consumers dirty (the DFFs
+  // among them become latch candidates).
+  auto toggle = [&](std::uint32_t net, std::uint32_t c, std::uint32_t c_end) {
+    toggled[n_toggled++] = static_cast<NetId>(net);
+    for (; c != c_end; ++c) {
+      const Consumer& k = consumers[c];
+      work[fill[k.level]] = k.gate;
+      fill[k.level] += dirty[k.gate] ^ 1u;
+      dirty[k.gate] = 1;
+      lo = std::min(lo, k.level);
+      hi = std::max(hi, k.level);
     }
   };
 
   // Apply primary inputs.
-  const auto& pis = netlist_->primary_inputs();
-  for (std::size_t i = 0; i < pis.size(); ++i)
-    commit(static_cast<std::uint32_t>(pis[i]), input_next_[i]);
+  const NetId* const pis = netlist_->primary_inputs().data();
+  const std::uint8_t* const staged = input_next_.data();
+  const std::size_t n_pis = input_next_.size();
+  for (std::size_t i = 0; i < n_pis; ++i) {
+    const auto net = static_cast<std::uint32_t>(pis[i]);
+    if (value[net] != staged[i]) {
+      value[net] = staged[i];
+      toggle(net, consumer_offsets[net], consumer_offsets[net + 1]);
+    }
+  }
 
   // Event-driven combinational propagation, level by level over the marked
-  // range only. Gates marked dirty by a commit always sit at a strictly
-  // higher level, so a single sweep suffices: a level's work list is final
-  // when the sweep reaches it, and dirty_hi_ only grows ahead of it.
-  for (std::uint32_t lvl = dirty_lo_; lvl <= dirty_hi_; ++lvl) {
-    const std::uint32_t begin = level_begin_[lvl];
-    const std::uint32_t end = level_fill_[lvl];
+  // gate levels only. Gates marked dirty by a commit always sit at a
+  // strictly higher level, so a single sweep suffices: a level's work list
+  // is final when the sweep reaches it, and hi only grows ahead of it. DFF
+  // marks land below every gate level, so they never widen the sweep.
+  std::uint64_t evaluated = 0;
+  for (std::uint32_t lvl = std::max(lo, kLatchLevel + 1); lvl <= hi; ++lvl) {
+    const std::uint32_t begin = level_begin[lvl];
+    const std::uint32_t end = fill[lvl];
     for (std::uint32_t s = begin; s < end; ++s) {
-      const std::uint32_t gi = work_[s];
-      gate_dirty_[gi] = 0;
-      const FlatGate& g = gates_[gi];
+      const std::uint32_t gi = work[s];
+      dirty[gi] = 0;
+      const FlatGate& g = gates[gi];
       const unsigned idx = value[g.in[0]] | value[g.in[1]] << 1 |
                            value[g.in[2]] << 2;
-      commit(g.out_tt >> 8, static_cast<std::uint8_t>((g.out_tt >> idx) & 1u));
+      const std::uint32_t out = g.out_tt >> 8;
+      const auto nv = static_cast<std::uint8_t>((g.out_tt >> idx) & 1u);
+      if (value[out] != nv) {
+        value[out] = nv;
+        toggle(out, g.consumers_begin, g.consumers_end);
+      }
     }
-    gates_evaluated_ += end - begin;
-    level_fill_[lvl] = begin;
+    evaluated += end - begin;
+    fill[lvl] = begin;
   }
+  gates_evaluated_ += evaluated;
   dirty_lo_ = kNoLevel;
   dirty_hi_ = 0;
 
-  // Clock edge: latch DFFs. Q toggles are billed this cycle; the dirty marks
-  // they leave are laid down, in commit order, when the simulator next
-  // needs them (mark_latch_consumers), so a cache replay that follows never
-  // pays for marks it would drain. D values are snapshot into a member
-  // buffer first (commits must not observe each other within the same
-  // edge).
-  const auto& dffs = netlist_->dffs();
-  latch_begin_ = toggled_.size();
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    latch_next_[i] = value[static_cast<std::size_t>(dffs[i].d)];
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const auto q = static_cast<std::uint32_t>(dffs[i].q);
-    if (value[q] != latch_next_[i]) {
-      value[q] = latch_next_[i];
-      toggled_.push_back(static_cast<NetId>(q));
-      latch_marks_.push_back(q);
+  // Clock edge: latch the flagged DFFs, in declaration order; an unflagged
+  // DFF has Q == D and would not toggle. Every D is read before any Q
+  // changes (an edge's commits must not observe each other). Q toggles are
+  // billed this cycle; the dirty marks they leave (DFF flags included) are
+  // laid down, in commit order, when the simulator next needs them
+  // (mark_latch_consumers), so a cache replay that follows never pays for
+  // marks it would drain.
+  const Dff* const dffs = netlist_->dffs().data();
+  std::uint8_t* const flags = dirty + gates_.size();
+  const std::size_t n_dffs = netlist_->dffs().size();
+  latch_begin_ = n_toggled;
+  for (std::size_t i = 0; i < n_dffs; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, flags + i, sizeof word);
+    if (word == 0) continue;
+    std::memset(flags + i, 0, sizeof word);
+    for (; word != 0; word &= word - 1) {  // one set bit per flagged byte
+      const Dff& ff = dffs[i + static_cast<std::size_t>(
+                                   std::countr_zero(word)) / 8];
+      if (value[static_cast<std::size_t>(ff.q)] !=
+          value[static_cast<std::size_t>(ff.d)])
+        latch_marks_.push_back(static_cast<std::uint32_t>(ff.q));
     }
   }
+  fill[kLatchLevel] = level_begin[kLatchLevel];
+  for (const std::uint32_t q : latch_marks_) {
+    value[q] ^= 1;
+    toggled[n_toggled++] = static_cast<NetId>(q);
+  }
+  toggled_count_ = n_toggled;
 
   CycleResult r;
-  r.toggles = toggled_.size();
-  for (const NetId net : toggled_)
-    r.energy += net_energy_[static_cast<std::size_t>(net)];
+  r.toggles = n_toggled;
+  for (std::size_t t = 0; t < n_toggled; ++t)
+    r.energy += net_energy_[static_cast<std::size_t>(toggled[t])];
   r.energy += clock_energy_per_cycle_;
   ++cycles_;
   total_energy_ += r.energy;
@@ -240,6 +335,9 @@ CycleResult GateSim::apply_cached_reaction(std::span<const NetId> toggles,
   //     so a subsequent miss evaluates gates (and therefore commits
   //     toggles, and therefore sums energies) in exactly the same order as
   //     the uncached run.
+  //  4. Flag every DFF for the next edge. Draining dropped the flags the
+  //     queued marks had set; a full scan cannot latch differently from the
+  //     candidates a real step() would leave, and does not depend on them.
   // Energy is the double the miss computed; counters advance as a real
   // step() would (gates_evaluated_ intentionally does not — the skipped
   // evaluations are the win, and the cache reports them separately).
@@ -248,6 +346,7 @@ CycleResult GateSim::apply_cached_reaction(std::span<const NetId> toggles,
   latch_marks_.assign(
       toggles.begin() + static_cast<std::ptrdiff_t>(latch_begin),
       toggles.end());
+  latch_all_next_edge();
   CycleResult r;
   r.toggles = toggles.size();
   r.energy = energy;
@@ -290,7 +389,13 @@ void GateSim::force_net(NetId n, bool value) {
     forced_ = true;
     mark_latch_consumers();  // keep mark order: clock edge, then forces
     mark_consumers_dirty(static_cast<std::uint32_t>(n));
+    latch_all_next_edge();
   }
+}
+
+void GateSim::latch_all_next_edge() {
+  std::fill_n(gate_dirty_.begin() + static_cast<std::ptrdiff_t>(gates_.size()),
+              netlist_->dffs().size(), std::uint8_t{1});
 }
 
 void GateSim::settle() {
@@ -313,6 +418,7 @@ void GateSim::reset() {
   // power-on transient as switching activity.
   settle();
   drain_dirty();
+  latch_all_next_edge();
 }
 
 }  // namespace socpower::hw

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -99,9 +100,10 @@ class GateSim {
   }
   /// Nets toggled by the most recent step(), in commit order. The suffix
   /// starting at last_latch_begin() holds the DFF Q toggles of the clock
-  /// edge (the only toggles whose dirty marks outlive the step).
-  [[nodiscard]] const std::vector<NetId>& last_toggles() const {
-    return toggled_;
+  /// edge (the only toggles whose dirty marks outlive the step). Valid until
+  /// the next step().
+  [[nodiscard]] std::span<const NetId> last_toggles() const {
+    return {toggled_.get(), toggled_count_};
   }
   [[nodiscard]] std::size_t last_latch_begin() const { return latch_begin_; }
   /// Replay a memoized reaction: restore the exact post-step() state (net
@@ -117,19 +119,24 @@ class GateSim {
   // The evaluation kernel's data is precomputed from the netlist at
   // construction so step() runs without a type switch or absent-input test.
   /// A gate as the kernel sees it: three input nets (absent inputs read
-  /// Netlist::const0()) and `out << 8 | truth table`, where bit
+  /// Netlist::const0()), `out << 8 | truth table`, where bit
   /// (a | b << 1 | c << 2) of the 8-bit table is the output for inputs a, b,
-  /// c.
+  /// c, and the output net's consumer range in consumers_.
   struct FlatGate {
     std::uint32_t in[3];
     std::uint32_t out_tt;
+    std::uint32_t consumers_begin;
+    std::uint32_t consumers_end;
   };
-  /// One consumer of a net, with the level that owns its work slots.
+  /// One consumer of a net, with the level that owns its work slots. A DFF
+  /// reading the net on D is a consumer too: gate gates_.size() + its index,
+  /// at kLatchLevel (see gate_dirty_).
   struct Consumer {
     std::uint32_t gate;
     std::uint32_t level;
   };
   static constexpr std::uint32_t kNoLevel = 0xffffffffu;
+  static constexpr std::uint32_t kLatchLevel = 0;
 
   void mark_consumers_dirty(std::uint32_t net);
   /// Lay down the dirty marks of the last clock edge's Q toggles (queued in
@@ -141,6 +148,10 @@ class GateSim {
   /// Re-evaluate every gate once in level order from current net values
   /// (reset path). Does not apply staged inputs and bills nothing.
   void settle();
+  /// Make every DFF a latch candidate for the next clock edge: the state
+  /// changed without commits (reset, force_net, cache replay), so a D may
+  /// differ from its Q without having marked it.
+  void latch_all_next_edge();
 
   const Netlist* netlist_;
   TechParams tech_;
@@ -158,6 +169,12 @@ class GateSim {
   std::vector<std::uint32_t> work_;
   std::vector<std::uint32_t> level_begin_;
   std::vector<std::uint32_t> level_fill_;
+  // One dirty flag per gate, then one per DFF (padded to a multiple of 8).
+  // A DFF's flag is set by every commit to its D net, through the DFF's
+  // consumer entry: it marks the latch candidates of the next clock edge.
+  // A DFF whose flag is clear has Q == D, so the edge compares only the
+  // flagged ones. Their work slots at kLatchLevel, below every gate level,
+  // only absorb the marking stores; the sweep starts above that level.
   std::vector<std::uint8_t> gate_dirty_;
   std::uint32_t dirty_lo_ = kNoLevel;  // lowest level holding a dirty mark
   std::uint32_t dirty_hi_ = 0;         // highest (valid when dirty_lo_ is)
@@ -167,9 +184,12 @@ class GateSim {
   std::vector<double> net_energy_;       // cached switch energy per net
   std::vector<std::uint8_t> value_;      // current net values
   std::vector<std::uint8_t> input_next_; // pending PI values
-  std::vector<NetId> toggled_;           // nets toggled this step, in order
+  // Nets toggled by the last step, in order. A net commits at most once per
+  // step, so net_count() entries always suffice; allocated once, never
+  // zero-filled.
+  std::unique_ptr<NetId[]> toggled_;
+  std::size_t toggled_count_ = 0;
   std::size_t latch_begin_ = 0;          // toggled_ index where Q toggles start
-  std::vector<std::uint8_t> latch_next_; // DFF D values at the clock edge
   Joules clock_energy_per_cycle_ = 0.0;
   std::uint64_t cycles_ = 0;
   Joules total_energy_ = 0.0;

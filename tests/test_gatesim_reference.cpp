@@ -3,13 +3,15 @@
 // switch over the gate type, absent inputs tested against kNoNet. Seeded
 // random netlists use every gate type, deep chains, gates reading one net
 // twice, constant inputs and DFF feedback; stimulus is interleaved with
-// reset(), force_net() and ReactionCache replays. Energies must be bitwise
+// reset(), force_net() and ReactionCache replays, and a fixed shift register
+// runs across the same state breaks. Energies must be bitwise
 // equal, toggles must commit in the same order, and the number of gate
 // evaluations must match (a cache hit counts the evaluations it skipped).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hw/gatesim.hpp"
@@ -167,16 +169,21 @@ struct RandomNetlist {
 };
 
 /// A random sequential netlist over every gate type. Gates draw inputs from
-/// everything built so far (constants included, repeats allowed), a few
-/// long chains make the level count deep, and every DFF's D closes a loop
-/// from logic computed over the DFF outputs.
+/// everything built so far (constants included, repeats allowed), and a few
+/// long chains make the level count deep. Most DFFs close a loop from logic
+/// computed over the DFF outputs; the rest take D straight from a primary
+/// input, a constant, their own Q, or another DFF's Q (shift-register
+/// chains), the D nets that change without a gate re-evaluating them.
 RandomNetlist random_netlist(Rng& rng) {
   RandomNetlist r;
   Netlist& nl = r.nl;
   std::vector<NetId> pool = {nl.const0(), nl.const1()};
+  std::vector<NetId> pis;
   const std::size_t n_pi = 3 + rng.below(12);
-  for (std::size_t i = 0; i < n_pi; ++i)
-    pool.push_back(nl.add_primary_input("pi"));
+  for (std::size_t i = 0; i < n_pi; ++i) {
+    pis.push_back(nl.add_primary_input("pi"));
+    pool.push_back(pis.back());
+  }
   std::vector<NetId> qs;
   const std::size_t n_dff = 1 + rng.below(10);
   for (std::size_t i = 0; i < n_dff; ++i) {
@@ -205,10 +212,26 @@ RandomNetlist random_netlist(Rng& rng) {
       add_random_gate(pick());
     }
   }
-  for (const NetId q : qs)
-    nl.connect_dff_d(q, pool[pool.size() - 1 - rng.below(pool.size() / 2)]);
+  for (const NetId q : qs) {
+    const std::uint64_t kind = rng.below(10);
+    NetId d = pool[pool.size() - 1 - rng.below(pool.size() / 2)];
+    if (kind == 0) d = pis[rng.below(pis.size())];
+    if (kind == 1) d = rng.chance(0.5) ? nl.const0() : nl.const1();
+    if (kind == 2) d = q;
+    if (kind >= 3 && kind <= 4) d = qs[rng.below(qs.size())];
+    nl.connect_dff_d(q, d);
+  }
   EXPECT_EQ(nl.validate(), "");
   return r;
+}
+
+/// Toggle lists equal element by element: same length, same nets, same
+/// commit order.
+void expect_same_toggles(const std::vector<NetId>& ref,
+                         std::span<const NetId> sim, int step) {
+  ASSERT_EQ(ref.size(), sim.size()) << "step " << step;
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_EQ(ref[i], sim[i]) << "step " << step << ", toggle " << i;
 }
 
 void expect_same_nets(const Netlist& nl, const ReferenceGateSim& ref,
@@ -247,7 +270,8 @@ TEST_P(GateSimReference, StepMatchesReferenceKernel) {
     const CycleResult se = sim.step();
     ASSERT_EQ(re.energy, se.energy) << "step " << step;  // bitwise
     ASSERT_EQ(re.toggles, se.toggles) << "step " << step;
-    ASSERT_EQ(ref.last_toggles(), sim.last_toggles()) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_toggles(ref.last_toggles(), sim.last_toggles(), step));
     ASSERT_EQ(ref.last_latch_begin(), sim.last_latch_begin());
     ASSERT_EQ(ref.gates_evaluated(), sim.gates_evaluated()) << "step " << step;
     if (step % 32 == 0) expect_same_nets(d.nl, ref, sim);
@@ -289,7 +313,8 @@ TEST_P(GateSimReference, CachedReplaysMatchReferenceKernel) {
     ASSERT_EQ(re.energy, se.energy) << "step " << step;  // bitwise
     ASSERT_EQ(re.toggles, se.toggles) << "step " << step;
     if (cache.stats().hits == hits_before) {  // a hit leaves last_toggles()
-      ASSERT_EQ(ref.last_toggles(), sim.last_toggles()) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_toggles(ref.last_toggles(), sim.last_toggles(), step));
     }
     ASSERT_EQ(ref.gates_evaluated(),
               sim.gates_evaluated() + cache.stats().skipped_gate_evals)
@@ -298,6 +323,85 @@ TEST_P(GateSimReference, CachedReplaysMatchReferenceKernel) {
   }
   expect_same_nets(d.nl, ref, sim);
   EXPECT_GT(cache.stats().hits, 0u);
+}
+
+// A 3-stage shift register whose first stage takes in XOR the last stage's
+// Q: stage 1 and 2 D nets are Q nets, so their changes come from the clock
+// edge, never from a gate. Stepped through a ReactionCache across
+// reset(), force_net() on a gate-driven and a Q-driven D net and cache
+// hits, against the reference kernel after every step.
+TEST(GateSimShiftRegister, LatchMatchesReferenceAcrossStateBreaks) {
+  Netlist nl;
+  const NetId in = nl.add_primary_input("in");
+  const NetId q0 = nl.add_dff(false);
+  const NetId q1 = nl.add_dff(true);
+  const NetId q2 = nl.add_dff(false);
+  const NetId d0 = nl.add_gate(GateType::kXor2, in, q2);
+  nl.connect_dff_d(q0, d0);
+  nl.connect_dff_d(q1, q0);
+  nl.connect_dff_d(q2, q1);
+  nl.mark_output(q2, "out");
+  ASSERT_EQ(nl.validate(), "");
+
+  ReferenceGateSim ref(&nl);
+  GateSim sim(&nl);
+  ReactionCache cache(&sim, {});
+  enum class Action { kNone, kReset, kForceGateD, kForceQD };
+  // One entry per step: the input bit and what happens before the step.
+  // The first 24 steps repeat an 8-step input pattern from reset, so the
+  // cache hits; misses follow hits, forces de-anchor the cache, and the
+  // reset re-anchors it.
+  std::vector<std::pair<bool, Action>> script;
+  for (int round = 0; round < 3; ++round) {
+    script.push_back({true, Action::kReset});
+    for (const bool b : {false, true, true, false, false, false, true})
+      script.push_back({b, Action::kNone});
+  }
+  script.push_back({false, Action::kNone});  // a state the pattern never hit
+  script.push_back({true, Action::kForceQD});
+  script.push_back({true, Action::kNone});
+  script.push_back({false, Action::kForceGateD});
+  script.push_back({false, Action::kForceQD});
+  script.push_back({true, Action::kNone});
+  script.push_back({true, Action::kReset});
+  for (const bool b : {false, true, true, false, false, false, true})
+    script.push_back({b, Action::kNone});
+
+  int step = 0;
+  for (const auto& [bit, action] : script) {
+    switch (action) {
+      case Action::kNone:
+        break;
+      case Action::kReset:
+        ref.reset();
+        sim.reset();
+        break;
+      case Action::kForceGateD:  // d0 is gate-driven and stage 0's D
+        ref.force_net(d0, !ref.net_value(d0));
+        sim.force_net(d0, !sim.net_value(d0));
+        break;
+      case Action::kForceQD:  // q0 is stage 0's Q and stage 1's D
+        ref.force_net(q0, !ref.net_value(q0));
+        sim.force_net(q0, !sim.net_value(q0));
+        break;
+    }
+    ref.set_input(0, bit);
+    sim.set_input(0, bit);
+    const std::uint64_t hits_before = cache.stats().hits;
+    const CycleResult re = ref.step();
+    const CycleResult se = cache.step();
+    ASSERT_EQ(re.energy, se.energy) << "step " << step;  // bitwise
+    ASSERT_EQ(re.toggles, se.toggles) << "step " << step;
+    if (cache.stats().hits == hits_before) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_toggles(ref.last_toggles(), sim.last_toggles(), step));
+      ASSERT_EQ(ref.last_latch_begin(), sim.last_latch_begin());
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_nets(nl, ref, sim));
+    ++step;
+  }
+  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().invalidations, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GateSimReference,

@@ -291,5 +291,27 @@ TEST(GateSim, WideInputWord48RoundTrips) {
   EXPECT_EQ(sim.read_word(0, 48), value);
 }
 
+TEST(GateSim, SetInputWordStagesLikeSingleBits) {
+  // set_input_word stages whole bytes at a time; every width and offset,
+  // including words that run past the last input, must stage exactly what
+  // one set_input() per bit stages and count the same dropped writes.
+  Netlist nl;
+  for (int i = 0; i < 45; ++i) nl.add_primary_input("in");
+  ASSERT_EQ(nl.validate(), "");
+  GateSim word(&nl);
+  GateSim bits(&nl);
+  Rng rng(11);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t first = rng.below(50);
+    const auto width = static_cast<unsigned>(rng.below(65));
+    const std::uint64_t value = rng.next();
+    word.set_input_word(first, value, width);
+    for (unsigned b = 0; b < width; ++b)
+      bits.set_input(first + b, (value >> b) & 1u);
+    ASSERT_EQ(word.staged_inputs(), bits.staged_inputs()) << "trial " << trial;
+    ASSERT_EQ(word.dropped_input_writes(), bits.dropped_input_writes());
+  }
+}
+
 }  // namespace
 }  // namespace socpower::hw
