@@ -12,6 +12,7 @@
 // compare; absolute seconds are machine-specific either way.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -68,6 +69,14 @@ inline core::RunResults run_mode(systems::TcpIpSystem& sys,
   return best;
 }
 
+/// The p-quantile of `v` (nearest rank on the sorted values): the gated
+/// benches' medians and quartiles of interleaved per-pair ratios.
+inline double quantile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(p * static_cast<double>(v.size() - 1) +
+                                    0.5)];
+}
+
 inline void print_header(const char* title, const char* paper_ref) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title);
@@ -102,11 +111,14 @@ class BenchJson {
     return *this;
   }
 
-  /// Writes into $SOCPOWER_BENCH_JSON_DIR (default: the working directory).
-  /// Returns false (after printing a warning) when the file cannot be
-  /// written; benchmarks still pass — persistence is best-effort.
+  /// Writes into $SOCPOWER_BENCH_JSON_DIR, by default into the directory
+  /// the bench binaries are built in (SOCPOWER_BENCH_JSON_DEFAULT_DIR, set
+  /// by bench/CMakeLists.txt), so a gate run from the repository root
+  /// leaves the committed baselines alone. Returns false (after printing a
+  /// warning) when the file cannot be written; benchmarks still pass —
+  /// persistence is best-effort.
   bool write() const {
-    std::string dir = ".";
+    std::string dir = SOCPOWER_BENCH_JSON_DEFAULT_DIR;
     if (const char* d = std::getenv("SOCPOWER_BENCH_JSON_DIR"))
       if (*d) dir = d;
     const std::string path = dir + "/BENCH_" + name_ + ".json";

@@ -9,11 +9,26 @@
 // is the per-RPC overhead ceiling of the remote backends.
 //
 // Threads to sweep come from argv[1] or $SOCPOWER_THREADS (default 4).
+//
+// How the exploration speedup is measured: one warm-up sweep first (it is
+// also the energy reference, and it pays the one-time costs, such as each
+// design's shared build, that every later sweep reuses), then kPairs
+// interleaved pairs (serial, threaded, serial, threaded, ...) per thread
+// count. Each pair gives one serial/threaded ratio; the gate reads the
+// median ratio at the largest thread count and the table prints its
+// quartiles, so one slow or fast moment of a shared host cannot decide the
+// verdict alone.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "bench_common.hpp"
 #include "core/explorer.hpp"
@@ -23,6 +38,30 @@
 using namespace socpower;
 
 namespace {
+
+/// Interleaved serial/threaded pairs per thread count.
+constexpr int kPairs = 5;
+
+/// CPUs this process may run on: its sched_getaffinity mask where the
+/// platform has one, else the hardware thread count.
+unsigned usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) == 0)
+    return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+struct Quartiles {
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+};
+
+Quartiles quartiles(const std::vector<double>& v) {
+  return {bench::quantile(v, 0.25), bench::quantile(v, 0.5),
+          bench::quantile(v, 0.75)};
+}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -113,47 +152,59 @@ int main(int argc, char** argv) {
                : static_cast<unsigned>(
                      socpower::util::env_int("SOCPOWER_THREADS", 4));
   if (max_threads < 2) max_threads = 2;
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("hardware threads: %u, sweeping up to %u pool threads\n\n", hw,
+  const unsigned cpus = usable_cpus();
+  std::printf("usable CPUs: %u, sweeping up to %u pool threads\n\n", cpus,
               max_threads);
 
   // ---- threaded two-phase exploration -------------------------------------
   const auto points = make_points();
-  std::printf("exploration: %zu points, verify_top=3, caching coarse pass\n",
-              points.size());
+  std::printf("exploration: %zu points, verify_top=3, caching coarse pass, "
+              "warm-up then %d interleaved serial/threaded pairs per row\n",
+              points.size(), kPairs);
 
-  double t0 = now_seconds();
-  const auto serial = core::explore(points, /*verify_top=*/3);
-  const double serial_s = now_seconds() - t0;
+  const auto serial = core::explore(points, /*verify_top=*/3);  // warm-up
 
-  TextTable t({"threads", "seconds", "speedup", "energies"});
-  t.add_row({"1 (serial)", TextTable::fixed(serial_s, 3), "1.00x", "reference"});
-
+  TextTable t({"threads", "serial s", "threaded s", "speedup", "q1-q3",
+               "energies"});
   bool all_identical = true;
   double best_speedup = 1.0;
+  double serial_s = 0.0;  // median serial sweep of the last row
+  Quartiles gated;        // speedup at max_threads
   std::vector<unsigned> sweep;
   for (unsigned n = 2; n <= max_threads; n *= 2) sweep.push_back(n);
   if (sweep.empty() || sweep.back() != max_threads)
     sweep.push_back(max_threads);
   for (const unsigned n : sweep) {
-    t0 = now_seconds();
-    const auto par =
-        core::explore(points, /*verify_top=*/3, {.threads = n});
-    const double par_s = now_seconds() - t0;
-    const bool same = outcomes_identical(serial, par);
+    std::vector<double> serial_times, par_times, ratios;
+    bool same = true;
+    for (int k = 0; k < kPairs; ++k) {
+      double t0 = now_seconds();
+      const auto ser = core::explore(points, /*verify_top=*/3);
+      serial_times.push_back(now_seconds() - t0);
+      t0 = now_seconds();
+      const auto par = core::explore(points, /*verify_top=*/3, {.threads = n});
+      par_times.push_back(now_seconds() - t0);
+      ratios.push_back(serial_times.back() / par_times.back());
+      same = same && outcomes_identical(serial, ser) &&
+             outcomes_identical(serial, par);
+    }
     all_identical = all_identical && same;
-    const double speedup = serial_s / par_s;
-    best_speedup = std::max(best_speedup, speedup);
-    char sp[16];
-    std::snprintf(sp, sizeof sp, "%.2fx", speedup);
-    t.add_row({std::to_string(n), TextTable::fixed(par_s, 3), sp,
+    const Quartiles q = quartiles(ratios);
+    best_speedup = std::max(best_speedup, q.median);
+    serial_s = quartiles(serial_times).median;
+    if (n == max_threads) gated = q;
+    char sp[16], iqr[32];
+    std::snprintf(sp, sizeof sp, "%.2fx", q.median);
+    std::snprintf(iqr, sizeof iqr, "%.2f-%.2fx", q.q1, q.q3);
+    t.add_row({std::to_string(n), TextTable::fixed(serial_s, 3),
+               TextTable::fixed(quartiles(par_times).median, 3), sp, iqr,
                same ? "bit-identical" : "MISMATCH"});
   }
   std::printf("%s", t.render().c_str());
 
   // ---- parallel hardware batch flush --------------------------------------
   std::printf("\nhardware batch flush (offline mode, one task per ASIC):\n");
-  t0 = now_seconds();
+  double t0 = now_seconds();
   const auto flush_serial = run_flush(1);
   const double flush_serial_s = now_seconds() - t0;
   t0 = now_seconds();
@@ -191,32 +242,45 @@ int main(int argc, char** argv) {
         remote_same ? "bit-identical" : "MISMATCH");
   }
 
+  // ---- verdict -------------------------------------------------------------
+  // Energy equality is the hard requirement everywhere. The wall-clock gate
+  // only applies where the host can express it: a >= 4-thread, 8-point
+  // exploration on at least that many usable CPUs must be >= 2x faster, as
+  // the median of its pairs. Otherwise the skip and its reason are recorded.
+  bool shape_ok = all_identical;
+  const bool gate_applies = max_threads >= 4 && cpus >= max_threads;
+  if (gate_applies) {
+    const bool fast_enough = gated.median >= 2.0;
+    std::printf(
+        "\nspeedup gate (median >= 2.00x at %u threads): %.2fx "
+        "(q1 %.2fx, q3 %.2fx) -> %s\n",
+        max_threads, gated.median, gated.q1, gated.q3,
+        fast_enough ? "ok" : "TOO SLOW");
+    shape_ok = shape_ok && fast_enough;
+  } else if (max_threads < 4) {
+    std::printf("\nspeedup gate skipped: %u threads requested, the gate "
+                "needs >= 4 (energy equality still enforced)\n",
+                max_threads);
+  } else {
+    std::printf("\nspeedup gate skipped: sched_getaffinity reports %u "
+                "usable CPU(s) for %u threads (energy equality still "
+                "enforced)\n",
+                cpus, max_threads);
+  }
+
   bench::BenchJson json("parallel_explore");
   json.metric("points", static_cast<double>(points.size()))
       .metric("max_threads", max_threads)
+      .metric("usable_cpus", cpus)
       .metric("explore_serial_s", serial_s)
       .metric("explore_best_speedup", best_speedup)
+      .metric("explore_speedup_q1", gated.q1)
+      .metric("explore_speedup_q3", gated.q3)
+      .metric("speedup_gate_applied", gate_applies ? 1.0 : 0.0)
       .metric("flush_serial_s", flush_serial_s)
       .metric("flush_speedup", flush_serial_s / flush_par_s)
       .metric("bit_identical", all_identical ? 1.0 : 0.0);
   json.write();
-
-  // ---- verdict -------------------------------------------------------------
-  // Energy equality is the hard requirement everywhere. The wall-clock gate
-  // only applies where the hardware can express it: with >= 4 hardware
-  // threads a 4-thread, 8-point exploration must be >= 2x faster.
-  bool shape_ok = all_identical;
-  if (hw >= 4 && max_threads >= 4) {
-    const bool fast_enough = best_speedup >= 2.0;
-    std::printf("\nspeedup gate (>=2.00x at >=4 threads): %.2fx -> %s\n",
-                best_speedup, fast_enough ? "ok" : "TOO SLOW");
-    shape_ok = shape_ok && fast_enough;
-  } else {
-    std::printf(
-        "\nspeedup gate skipped: %u hardware thread(s) cannot express a "
-        "parallel speedup (energy equality still enforced)\n",
-        hw);
-  }
 
   std::printf("\nSHAPE CHECK: %s\n", shape_ok ? "PASS" : "FAIL");
   return shape_ok ? 0 : 1;

@@ -63,13 +63,6 @@ struct Layer {
   double check[3] = {0.0, 0.0, 0.0};  // bit-identity witness per mode
 };
 
-/// The p-quantile of `v` (nearest rank on the sorted values).
-double quantile(std::vector<double> v, double p) {
-  std::sort(v.begin(), v.end());
-  return v[static_cast<std::size_t>(p * static_cast<double>(v.size() - 1) +
-                                    0.5)];
-}
-
 /// Full co-estimation of the TCP/IP subsystem (caching mode, so the run
 /// crosses the energy cache, ISS, gate sim, bus and icache layers).
 double run_coest(double* check) {
@@ -183,19 +176,18 @@ int main(int argc, char** argv) {
         const auto r = static_cast<std::size_t>(round);
         ratios.push_back(layer->seconds[mi][r] / layer->seconds[0][r]);
       }
-      const double median = quantile(ratios, 0.5);
+      const double median = bench::quantile(ratios, 0.5);
       if (m == Mode::kCounters) worst_ratio = std::max(worst_ratio, median);
       auto ratio = [](double x) {
         char buf[16];
         std::snprintf(buf, sizeof buf, "%.3fx", x);
         return std::string(buf);
       };
+      const double median_ms = bench::quantile(layer->seconds[mi], 0.5) * 1e3;
       t.add_row({mi == 0 ? name : "", mode_name(m),
-                 TextTable::fixed(quantile(layer->seconds[mi], 0.5) * 1e3,
-                                  2) +
-                     " ms",
-                 ratio(quantile(ratios, 0.25)), ratio(median),
-                 ratio(quantile(ratios, 0.75))});
+                 TextTable::fixed(median_ms, 2) + " ms",
+                 ratio(bench::quantile(ratios, 0.25)), ratio(median),
+                 ratio(bench::quantile(ratios, 0.75))});
       identical = identical && layer->check[mi] == layer->check[0];
     }
   }

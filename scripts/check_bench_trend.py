@@ -3,8 +3,9 @@
 
 Every perf-bearing benchmark persists its headline numbers as
 BENCH_<name>.json (bench_common.hpp's BenchJson).  The repository keeps the
-blessed numbers at the repo root; CI regenerates them into
-$SOCPOWER_BENCH_JSON_DIR and this script compares the two sets:
+blessed numbers at the repo root; the bench binaries write fresh ones into
+$SOCPOWER_BENCH_JSON_DIR, by default their build directory (build/bench),
+and this script compares the two sets:
 
   * schema: every fresh file must carry a non-empty "bench" and "git_sha"
     and only finite numeric metrics (NaN/Inf means a broken measurement,
@@ -186,7 +187,8 @@ def main():
                          "(default: repository root, next to this script)")
     ap.add_argument("--current-dir", default=None,
                     help="directory of freshly generated BENCH_*.json "
-                         "(default: $SOCPOWER_BENCH_JSON_DIR, else cwd)")
+                         "(default: $SOCPOWER_BENCH_JSON_DIR, else "
+                         "build/bench, where the bench binaries write them)")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="allowed fractional regression (default 0.25)")
     ap.add_argument("--self-test", action="store_true",
@@ -200,7 +202,8 @@ def main():
         self_test(baseline_dir)
         return
     current_dir = args.current_dir or os.environ.get(
-        "SOCPOWER_BENCH_JSON_DIR") or "."
+        "SOCPOWER_BENCH_JSON_DIR") or os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..", "build", "bench")
 
     current_files = sorted(glob.glob(os.path.join(current_dir,
                                                   "BENCH_*.json")))

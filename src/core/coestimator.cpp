@@ -12,6 +12,7 @@
 #include "core/estimators/sw_iss_estimator.hpp"
 #include "swsyn/codegen.hpp"
 #include "telemetry/trace.hpp"
+#include "util/shared_builds.hpp"
 #include "util/thread_pool.hpp"
 
 namespace socpower::core {
@@ -25,6 +26,21 @@ constexpr std::uint32_t kNoWait = std::numeric_limits<std::uint32_t>::max();
 /// Supply current (mA) the CPU draws while blocked on its shared-memory
 /// transfers (low-power wait state; lower than a pipeline stall).
 constexpr double kBusWaitCurrentMa = 70.0;
+
+/// The macro-op library characterized for `config`, built once per process
+/// for each value of what instruction_power_model() reads; the caller gets
+/// its own copy, which set_macromodel() may replace.
+MacroModelLibrary characterized_macromodel(
+    const CoEstimatorConfig& config) {
+  static util::SharedBuilds<MacroModelLibrary> libraries("macromodel");
+  util::KeyBytes key;
+  key.pod(config.data_nj_per_toggle);
+  key.pod(config.electrical);
+  return *libraries.get(key.bytes, [&] {
+    return std::make_shared<const MacroModelLibrary>(
+        MacroModelLibrary::characterize(instruction_power_model(config)));
+  });
+}
 
 /// Create a backend by registry name and downcast it to its role interface.
 /// Aborts (in every build type) when the name resolves to a backend that
@@ -134,8 +150,7 @@ void CoEstimator::prepare() {
       hw_by_kind[static_cast<std::size_t>(hw_kind_[c])].push_back(task);
   }
 
-  macromodel_ =
-      MacroModelLibrary::characterize(instruction_power_model(config_));
+  macromodel_ = characterized_macromodel(config_);
   path_tables_.resize(net_->cfsm_count());
 
   // Instantiate the selected backends (only the roles with work) and let

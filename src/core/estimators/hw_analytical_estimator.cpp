@@ -24,7 +24,7 @@ void HwAnalyticalEstimator::begin_run() {
     UnitCalib& c = calib_[static_cast<std::size_t>(task)];
     c.tracker.reset();
     c.leakage_watts = hw::analytical_leakage_watts(
-        unit(task).image.netlist->gate_count(), {});
+        unit(task).image().netlist->gate_count(), {});
     c.leak_per_reaction =
         c.leakage_watts *
         config_->electrical.seconds(static_cast<double>(kHwReactionCycles));
@@ -41,7 +41,7 @@ Joules HwAnalyticalEstimator::price(Unit& unit, cfsm::CfsmId task,
                                     std::uint64_t* gate_cycles) {
   UnitCalib& c = calib_[static_cast<std::size_t>(task)];
   const hw::ReactionActivity act =
-      c.tracker.observe(unit.image.local_inputs, inputs, pre);
+      c.tracker.observe(unit.image().local_inputs, inputs, pre);
   Joules e;
   if (c.fitted) {
     e = c.model.predict(act);

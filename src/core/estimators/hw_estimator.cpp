@@ -22,10 +22,8 @@ void HwEstimatorBase::prepare(const EstimatorContext& ctx) {
   units_.resize(net_->cfsm_count());
   for (const cfsm::CfsmId task : components_) {
     auto u = std::make_unique<Unit>();
-    u->image = hwsyn::synthesize_cfsm(net_->cfsm(task));
-    u->sim = std::make_unique<hw::GateSim>(u->image.netlist.get(),
-                                           hw::TechParams::generic_250nm(),
-                                           config_->electrical);
+    u->design = hwsyn::shared_design(net_->cfsm(task), config_->electrical);
+    u->sim = hwsyn::make_gate_sim(u->design);
     u->rcache = std::make_unique<hw::ReactionCache>(u->sim.get(),
                                                     reaction_cache_config());
     units_[static_cast<std::size_t>(task)] = std::move(u);
@@ -62,16 +60,16 @@ void HwEstimatorBase::verify_gate(Unit& u, const TransitionRequest& req) const {
   std::vector<std::int32_t> hw_vars(beh_vars.size());
   for (std::size_t v = 0; v < hw_vars.size(); ++v)
     hw_vars[v] =
-        hwsyn::read_hw_var(*u.sim, u.image, static_cast<cfsm::VarId>(v));
+        hwsyn::read_hw_var(*u.sim, u.image(), static_cast<cfsm::VarId>(v));
   verify_lowlevel_match(
       name(), req.task,
-      effective_emissions(hwsyn::read_hw_emissions(*u.sim, u.image)),
+      effective_emissions(hwsyn::read_hw_emissions(*u.sim, u.image())),
       effective_emissions(req.reaction->emissions), hw_vars, beh_vars);
 }
 
 Joules HwEstimatorBase::gate_step(Unit& u, const cfsm::ReactionInputs& inputs,
                                   std::uint64_t* gate_cycles) {
-  hwsyn::stage_hw_reaction(*u.sim, u.image, inputs);
+  hwsyn::stage_hw_reaction(*u.sim, u.image(), inputs);
   const Joules e = u.rcache->step().energy;
   ++*gate_cycles;
   return e;
@@ -141,14 +139,19 @@ void HwEstimatorBase::stats(RunResults& res) const {
 
 const hwsyn::HwImage* HwEstimatorBase::image(cfsm::CfsmId task) const {
   const auto& u = units_.at(static_cast<std::size_t>(task));
-  return u ? &u->image : nullptr;
+  return u ? &u->image() : nullptr;
+}
+
+const hw::GateSim* HwEstimatorBase::gate_sim(cfsm::CfsmId task) const {
+  const auto& u = units_.at(static_cast<std::size_t>(task));
+  return u ? u->sim.get() : nullptr;
 }
 
 void HwEstimatorBase::resync_if_dirty(cfsm::CfsmId task,
                                       const cfsm::CfsmState& state) {
   Unit& u = unit(task);
   if (!u.registers_dirty) return;
-  hwsyn::sync_hw_vars(*u.sim, u.image, state);
+  hwsyn::sync_hw_vars(*u.sim, u.image(), state);
   u.registers_dirty = false;
 }
 

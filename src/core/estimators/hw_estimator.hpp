@@ -1,12 +1,13 @@
 // Shared machinery of the hardware component estimators.
 //
-// Each ASIC mapped to this backend owns a synthesized FSMD netlist, a gate
-// simulator over it, and (in batch mode) a buffered vector trace. The
-// subclasses differ only in how one reaction is priced, and each prices
-// through exactly one override of price(): HwGateEstimator steps the
-// event-driven gate-level simulator, HwRtlEstimator walks the executed
-// path's operator activations at RT level, HwAnalyticalEstimator evaluates
-// its calibrated activity model. The online cost(), the batch drain and the
+// Each ASIC mapped to this backend holds a synthesized FSMD netlist and its
+// gate program, both shared with every estimator of the same design in the
+// process, plus its own gate simulator over them and (in batch mode) a
+// buffered vector trace. The subclasses differ only in how one reaction is
+// priced, and each prices through exactly one override of price():
+// HwGateEstimator steps the event-driven gate-level simulator,
+// HwRtlEstimator walks the executed path's operator activations at RT
+// level, HwAnalyticalEstimator evaluates its calibrated activity model. The online cost(), the batch drain and the
 // dist::Worker (which drains shipped batches and answers online requests
 // through the same two entry points) all call that one override. Everything
 // else (staging, register resynchronization after acceleration skips, batch
@@ -21,6 +22,7 @@
 #include "core/estimators/component_estimator.hpp"
 #include "hw/gatesim.hpp"
 #include "hw/reaction_cache.hpp"
+#include "hwsyn/design.hpp"
 #include "hwsyn/synth.hpp"
 #include "util/slot_vector.hpp"
 
@@ -48,6 +50,10 @@ class HwEstimatorBase : public HwBackend {
   void separate_reset(cfsm::CfsmId task) override;
   Joules separate_step(cfsm::CfsmId task,
                        const cfsm::ReactionInputs& inputs) override;
+
+  /// `task`'s gate simulator, nullptr when this backend does not own `task`
+  /// (introspection and tests).
+  [[nodiscard]] const hw::GateSim* gate_sim(cfsm::CfsmId task) const;
 
   /// Reaction-cache statistics summed over this backend's hardware units
   /// (tests and examples; per-unit telemetry lives under
@@ -79,7 +85,11 @@ class HwEstimatorBase : public HwBackend {
     cfsm::CfsmState pre;
   };
   struct Unit {
-    hwsyn::HwImage image;
+    /// The process's netlist and gate program, shared with every estimator
+    /// of the same design (hwsyn::shared_design).
+    std::shared_ptr<const hwsyn::HwDesign> design;
+    const hwsyn::HwImage& image() const { return design->image; }
+    /// This estimator's simulator over the shared program.
     std::unique_ptr<hw::GateSim> sim;
     /// Reaction memoizer wrapping `sim`. One per unit — the parallel batch
     /// flush dispatches whole units, so no cache is ever shared between

@@ -241,9 +241,8 @@ const hwsyn::HwImage* RemoteHwEstimator::image(cfsm::CfsmId task) const {
   std::lock_guard<std::mutex> lk(mu_);
   auto& slot = images_[static_cast<std::size_t>(task)];
   if (!slot)
-    slot = std::make_unique<hwsyn::HwImage>(
-        hwsyn::synthesize_cfsm(net_->cfsm(task)));
-  return slot.get();
+    slot = hwsyn::shared_design(net_->cfsm(task), prep_cfg_.electrical);
+  return &slot->image;
 }
 
 void RemoteHwEstimator::resync_if_dirty(cfsm::CfsmId task,

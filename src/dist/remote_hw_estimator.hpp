@@ -31,6 +31,7 @@
 #include "dist/channel.hpp"
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
+#include "hwsyn/design.hpp"
 
 namespace socpower::telemetry {
 class Counter;
@@ -120,10 +121,10 @@ class RemoteHwEstimator : public core::HwBackend {
   /// mark_skipped() only sets it, and resync_if_dirty() sends a kResync
   /// (which carries a full CfsmState) only while it is set.
   std::vector<bool> worker_dirty_;
-  /// Lazily synthesized master-side images (image() introspection only; the
-  /// simulating copy lives in the worker). Synthesis is deterministic, so
-  /// this equals the worker's.
-  mutable std::vector<std::unique_ptr<hwsyn::HwImage>> images_;
+  /// Master-side designs, looked up on the first image() call
+  /// (introspection only; the worker simulates its own). Synthesis is
+  /// deterministic, so this image equals the worker's.
+  mutable std::vector<std::shared_ptr<const hwsyn::HwDesign>> images_;
 
   std::uint64_t tx_seen_ = 0;
   std::uint64_t rx_seen_ = 0;

@@ -24,9 +24,9 @@ std::uint32_t truth_table(GateType t) {
 
 }  // namespace
 
-GateSim::GateSim(const Netlist* netlist, TechParams tech,
-                 ElectricalParams params)
-    : netlist_(netlist), tech_(tech), params_(params) {
+GateProgram::GateProgram(const Netlist* netlist, TechParams tech,
+                         ElectricalParams params)
+    : netlist_(netlist) {
   std::string err;
   Levelization lv = netlist_->levelize(&err);
   if (!err.empty()) {
@@ -107,22 +107,31 @@ GateSim::GateSim(const Netlist* netlist, TechParams tech,
   // Work slots: each level's gates (the latch level's DFFs) plus one spare
   // slot each below it.
   for (std::uint32_t l = 0; l < level_begin_.size(); ++l) level_begin_[l] += l;
-  work_.assign(level_begin_.back(), 0);
-  level_fill_.assign(level_begin_.begin(), level_begin_.end() - 1);
-  // The edge reads the DFF flags eight at a time.
-  gate_dirty_.assign(gates.size() + (dffs.size() + 7) / 8 * 8, 0);
 
   net_energy_.resize(netlist_->net_count());
   for (std::size_t n = 0; n < netlist_->net_count(); ++n)
-    net_energy_[n] = params_.switch_energy(
-        netlist_->net_capacitance(static_cast<NetId>(n), tech_));
-  value_.assign(netlist_->net_count(), 0);
-  input_next_.assign(netlist_->primary_inputs().size(), 0);
-  toggled_ = std::make_unique_for_overwrite<NetId[]>(netlist_->net_count());
-  latch_marks_.reserve(dffs.size());
-  clock_energy_per_cycle_ =
-      params_.switch_energy(tech_.clock_cap_per_dff_f) *
-      static_cast<double>(netlist_->dff_count());
+    net_energy_[n] = params.switch_energy(
+        netlist_->net_capacitance(static_cast<NetId>(n), tech));
+  clock_energy_per_cycle_ = params.switch_energy(tech.clock_cap_per_dff_f) *
+                            static_cast<double>(netlist_->dff_count());
+}
+
+GateSim::GateSim(const Netlist* netlist, TechParams tech,
+                 ElectricalParams params)
+    : GateSim(std::make_shared<const GateProgram>(netlist, tech, params)) {}
+
+GateSim::GateSim(std::shared_ptr<const GateProgram> program)
+    : program_(std::move(program)) {
+  const GateProgram& p = *program_;
+  const Netlist& nl = *p.netlist_;
+  work_.assign(p.level_begin_.back(), 0);
+  level_fill_.assign(p.level_begin_.begin(), p.level_begin_.end() - 1);
+  // The edge reads the DFF flags eight at a time.
+  gate_dirty_.assign(p.gates_.size() + (nl.dff_count() + 7) / 8 * 8, 0);
+  value_.assign(nl.net_count(), 0);
+  input_next_.assign(nl.primary_inputs().size(), 0);
+  toggled_ = std::make_unique_for_overwrite<NetId[]>(nl.net_count());
+  latch_marks_.reserve(nl.dff_count());
   reset();
 }
 
@@ -163,8 +172,10 @@ void GateSim::set_input_word(std::size_t first_input_index,
 }
 
 void GateSim::mark_consumers_dirty(std::uint32_t net) {
-  const Consumer* c = consumers_.data() + consumer_offsets_[net];
-  const Consumer* const end = consumers_.data() + consumer_offsets_[net + 1];
+  const GateProgram& p = *program_;
+  const Consumer* c = p.consumers_.data() + p.consumer_offsets_[net];
+  const Consumer* const end =
+      p.consumers_.data() + p.consumer_offsets_[net + 1];
   std::uint32_t* const fill = level_fill_.data();
   std::uint32_t lo = dirty_lo_;
   std::uint32_t hi = dirty_hi_;
@@ -185,11 +196,12 @@ void GateSim::mark_latch_consumers() {
 }
 
 void GateSim::drain_dirty() {
+  const std::vector<std::uint32_t>& level_begin = program_->level_begin_;
   latch_marks_.clear();
   for (std::uint32_t lvl = dirty_lo_; lvl <= dirty_hi_; ++lvl) {
-    for (std::uint32_t s = level_begin_[lvl]; s < level_fill_[lvl]; ++s)
+    for (std::uint32_t s = level_begin[lvl]; s < level_fill_[lvl]; ++s)
       gate_dirty_[work_[s]] = 0;
-    level_fill_[lvl] = level_begin_[lvl];
+    level_fill_[lvl] = level_begin[lvl];
   }
   dirty_lo_ = kNoLevel;
   dirty_hi_ = 0;
@@ -202,17 +214,18 @@ CycleResult GateSim::step() {
   // energy is accumulated in one pass at the end of the step from the
   // cached per-net switch energies, in that same order.
   mark_latch_consumers();  // the previous clock edge's marks come first
-  // Every array base and the dirty range live in locals: the uint8_t value
-  // and dirty stores may alias any member, which would otherwise be
-  // reloaded after each of them.
+  // Every array base, the program's and the state's, and the dirty range
+  // live in locals: the uint8_t value and dirty stores may alias any member,
+  // which would otherwise be reloaded after each of them.
+  const GateProgram& p = *program_;
   std::uint8_t* const value = value_.data();
   std::uint8_t* const dirty = gate_dirty_.data();
   std::uint32_t* const work = work_.data();
   std::uint32_t* const fill = level_fill_.data();
-  const std::uint32_t* const level_begin = level_begin_.data();
-  const FlatGate* const gates = gates_.data();
-  const Consumer* const consumers = consumers_.data();
-  const std::uint32_t* const consumer_offsets = consumer_offsets_.data();
+  const std::uint32_t* const level_begin = p.level_begin_.data();
+  const FlatGate* const gates = p.gates_.data();
+  const Consumer* const consumers = p.consumers_.data();
+  const std::uint32_t* const consumer_offsets = p.consumer_offsets_.data();
   NetId* const toggled = toggled_.get();
   std::size_t n_toggled = 0;
   std::uint32_t lo = dirty_lo_;
@@ -233,7 +246,7 @@ CycleResult GateSim::step() {
   };
 
   // Apply primary inputs.
-  const NetId* const pis = netlist_->primary_inputs().data();
+  const NetId* const pis = p.netlist_->primary_inputs().data();
   const std::uint8_t* const staged = input_next_.data();
   const std::size_t n_pis = input_next_.size();
   for (std::size_t i = 0; i < n_pis; ++i) {
@@ -280,9 +293,9 @@ CycleResult GateSim::step() {
   // laid down, in commit order, when the simulator next needs them
   // (mark_latch_consumers), so a cache replay that follows never pays for
   // marks it would drain.
-  const Dff* const dffs = netlist_->dffs().data();
-  std::uint8_t* const flags = dirty + gates_.size();
-  const std::size_t n_dffs = netlist_->dffs().size();
+  const Dff* const dffs = p.netlist_->dffs().data();
+  std::uint8_t* const flags = dirty + p.gates_.size();
+  const std::size_t n_dffs = p.netlist_->dffs().size();
   latch_begin_ = n_toggled;
   for (std::size_t i = 0; i < n_dffs; i += 8) {
     std::uint64_t word;
@@ -306,9 +319,10 @@ CycleResult GateSim::step() {
 
   CycleResult r;
   r.toggles = n_toggled;
+  const double* const net_energy = p.net_energy_.data();
   for (std::size_t t = 0; t < n_toggled; ++t)
-    r.energy += net_energy_[static_cast<std::size_t>(toggled[t])];
-  r.energy += clock_energy_per_cycle_;
+    r.energy += net_energy[static_cast<std::size_t>(toggled[t])];
+  r.energy += p.clock_energy_per_cycle_;
   ++cycles_;
   total_energy_ += r.energy;
   static telemetry::Counter& steps =
@@ -370,7 +384,7 @@ std::uint64_t GateSim::read_word(std::size_t first_output_index,
                                  unsigned width) const {
   // Clamped in every build type: out-of-range output bits read as 0 instead
   // of indexing past the output table under NDEBUG.
-  const auto& outs = netlist_->outputs();
+  const auto& outs = netlist().outputs();
   std::uint64_t v = 0;
   for (unsigned b = 0; b < width; ++b) {
     if (first_output_index + b >= outs.size()) break;
@@ -381,7 +395,7 @@ std::uint64_t GateSim::read_word(std::size_t first_output_index,
 
 void GateSim::force_net(NetId n, bool value) {
   assert(n >= 0 && static_cast<std::size_t>(n) < value_.size());
-  assert(n != netlist_->const0() && n != netlist_->const1());
+  assert(n != netlist().const0() && n != netlist().const1());
   auto& cur = value_[static_cast<std::size_t>(n)];
   const std::uint8_t nv = value ? 1 : 0;
   if (cur != nv) {
@@ -394,13 +408,14 @@ void GateSim::force_net(NetId n, bool value) {
 }
 
 void GateSim::latch_all_next_edge() {
-  std::fill_n(gate_dirty_.begin() + static_cast<std::ptrdiff_t>(gates_.size()),
-              netlist_->dffs().size(), std::uint8_t{1});
+  std::fill_n(
+      gate_dirty_.begin() + static_cast<std::ptrdiff_t>(program_->gates_.size()),
+      netlist().dff_count(), std::uint8_t{1});
 }
 
 void GateSim::settle() {
   std::uint8_t* const value = value_.data();
-  for (const FlatGate& g : gates_) {  // level order
+  for (const FlatGate& g : program_->gates_) {  // level order
     const unsigned idx = value[g.in[0]] | value[g.in[1]] << 1 |
                          value[g.in[2]] << 2;
     value[g.out_tt >> 8] = static_cast<std::uint8_t>((g.out_tt >> idx) & 1u);
@@ -410,9 +425,10 @@ void GateSim::settle() {
 void GateSim::reset() {
   ++resets_;
   forced_ = false;  // reset rebuilds a canonical state; prior forces are moot
-  value_.assign(netlist_->net_count(), 0);
-  value_[static_cast<std::size_t>(netlist_->const1())] = 1;
-  for (const Dff& ff : netlist_->dffs())
+  const Netlist& nl = netlist();
+  std::fill(value_.begin(), value_.end(), std::uint8_t{0});
+  value_[static_cast<std::size_t>(nl.const1())] = 1;
+  for (const Dff& ff : nl.dffs())
     value_[static_cast<std::size_t>(ff.q)] = ff.init ? 1 : 0;
   // Settle combinational logic so the first step() doesn't bill the
   // power-on transient as switching activity.

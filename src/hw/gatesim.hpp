@@ -25,10 +25,64 @@ struct CycleResult {
   Joules energy = 0.0;
 };
 
+/// The immutable half of the gate-level simulator: everything step() reads
+/// and never writes, derived once from a netlist, its technology and its
+/// electrical parameters. Building one levelizes the netlist and refuses, in
+/// every build type, a combinational cycle or more than 2^24 nets. Any
+/// number of GateSims, on any threads, may step over one program; the
+/// netlist must outlive it.
+class GateProgram {
+ public:
+  GateProgram(const Netlist* netlist, TechParams tech,
+              ElectricalParams params);
+
+  [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
+
+ private:
+  friend class GateSim;
+
+  /// A gate as the kernel sees it: three input nets (absent inputs read
+  /// Netlist::const0()), `out << 8 | truth table`, where bit
+  /// (a | b << 1 | c << 2) of the 8-bit table is the output for inputs a, b,
+  /// c, and the output net's consumer range in consumers_.
+  struct FlatGate {
+    std::uint32_t in[3];
+    std::uint32_t out_tt;
+    std::uint32_t consumers_begin;
+    std::uint32_t consumers_end;
+  };
+  /// One consumer of a net, with the level that owns its work slots. A DFF
+  /// reading the net on D is a consumer too: gate gates_.size() + its index,
+  /// at kLatchLevel (see GateSim::gate_dirty_).
+  struct Consumer {
+    std::uint32_t gate;
+    std::uint32_t level;
+  };
+  static constexpr std::uint32_t kNoLevel = 0xffffffffu;
+  static constexpr std::uint32_t kLatchLevel = 0;
+
+  const Netlist* netlist_;
+  std::vector<FlatGate> gates_;  // in level order
+  // net -> consumers, CSR-flattened: the consumers of net n are
+  // consumers_[consumer_offsets_[n] .. consumer_offsets_[n+1]).
+  std::vector<std::uint32_t> consumer_offsets_;
+  std::vector<Consumer> consumers_;
+  // Level l owns the work slots [level_begin_[l], level_begin_[l+1]): one
+  // per gate of that level (per DFF at kLatchLevel) plus one spare.
+  std::vector<std::uint32_t> level_begin_;
+  std::vector<double> net_energy_;  // switch energy per net
+  Joules clock_energy_per_cycle_ = 0.0;
+};
+
+/// One simulator: the per-run state (net values, dirty marks, work lists,
+/// toggles, counters) over a GateProgram.
 class GateSim {
  public:
+  /// A simulator over a program of its own, built from `netlist`.
   GateSim(const Netlist* netlist, TechParams tech = TechParams::generic_250nm(),
           ElectricalParams params = {});
+  /// A simulator over a shared program, which it keeps alive.
+  explicit GateSim(std::shared_ptr<const GateProgram> program);
 
   /// Set a primary input for the upcoming cycle (index into primary_inputs()).
   /// Out-of-range indices are checked in every build type: the write is
@@ -69,7 +123,8 @@ class GateSim {
   /// constant nets must not be forced: absent gate inputs read const0().
   void force_net(NetId n, bool value);
 
-  [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
+  [[nodiscard]] const Netlist& netlist() const { return program_->netlist(); }
+  [[nodiscard]] const GateProgram& program() const { return *program_; }
   [[nodiscard]] std::uint64_t cycles_simulated() const { return cycles_; }
   [[nodiscard]] Joules total_energy() const { return total_energy_; }
 
@@ -116,27 +171,10 @@ class GateSim {
                                     std::size_t latch_begin, Joules energy);
 
  private:
-  // The evaluation kernel's data is precomputed from the netlist at
-  // construction so step() runs without a type switch or absent-input test.
-  /// A gate as the kernel sees it: three input nets (absent inputs read
-  /// Netlist::const0()), `out << 8 | truth table`, where bit
-  /// (a | b << 1 | c << 2) of the 8-bit table is the output for inputs a, b,
-  /// c, and the output net's consumer range in consumers_.
-  struct FlatGate {
-    std::uint32_t in[3];
-    std::uint32_t out_tt;
-    std::uint32_t consumers_begin;
-    std::uint32_t consumers_end;
-  };
-  /// One consumer of a net, with the level that owns its work slots. A DFF
-  /// reading the net on D is a consumer too: gate gates_.size() + its index,
-  /// at kLatchLevel (see gate_dirty_).
-  struct Consumer {
-    std::uint32_t gate;
-    std::uint32_t level;
-  };
-  static constexpr std::uint32_t kNoLevel = 0xffffffffu;
-  static constexpr std::uint32_t kLatchLevel = 0;
+  using FlatGate = GateProgram::FlatGate;
+  using Consumer = GateProgram::Consumer;
+  static constexpr std::uint32_t kNoLevel = GateProgram::kNoLevel;
+  static constexpr std::uint32_t kLatchLevel = GateProgram::kLatchLevel;
 
   void mark_consumers_dirty(std::uint32_t net);
   /// Lay down the dirty marks of the last clock edge's Q toggles (queued in
@@ -153,21 +191,13 @@ class GateSim {
   /// differ from its Q without having marked it.
   void latch_all_next_edge();
 
-  const Netlist* netlist_;
-  TechParams tech_;
-  ElectricalParams params_;
-  std::vector<FlatGate> gates_;  // in level order
-  // net -> consumers, CSR-flattened: the consumers of net n are
-  // consumers_[consumer_offsets_[n] .. consumer_offsets_[n+1]).
-  std::vector<std::uint32_t> consumer_offsets_;
-  std::vector<Consumer> consumers_;
-  // Work lists: level l owns work_[level_begin_[l] .. level_begin_[l+1]),
-  // one slot per gate of that level plus one spare, filled from the front up
-  // to level_fill_[l]. Marking stores unconditionally and advances the fill
-  // only for a gate not yet dirty; the spare slot absorbs the store when
-  // every gate of the level is already queued.
+  std::shared_ptr<const GateProgram> program_;
+  // Work lists: level l owns work_[level_begin_[l] .. level_begin_[l+1])
+  // (the program's ranges), filled from the front up to level_fill_[l].
+  // Marking stores unconditionally and advances the fill only for a gate
+  // not yet dirty; the spare slot absorbs the store when every gate of the
+  // level is already queued.
   std::vector<std::uint32_t> work_;
-  std::vector<std::uint32_t> level_begin_;
   std::vector<std::uint32_t> level_fill_;
   // One dirty flag per gate, then one per DFF (padded to a multiple of 8).
   // A DFF's flag is set by every commit to its D net, through the DFF's
@@ -181,7 +211,6 @@ class GateSim {
   // Q nets the last clock edge toggled, in commit order, whose consumers are
   // not marked yet: the next step(), force_net() or replay deals with them.
   std::vector<std::uint32_t> latch_marks_;
-  std::vector<double> net_energy_;       // cached switch energy per net
   std::vector<std::uint8_t> value_;      // current net values
   std::vector<std::uint8_t> input_next_; // pending PI values
   // Nets toggled by the last step, in order. A net commits at most once per
@@ -190,7 +219,6 @@ class GateSim {
   std::unique_ptr<NetId[]> toggled_;
   std::size_t toggled_count_ = 0;
   std::size_t latch_begin_ = 0;          // toggled_ index where Q toggles start
-  Joules clock_energy_per_cycle_ = 0.0;
   std::uint64_t cycles_ = 0;
   Joules total_energy_ = 0.0;
   std::uint64_t gates_evaluated_ = 0;

@@ -1,6 +1,7 @@
 // The pluggable-backend seams: EstimatorRegistry lookup/registration,
 // CoEstimatorConfig::validate() rejection paths, the structural-mutation
-// guard, and the backends() introspection of a prepared estimator.
+// guard, the backends() introspection of a prepared estimator, and the
+// per-process sharing of hardware designs between estimators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +11,17 @@
 
 #include "cfsm/dsl.hpp"
 #include "core/coestimator.hpp"
+#include "core/estimators/hw_estimator.hpp"
 #include "core/estimators/registry.hpp"
 #include "core/estimators/sw_iss_estimator.hpp"
+#include "core/explorer.hpp"
+#include "hwsyn/design.hpp"
+#include "systems/multicore.hpp"
 #include "systems/tcpip.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
+#include "util/shared_builds.hpp"
 
 namespace socpower::core {
 namespace {
@@ -430,6 +439,239 @@ TEST(EstimatorBackends, BackendsListRolesAfterPrepare) {
     else
       EXPECT_FALSE(ids.empty()) << b->name();
   }
+}
+
+// ---- shared hardware designs -------------------------------------------------
+
+/// The gate-level backend's simulator of `task` in a prepared estimator.
+const hw::GateSim* gate_sim_of(const CoEstimator& est, cfsm::CfsmId task) {
+  for (const ComponentEstimator* b : est.backends())
+    if (const auto* hw = dynamic_cast<const HwEstimatorBase*>(b))
+      if (const hw::GateSim* sim = hw->gate_sim(task)) return sim;
+  return nullptr;
+}
+
+std::uint64_t counter(const char* name) {
+  return telemetry::registry().counter(name).value();
+}
+
+TEST(EstimatorBackends, SeparateSystemsShareOneBuildPerHwUnit) {
+  telemetry::set_enabled(true, false);
+  const systems::MulticoreParams params{.cores = 2, .num_packets = 3};
+  systems::MulticoreSystem sys_a(params);
+  systems::MulticoreSystem sys_b(params);
+  CoEstimator est_a(&sys_a.network(), sys_a.config_template());
+  CoEstimator est_b(&sys_b.network(), sys_b.config_template());
+  sys_a.configure(est_a);
+  sys_b.configure(est_b);
+
+  const std::uint64_t builds0 = counter("hw.design.builds");
+  const std::uint64_t reuses0 = counter("hw.design.reuses");
+  est_a.prepare();
+  const std::uint64_t builds1 = counter("hw.design.builds");
+  const std::uint64_t reuses1 = counter("hw.design.reuses");
+  est_b.prepare();
+  const std::uint64_t builds2 = counter("hw.design.builds");
+  const std::uint64_t reuses2 = counter("hw.design.reuses");
+  telemetry::set_enabled(false, false);
+  // Two HW units (timer, collector): the first system builds them or finds
+  // them from an earlier test; the second only reuses.
+  EXPECT_EQ((builds1 - builds0) + (reuses1 - reuses0), 2u);
+  EXPECT_EQ(builds2 - builds1, 0u);
+  EXPECT_EQ(reuses2 - reuses1, 2u);
+
+  for (const cfsm::CfsmId task : {sys_a.timer(), sys_a.collector()}) {
+    SCOPED_TRACE(task);
+    const hw::GateSim* a = gate_sim_of(est_a, task);
+    const hw::GateSim* b = gate_sim_of(est_b, task);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_NE(a, b);  // per-estimator state
+    EXPECT_EQ(&a->program(), &b->program());
+    EXPECT_EQ(est_a.hw_image(task)->netlist.get(),
+              est_b.hw_image(task)->netlist.get());
+    EXPECT_EQ(&a->netlist(), est_a.hw_image(task)->netlist.get());
+  }
+
+  const RunResults ra = est_a.run(sys_a.stimulus(4096));
+  const RunResults rb = est_b.run(sys_b.stimulus(4096));
+  EXPECT_GT(ra.gate_sim_cycles, 0u);
+  EXPECT_EQ(ra.total_energy, rb.total_energy);
+  EXPECT_EQ(ra.process_energy, rb.process_energy);
+  EXPECT_EQ(ra.cpu_energy, rb.cpu_energy);
+  EXPECT_EQ(ra.hw_energy, rb.hw_energy);
+  EXPECT_EQ(ra.bus_energy, rb.bus_energy);
+  EXPECT_EQ(ra.cache_energy, rb.cache_energy);
+  EXPECT_EQ(ra.end_time, rb.end_time);
+  EXPECT_EQ(ra.reactions, rb.reactions);
+  EXPECT_EQ(ra.gate_sim_cycles, rb.gate_sim_cycles);
+  EXPECT_EQ(ra.iss_instructions, rb.iss_instructions);
+  EXPECT_EQ(ra.coherence.invalidations, rb.coherence.invalidations);
+  EXPECT_EQ(ra.coherence.energy, rb.coherence.energy);
+}
+
+/// One HW process `p`: on A it either adds `literal` to x and then emits
+/// B(x), or (with `assign_skips_emit`) adds it and ends; without A it emits
+/// B(x). The two shapes differ in one s-graph edge.
+void build_unit(cfsm::Network& net, std::int32_t literal,
+                bool assign_skips_emit) {
+  const cfsm::EventId a = net.declare_event("A");
+  const cfsm::EventId b = net.declare_event("B");
+  cfsm::Cfsm& c = net.add_cfsm("p");
+  c.add_input(a);
+  c.add_output(b);
+  const cfsm::VarId x = c.add_var("x", 1);
+  cfsm::ExprArena& ar = c.arena();
+  const cfsm::ExprId sum =
+      ar.binary(cfsm::ExprOp::kAdd, ar.variable(x), ar.constant(literal));
+  const cfsm::ExprId mixed =
+      ar.binary(cfsm::ExprOp::kBitXor, sum, ar.event_value(a));
+  cfsm::SGraph& g = c.graph();
+  const cfsm::NodeId end = g.add_end();
+  const cfsm::NodeId emit = g.add_emit(b, ar.variable(x), end);
+  const cfsm::NodeId assign =
+      g.add_assign(x, mixed, assign_skips_emit ? end : emit);
+  g.set_root(g.add_test(ar.event_present(a), assign, emit));
+  ASSERT_EQ(g.validate(), "");
+}
+
+TEST(EstimatorBackends, DistinctDesignsGetDistinctBuildsThatMatchPrivateOnes) {
+  ElectricalParams low_vdd;
+  low_vdd.vdd_volts = 1.8;
+  struct Variant {
+    const char* what;
+    std::int32_t literal;
+    bool skips_emit;
+    ElectricalParams electrical;
+  };
+  const Variant variants[] = {{"base", 3, false, {}},
+                              {"literal", 4, false, {}},
+                              {"edge", 3, true, {}},
+                              {"electrical", 3, false, low_vdd}};
+  std::vector<std::shared_ptr<const hwsyn::HwDesign>> designs;
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.what);
+    cfsm::Network net;
+    build_unit(net, v.literal, v.skips_emit);
+    const cfsm::Cfsm& c = net.cfsm(0);
+    designs.push_back(hwsyn::shared_design(c, v.electrical));
+    for (std::size_t j = 0; j + 1 < designs.size(); ++j)
+      EXPECT_NE(designs[j], designs.back()) << variants[j].what;
+    // The same content declared again, in another network, is one build.
+    cfsm::Network again;
+    build_unit(again, v.literal, v.skips_emit);
+    EXPECT_EQ(hwsyn::shared_design(again.cfsm(0), v.electrical),
+              designs.back());
+
+    // The shared program steps exactly like a private one over a netlist
+    // synthesized separately.
+    const hwsyn::HwImage img = hwsyn::synthesize_cfsm(c);
+    hw::GateSim priv(img.netlist.get(), hw::TechParams::generic_250nm(),
+                     v.electrical);
+    const std::unique_ptr<hw::GateSim> shared =
+        hwsyn::make_gate_sim(designs.back());
+    const std::size_t n_pis = img.netlist->primary_inputs().size();
+    ASSERT_EQ(shared->netlist().primary_inputs().size(), n_pis);
+    Rng rng(0x5eed);
+    for (int step = 0; step < 200; ++step) {
+      for (std::size_t i = 0; i < n_pis; ++i) {
+        const bool bit = rng.chance(0.5);
+        priv.set_input(i, bit);
+        shared->set_input(i, bit);
+      }
+      const hw::CycleResult rp = priv.step();
+      const hw::CycleResult rs = shared->step();
+      ASSERT_EQ(rp.energy, rs.energy) << "step " << step;
+      ASSERT_EQ(rp.toggles, rs.toggles) << "step " << step;
+      ASSERT_TRUE(std::equal(priv.last_toggles().begin(),
+                             priv.last_toggles().end(),
+                             shared->last_toggles().begin(),
+                             shared->last_toggles().end()))
+          << "step " << step;
+    }
+    EXPECT_EQ(priv.total_energy(), shared->total_energy());
+  }
+}
+
+/// Points of one multicore design: every point prepares the same timer and
+/// collector, so a threaded sweep looks them up concurrently.
+std::vector<ExplorationPoint> one_design_points() {
+  std::vector<ExplorationPoint> pts;
+  for (const sim::SimTime gap : {2, 3, 5, 7, 11, 13}) {
+    auto make_run = [gap](bool exact) {
+      return [gap, exact] {
+        systems::MulticoreSystem sys(
+            {.cores = 2, .num_packets = 3, .start_gap = gap});
+        CoEstimatorConfig cfg = sys.config_template();
+        if (!exact) cfg.accel = Acceleration::kMacroModel;
+        CoEstimator est(&sys.network(), cfg);
+        sys.configure(est);
+        est.prepare();
+        return est.run(sys.stimulus(4096));
+      };
+    };
+    ExplorationPoint p;
+    p.label = "gap=" + std::to_string(gap);
+    p.run_coarse = make_run(false);
+    p.run_exact = make_run(true);
+    pts.push_back(std::move(p));
+  }
+  return pts;
+}
+
+TEST(EstimatorBackends, ThreadedExploreOfOneDesignMatchesSerial) {
+  const auto pts = one_design_points();
+  // Threaded first: in a fresh process its workers race to build the
+  // designs.
+  const ExplorationOutcome threaded = explore(pts, 3, {.threads = 3});
+  const ExplorationOutcome serial = explore(pts, 3);
+  ASSERT_EQ(serial.ranked.size(), threaded.ranked.size());
+  for (std::size_t i = 0; i < serial.ranked.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(serial.ranked[i].label, threaded.ranked[i].label);
+    EXPECT_EQ(serial.ranked[i].coarse_energy, threaded.ranked[i].coarse_energy);
+    EXPECT_EQ(serial.ranked[i].exact_energy, threaded.ranked[i].exact_energy);
+  }
+  EXPECT_EQ(serial.winner_confirmed, threaded.winner_confirmed);
+}
+
+TEST(EstimatorBackends, SharedMacroModelIsCopiedPerEstimator) {
+  systems::TcpIpSystem sys(small_params());
+  CoEstimator a(&sys.network());
+  CoEstimator b(&sys.network());
+  sys.configure(a);
+  sys.configure(b);
+  a.prepare();
+  b.prepare();
+  const MacroModelLibrary fresh = MacroModelLibrary::characterize(
+      instruction_power_model(CoEstimatorConfig{}));
+  EXPECT_EQ(a.macromodel().to_parameter_file(), fresh.to_parameter_file());
+  MacroModelLibrary edited = a.macromodel();
+  edited.set_cost(swsyn::MacroOp::kConst, {1.0, 1e-9, 4});
+  a.set_macromodel(edited);
+  // Only `a` changed; `b` and an estimator prepared later keep the
+  // characterized library.
+  EXPECT_EQ(b.macromodel().to_parameter_file(), fresh.to_parameter_file());
+  CoEstimator c(&sys.network());
+  sys.configure(c);
+  c.prepare();
+  EXPECT_EQ(c.macromodel().to_parameter_file(), fresh.to_parameter_file());
+  EXPECT_NE(a.macromodel().to_parameter_file(), fresh.to_parameter_file());
+}
+
+TEST(EstimatorBackends, DesignTableKeepsAtMostTheBoundOfIdleBuilds) {
+  for (std::int32_t i = 0; i < static_cast<std::int32_t>(
+                                   util::kMaxIdleBuilds + 4);
+       ++i) {
+    cfsm::Network net;
+    build_unit(net, 1000 + i, false);  // a design no other test declares
+    CoEstimator est(&net);
+    est.map_hw(0);
+    est.prepare();
+    EXPECT_LE(hwsyn::shared_design_count(), util::kMaxIdleBuilds + 1);
+  }
+  // Every estimator is gone: what is left is idle, and at the bound.
+  EXPECT_EQ(hwsyn::shared_design_count(), util::kMaxIdleBuilds);
 }
 
 }  // namespace

@@ -62,6 +62,14 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
+// The nothrow form too (std::stable_sort's temporary buffer uses it): left
+// to the runtime, its pointer would reach the free() above, which
+// AddressSanitizer reports as an allocation/deallocation mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
