@@ -737,7 +737,10 @@ RunResults CoEstimator::run(const sim::Stimulus& stimulus) {
     res.end_time = std::max(res.end_time, cs.free_at);
   res.total_energy =
       res.cpu_energy + res.hw_energy + res.bus_energy + res.cache_energy;
-  for (const auto& b : owned_backends_) b->stats(res);
+  for (const auto& b : owned_backends_) {
+    b->stats(res);
+    b->end_run();
+  }
   res.gate_sim_cycles += flush_gate_cycles_;
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
@@ -888,6 +891,7 @@ RunResults CoEstimator::run_separate(const sim::Stimulus& stimulus) {
   for (SwBackend* sw : sw_for_core_)
     if (sw) sw->stats(res);
   for (HwBackend* hw : hw_backends_) hw->stats(res);
+  for (const auto& b : owned_backends_) b->end_run();
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

@@ -135,6 +135,10 @@ class ComponentEstimator {
   /// every run; per-run config knobs are re-read here).
   virtual void begin_run() = 0;
 
+  /// Called by the master when a run (co-estimation or separate) has
+  /// finished: release what only a run in flight needs.
+  virtual void end_run() {}
+
   /// Invoke the lower-level estimator for one transition. The acceleration
   /// policy is the master's: when a transition is served from the energy
   /// cache or the macro-model this is simply never called.
@@ -161,9 +165,9 @@ class ComponentEstimator {
   virtual void import_warm_state(const BackendWarmState& /*state*/) {}
 
   /// Cumulative hit/fill counters of this backend's internal warm caches
-  /// (ISS block cache, per-unit reaction caches) since prepare(). The serve
-  /// layer reports the per-request delta, which is what makes warm-vs-cold
-  /// hit rates observable per estimation request.
+  /// (ISS block cache, per-unit reaction-table views) since prepare(). The
+  /// serve layer reports the per-request delta, which is what makes
+  /// warm-vs-cold hit rates observable per estimation request.
   struct WarmCacheCounters {
     std::uint64_t hits = 0;
     std::uint64_t fills = 0;  ///< decodes / misses (cache-populating work)

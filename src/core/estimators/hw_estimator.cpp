@@ -24,8 +24,8 @@ void HwEstimatorBase::prepare(const EstimatorContext& ctx) {
     auto u = std::make_unique<Unit>();
     u->design = hwsyn::shared_design(net_->cfsm(task), config_->electrical);
     u->sim = hwsyn::make_gate_sim(u->design);
-    u->rcache = std::make_unique<hw::ReactionCache>(u->sim.get(),
-                                                    reaction_cache_config());
+    u->rcache = std::make_unique<hw::ReactionCache>(
+        u->sim.get(), reaction_cache_config(), u->design->reactions);
     units_[static_cast<std::size_t>(task)] = std::move(u);
   }
 }
@@ -34,13 +34,20 @@ void HwEstimatorBase::begin_run() {
   for (const cfsm::CfsmId task : components_) {
     Unit& u = unit(task);
     u.sim->reset();
-    // Per-run knobs may have changed between runs; the table itself
-    // survives unless they did (warm-start hits across runs are the point).
+    // Per-run knobs may have changed between runs; the design's table
+    // survives them (warm-start hits across runs are the point).
     u.rcache->configure(reaction_cache_config());
     u.registers_dirty = false;
     u.batch.clear();
   }
   gate_cycles_ = 0;
+}
+
+void HwEstimatorBase::end_run() {
+  // An idle view need not keep a table generation alive: when another
+  // estimator of the design clears the table, the old generation is freed
+  // then instead of at this estimator's next run.
+  for (const cfsm::CfsmId task : components_) unit(task).rcache->release();
 }
 
 TransitionCost HwEstimatorBase::cost(const TransitionRequest& req) {

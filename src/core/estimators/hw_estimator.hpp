@@ -1,10 +1,11 @@
 // Shared machinery of the hardware component estimators.
 //
-// Each ASIC mapped to this backend holds a synthesized FSMD netlist and its
-// gate program, both shared with every estimator of the same design in the
-// process, plus its own gate simulator over them and (in batch mode) a
-// buffered vector trace. The subclasses differ only in how one reaction is
-// priced, and each prices through exactly one override of price():
+// Each ASIC mapped to this backend holds a synthesized FSMD netlist, its
+// gate program and its gate-level reaction table, all shared with every
+// estimator of the same design in the process, plus its own gate simulator
+// and reaction-cache view over them and (in batch mode) a buffered vector
+// trace. The subclasses differ only in how one reaction is priced, and each
+// prices through exactly one override of price():
 // HwGateEstimator steps the event-driven gate-level simulator,
 // HwRtlEstimator walks the executed path's operator activations at RT
 // level, HwAnalyticalEstimator evaluates its calibrated activity model. The online cost(), the batch drain and the
@@ -32,6 +33,7 @@ class HwEstimatorBase : public HwBackend {
  public:
   void prepare(const EstimatorContext& ctx) override;
   void begin_run() override;
+  void end_run() override;
   TransitionCost cost(const TransitionRequest& req) override;
   void flush(std::vector<FlushJob>& jobs) override;
   void stats(RunResults& res) const override;
@@ -60,6 +62,8 @@ class HwEstimatorBase : public HwBackend {
   /// "estimator.<name>.rcache.*").
   [[nodiscard]] hw::ReactionCacheStats reaction_cache_stats() const;
 
+  /// The reaction tables of this backend's designs, which the process's
+  /// other estimators of those designs share; importing merges into them.
   [[nodiscard]] BackendWarmState export_warm_state() const override;
   void import_warm_state(const BackendWarmState& state) override;
   [[nodiscard]] WarmCacheCounters warm_cache_counters() const override;
@@ -85,15 +89,16 @@ class HwEstimatorBase : public HwBackend {
     cfsm::CfsmState pre;
   };
   struct Unit {
-    /// The process's netlist and gate program, shared with every estimator
-    /// of the same design (hwsyn::shared_design).
+    /// The process's netlist, gate program and reaction table, shared with
+    /// every estimator of the same design (hwsyn::shared_design).
     std::shared_ptr<const hwsyn::HwDesign> design;
     const hwsyn::HwImage& image() const { return design->image; }
     /// This estimator's simulator over the shared program.
     std::unique_ptr<hw::GateSim> sim;
-    /// Reaction memoizer wrapping `sim`. One per unit — the parallel batch
-    /// flush dispatches whole units, so no cache is ever shared between
-    /// threads.
+    /// This unit's view of the design's reaction table, wrapping `sim`. The
+    /// view is stepped by one thread at a time (the parallel batch flush
+    /// dispatches whole units); the table behind it is shared with every
+    /// other estimator of the design, on any thread.
     std::unique_ptr<hw::ReactionCache> rcache;
     bool registers_dirty = false;  // gate sim skipped; state needs resync
     /// Buffered vectors of the run, in enqueue order. A pool: draining

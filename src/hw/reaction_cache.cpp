@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -47,7 +48,196 @@ std::uint64_t* pack_bytes(std::span<const std::uint8_t> bytes,
 
 std::size_t words_for(std::size_t bits) { return (bits + 63) / 64; }
 
+std::size_t key_words_of(const Netlist& nl) {
+  return 1 + 2 * words_for(nl.primary_inputs().size()) +
+         words_for(nl.dff_count());
+}
+
 }  // namespace
+
+/// One memoized reaction; its key words sit at the same index in the
+/// generation's key array.
+struct ReactionTable::Entry {
+  Joules energy;
+  std::uint64_t gate_evals;  // evaluations the original miss performed
+  const NetId* toggles;
+  std::uint32_t toggle_count;
+  std::uint32_t latch_begin;  // commit-ordered; latch suffix starts here
+};
+
+/// A table generation at a fixed capacity. Lookups read the slots without
+/// a lock; everything else is written under the table's mutex, and only
+/// into entries not yet published.
+struct ReactionTable::Generation {
+  Generation(std::size_t capacity, std::size_t key_words)
+      : capacity(capacity),
+        key_words(key_words),
+        mask(std::bit_ceil(2 * capacity) - 1),
+        slots(std::make_unique<std::atomic<std::uint64_t>[]>(mask + 1)),
+        entries(std::make_unique_for_overwrite<Entry[]>(capacity)),
+        keys(std::make_unique_for_overwrite<std::uint64_t[]>(capacity *
+                                                             key_words)) {}
+
+  /// The entry whose key equals `key`, or null. Lock-free: a published
+  /// slot's entry, key and toggles were written before its release store.
+  [[nodiscard]] const Entry* find(const std::uint64_t* key,
+                                  std::uint64_t hash) const {
+    const std::uint64_t tag = hash >> 32;
+    const std::size_t key_bytes = key_words * sizeof(std::uint64_t);
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const std::uint64_t s = slots[i].load(std::memory_order_acquire);
+      if (s == 0) return nullptr;
+      if ((s >> 32) != tag) continue;
+      const std::size_t e = (s & 0xffffffffu) - 1;
+      if (std::memcmp(keys.get() + e * key_words, key, key_bytes) == 0)
+        return &entries[e];
+    }
+  }
+
+  /// Appends an entry whose key is absent; size < capacity. Caller holds
+  /// the table's mutex.
+  void append(const std::uint64_t* key, std::uint64_t hash, Joules energy,
+              std::span<const NetId> toggles, std::uint32_t latch_begin,
+              std::uint64_t gate_evals) {
+    const std::size_t e = size++;
+    std::copy(key, key + key_words, keys.get() + e * key_words);
+    entries[e] = {energy, gate_evals, store_toggles(toggles),
+                  static_cast<std::uint32_t>(toggles.size()), latch_begin};
+    std::size_t i = hash & mask;
+    while (slots[i].load(std::memory_order_relaxed) != 0) i = (i + 1) & mask;
+    slots[i].store((hash >> 32 << 32) | (e + 1), std::memory_order_release);
+  }
+
+  [[nodiscard]] std::span<const NetId> toggles_of(const Entry& e) const {
+    return {e.toggles, e.toggle_count};
+  }
+
+  const std::size_t capacity;  // entries
+  const std::size_t key_words;
+  const std::size_t mask;  // slot count - 1; at most half the slots fill
+  /// (hash tag << 32) | (entry index + 1); 0 when free.
+  const std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
+  const std::unique_ptr<Entry[]> entries;
+  const std::unique_ptr<std::uint64_t[]> keys;
+  std::size_t size = 0;  // guarded by the table's mutex
+
+ private:
+  /// Toggle storage granule: a block holds the toggles of many reactions;
+  /// a reaction longer than a block gets a block of its own length.
+  static constexpr std::size_t kToggleBlockNets = std::size_t{1} << 14;
+
+  /// Copies `toggles` into the block arena; blocks never move.
+  const NetId* store_toggles(std::span<const NetId> toggles) {
+    const std::size_t n = toggles.size();
+    if (blocks_.empty() || fill_used_ + n > block_capacity_) {
+      block_capacity_ = std::max(kToggleBlockNets, n);
+      blocks_.push_back(
+          std::make_unique_for_overwrite<NetId[]>(block_capacity_));
+      fill_used_ = 0;
+    }
+    NetId* at = blocks_.back().get() + fill_used_;
+    std::copy(toggles.begin(), toggles.end(), at);
+    fill_used_ += n;
+    return at;
+  }
+
+  std::vector<std::unique_ptr<NetId[]>> blocks_;  // the last one fills
+  std::size_t block_capacity_ = 0;                // of the last block
+  std::size_t fill_used_ = 0;                     // nets used in it
+};
+
+ReactionTable::ReactionTable(const Netlist& nl)
+    : key_words_(key_words_of(nl)) {}
+
+std::size_t ReactionTable::size() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return current_ ? current_->size : 0;
+}
+
+void ReactionTable::clear() {
+  std::lock_guard<std::mutex> lk(mu_);
+  install(nullptr);
+}
+
+void ReactionTable::install(std::shared_ptr<Generation> next) {
+  current_ = std::move(next);
+  epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_release);
+}
+
+std::shared_ptr<const ReactionTable::Generation> ReactionTable::current(
+    std::uint64_t* epoch) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  *epoch = epoch_.load(std::memory_order_relaxed);
+  return current_;
+}
+
+std::size_t ReactionTable::insert(const std::uint64_t* key, std::uint64_t hash,
+                                  std::size_t bound, Joules energy,
+                                  std::span<const NetId> toggles,
+                                  std::uint32_t latch_begin,
+                                  std::uint64_t gate_evals, bool* inserted,
+                                  std::shared_ptr<const Generation>* reader) {
+  std::lock_guard<std::mutex> lk(mu_);
+  *inserted = false;
+  if (current_ && current_->find(key, hash)) return 0;  // another view won
+  std::size_t evicted = 0;
+  if (!current_ || current_->size >= std::min(bound, current_->capacity)) {
+    // Generation clear, like the ISS block cache: drop everything rather
+    // than track per-entry age. Keys are pure content, so dropped entries
+    // simply repopulate on their next miss. The old generation is released
+    // before the new one is allocated, so unless another view still reads
+    // it, the new one reuses its memory.
+    evicted = current_ ? current_->size : 0;
+    reader->reset();
+    current_.reset();
+    install(std::make_shared<Generation>(bound, key_words_));
+  }
+  current_->append(key, hash, energy, toggles, latch_begin, gate_evals);
+  *inserted = true;
+  return evicted;
+}
+
+std::size_t ReactionTable::merge(
+    const std::vector<const ExportedReaction*>& entries, std::size_t bound) {
+  std::lock_guard<std::mutex> lk(mu_);
+  std::size_t dropped = 0;
+  for (const ExportedReaction* x : entries) {
+    if (!current_) install(std::make_shared<Generation>(bound, key_words_));
+    // A repeated key keeps the entry already present, as a map insert would.
+    const std::uint64_t h = hash_words(x->key.data(), key_words_);
+    if (current_->find(x->key.data(), h)) continue;
+    if (current_->size >= std::min(bound, current_->capacity)) {
+      ++dropped;
+      continue;
+    }
+    current_->append(x->key.data(), h, x->energy, x->toggles, x->latch_begin,
+                     x->gate_evals);
+  }
+  return dropped;
+}
+
+std::vector<ExportedReaction> ReactionTable::export_entries() const {
+  std::vector<ExportedReaction> out;
+  std::lock_guard<std::mutex> lk(mu_);
+  if (!current_) return out;
+  const Generation& g = *current_;
+  out.reserve(g.size);
+  for (std::size_t i = 0; i < g.size; ++i) {
+    const Entry& e = g.entries[i];
+    const std::uint64_t* key = g.keys.get() + i * key_words_;
+    const std::span<const NetId> toggles = g.toggles_of(e);
+    out.push_back(ExportedReaction{
+        {key, key + key_words_}, e.energy, {toggles.begin(), toggles.end()},
+        e.latch_begin, e.gate_evals});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ExportedReaction& a, const ExportedReaction& b) {
+              return a.key < b.key;
+            });
+  return out;
+}
+
 
 std::vector<ReactionCache::NetRun> ReactionCache::runs_of(
     const std::vector<NetId>& nets) {
@@ -70,12 +260,17 @@ void ReactionCache::gather(const std::vector<NetRun>& runs) {
   }
 }
 
-ReactionCache::ReactionCache(GateSim* sim, ReactionCacheConfig cfg)
+ReactionCache::ReactionCache(GateSim* sim, ReactionCacheConfig cfg,
+                             std::shared_ptr<ReactionTable> table)
     : sim_(sim),
+      table_(table ? std::move(table)
+                   : std::make_shared<ReactionTable>(sim->netlist())),
       cfg_(std::move(cfg)),
-      key_words_(1 + 2 * words_for(sim->netlist().primary_inputs().size()) +
-                 words_for(sim->netlist().dff_count())),
+      key_words_(key_words_of(sim->netlist())),
       key_scratch_(key_words_) {
+  if (table_->key_words() != key_words_)
+    throw std::invalid_argument(
+        "ReactionCache: the table holds keys of another netlist");
   if (cfg_.max_entries == 0) cfg_.max_entries = 1;
   std::vector<NetId> qs;
   for (const Dff& d : sim_->netlist().dffs()) qs.push_back(d.q);
@@ -91,134 +286,34 @@ ReactionCache::ReactionCache(GateSim* sim, ReactionCacheConfig cfg)
 }
 
 void ReactionCache::configure(const ReactionCacheConfig& cfg) {
-  const bool drop = cfg.enabled != cfg_.enabled ||
-                    cfg.telemetry_prefix != cfg_.telemetry_prefix ||
-                    cfg.max_entries < entries_.size();
   if (cfg.telemetry_prefix != cfg_.telemetry_prefix) counters_ = nullptr;
   cfg_ = cfg;
   if (cfg_.max_entries == 0) cfg_.max_entries = 1;
-  if (drop) clear();
-}
-
-void ReactionCache::clear() {
-  // The flat arrays keep their capacity for the entries that repopulate the
-  // table. The toggle blocks go back to the allocator, which hands the same
-  // memory to the next generation's blocks: kept here, they would hold the
-  // high-water mark of every generation for the life of the cache.
-  entries_.clear();
-  keys_.clear();
-  std::fill(slots_.begin(), slots_.end(), Slot{});
-  blocks_.clear();
-  fill_used_ = 0;
-}
-
-std::uint32_t ReactionCache::find(const std::uint64_t* key,
-                                  std::uint64_t hash) const {
-  if (slots_.empty()) return kNoEntry;
-  const std::size_t mask = slots_.size() - 1;
-  const auto tag = static_cast<std::uint32_t>(hash >> 32);
-  const std::size_t key_bytes = key_words_ * sizeof(std::uint64_t);
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot s = slots_[i];
-    if (s.entry == kNoEntry) return kNoEntry;
-    if (s.tag == tag &&
-        std::memcmp(keys_.data() + s.entry * key_words_, key, key_bytes) == 0)
-      return s.entry;
-  }
-}
-
-void ReactionCache::place(std::vector<Slot>& slots, std::uint64_t hash,
-                          std::size_t entry) {
-  const std::size_t mask = slots.size() - 1;
-  std::size_t i = hash & mask;
-  while (slots[i].entry != kNoEntry) i = (i + 1) & mask;
-  slots[i] = {static_cast<std::uint32_t>(hash >> 32),
-              static_cast<std::uint32_t>(entry)};
-}
-
-void ReactionCache::grow_slots() {
-  std::vector<Slot> grown(slots_.empty() ? 16 : 2 * slots_.size());
-  for (std::size_t e = 0; e < entries_.size(); ++e)
-    place(grown, entries_[e].hash, e);
-  slots_ = std::move(grown);
-}
-
-void ReactionCache::store_toggles(std::span<const NetId> toggles, Entry& e) {
-  const std::size_t n = toggles.size();
-  if (blocks_.empty() || fill_used_ + n > blocks_.back().capacity) {
-    const std::size_t cap = std::max(kToggleBlockNets, n);
-    blocks_.push_back({std::make_unique_for_overwrite<NetId[]>(cap), cap});
-    fill_used_ = 0;
-  }
-  std::copy(toggles.begin(), toggles.end(),
-            blocks_.back().nets.get() + fill_used_);
-  e.block = static_cast<std::uint32_t>(blocks_.size() - 1);
-  e.offset = static_cast<std::uint32_t>(fill_used_);
-  e.toggle_count = static_cast<std::uint32_t>(n);
-  fill_used_ += n;
-}
-
-std::span<const NetId> ReactionCache::toggles_of(const Entry& e) const {
-  return {blocks_[e.block].nets.get() + e.offset, e.toggle_count};
-}
-
-void ReactionCache::insert(const std::uint64_t* key, std::uint64_t hash,
-                           Joules energy, std::span<const NetId> toggles,
-                           std::uint32_t latch_begin,
-                           std::uint64_t gate_evals) {
-  if (2 * (entries_.size() + 1) > slots_.size()) grow_slots();
-  place(slots_, hash, entries_.size());
-  Entry e;
-  e.hash = hash;
-  e.energy = energy;
-  e.gate_evals = gate_evals;
-  e.latch_begin = latch_begin;
-  store_toggles(toggles, e);
-  entries_.push_back(e);
-  keys_.insert(keys_.end(), key, key + key_words_);
+  if (cfg_.enabled && table_->size() > cfg_.max_entries) table_->clear();
 }
 
 std::vector<ExportedReaction> ReactionCache::export_entries() const {
-  std::vector<ExportedReaction> out;
-  out.reserve(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    const std::uint64_t* key = keys_.data() + i * key_words_;
-    const std::span<const NetId> toggles = toggles_of(e);
-    out.push_back(ExportedReaction{
-        {key, key + key_words_}, e.energy, {toggles.begin(), toggles.end()},
-        e.latch_begin, e.gate_evals});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ExportedReaction& a, const ExportedReaction& b) {
-              return a.key < b.key;
-            });
-  return out;
+  if (!cfg_.enabled) return {};
+  return table_->export_entries();
 }
 
-void ReactionCache::import_entries(std::vector<ExportedReaction> entries) {
-  clear();
+void ReactionCache::import_entries(
+    const std::vector<ExportedReaction>& entries) {
+  if (!cfg_.enabled) return;
   const auto net_count = static_cast<NetId>(sim_->netlist().net_count());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const ExportedReaction& x = entries[i];
+  std::vector<const ExportedReaction*> fitting;
+  fitting.reserve(entries.size());
+  for (const ExportedReaction& x : entries) {
     const bool fits =
         x.key.size() == key_words_ && x.latch_begin <= x.toggles.size() &&
         std::all_of(x.toggles.begin(), x.toggles.end(),
                     [net_count](NetId n) { return n >= 0 && n < net_count; });
-    if (!fits) {
+    if (fits)
+      fitting.push_back(&x);
+    else
       ++stats_.rejected_imports;
-      continue;
-    }
-    if (entries_.size() >= cfg_.max_entries) {
-      stats_.evicted_entries += entries.size() - i;
-      break;
-    }
-    // A repeated key keeps its first entry, as a map insert would.
-    const std::uint64_t h = hash_words(x.key.data(), key_words_);
-    if (find(x.key.data(), h) == kNoEntry)
-      insert(x.key.data(), h, x.energy, x.toggles, x.latch_begin,
-             x.gate_evals);
   }
+  stats_.evicted_entries += table_->merge(fitting, cfg_.max_entries);
 }
 
 ReactionCache::TelemetryCounters* ReactionCache::counters() {
@@ -237,6 +332,15 @@ ReactionCache::TelemetryCounters* ReactionCache::counters() {
     counters_ = std::move(c);
   }
   return counters_.get();
+}
+
+const ReactionTable::Generation* ReactionCache::generation() {
+  // One acquire load per lookup; the shared_ptr copy (an atomic refcount
+  // add, under the table's mutex) only after an insert installed a new
+  // generation, or after this view let go of its own.
+  if (!gen_ || table_->epoch_.load(std::memory_order_acquire) != seen_epoch_)
+    gen_ = table_->current(&seen_epoch_);
+  return gen_.get();
 }
 
 void ReactionCache::observe_sim_state() {
@@ -301,37 +405,36 @@ CycleResult ReactionCache::step() {
   build_key();
 
   const std::uint64_t hash = hash_words(key_scratch_.data(), key_words_);
-  if (const std::uint32_t hit = find(key_scratch_.data(), hash);
-      hit != kNoEntry) {
-    const Entry& e = entries_[hit];
+  const ReactionTable::Generation* gen = generation();
+  if (const ReactionTable::Entry* e =
+          gen ? gen->find(key_scratch_.data(), hash) : nullptr) {
     ++stats_.hits;
-    stats_.skipped_gate_evals += e.gate_evals;
+    stats_.skipped_gate_evals += e->gate_evals;
     std::swap(q_prev_, q_cur_scratch_);
     after_reset_ = false;
     if (TelemetryCounters* c = counters()) {
       c->hits->add();
-      c->skipped_gate_evals->add(e.gate_evals);
+      c->skipped_gate_evals->add(e->gate_evals);
     }
-    return sim_->apply_cached_reaction(toggles_of(e), e.latch_begin,
-                                       e.energy);
+    return sim_->apply_cached_reaction(gen->toggles_of(*e), e->latch_begin,
+                                       e->energy);
   }
 
   ++stats_.misses;
   const std::uint64_t evals_before = sim_->gates_evaluated();
   const CycleResult r = sim_->step();
-  if (entries_.size() >= cfg_.max_entries) {
-    // Generation clear, like the ISS block cache: drop everything rather
-    // than track per-entry age. Keys are pure content, so dropped entries
-    // simply repopulate on their next miss.
+  bool inserted = false;
+  const std::size_t evicted = table_->insert(
+      key_scratch_.data(), hash, cfg_.max_entries, r.energy,
+      sim_->last_toggles(),
+      static_cast<std::uint32_t>(sim_->last_latch_begin()),
+      sim_->gates_evaluated() - evals_before, &inserted, &gen_);
+  if (evicted != 0) {
     ++stats_.capacity_clears;
-    stats_.evicted_entries += entries_.size();
-    if (TelemetryCounters* c = counters()) c->evictions->add(entries_.size());
-    clear();
+    stats_.evicted_entries += evicted;
+    if (TelemetryCounters* c = counters()) c->evictions->add(evicted);
   }
-  ++stats_.insertions;
-  insert(key_scratch_.data(), hash, r.energy, sim_->last_toggles(),
-         static_cast<std::uint32_t>(sim_->last_latch_begin()),
-         sim_->gates_evaluated() - evals_before);
+  if (inserted) ++stats_.insertions;
   std::swap(q_prev_, q_cur_scratch_);
   after_reset_ = false;
   if (TelemetryCounters* c = counters()) c->misses->add();

@@ -35,21 +35,42 @@
 // registers after accelerated reactions) de-anchors: forced writes leave
 // dirty marks the key tuple does not capture, so the cache bypasses to real
 // step()s until the next reset(). Entries stay valid across both, and the
-// table persists across runs for warm-start hits. Per-run config changes
-// that matter clear the table; reaching max_entries clears it wholesale
-// (generation clear), like the ISS block cache.
+// table persists across runs for warm-start hits. Reaching max_entries
+// clears the table wholesale (generation clear), like the ISS block cache.
 //
-// Layout. The table is flat: an open-addressed slot array of {hash tag,
-// entry index} probed linearly, every entry's key words back to back in one
-// array (compared with memcmp), and every entry's toggles in fixed-size
-// blocks. A miss appends to these and allocates only when one of them is
-// full; nothing is ever copied to grow except the small per-entry arrays.
-// A generation clear resets the counts and the slots and returns the toggle
-// blocks to the allocator.
+// Sharing. The memo is a ReactionTable; a ReactionCache is one simulator's
+// view of it. Keys are pure content, so any simulator over the same netlist
+// and gate program may replay any entry: the hardware estimators hand every
+// view the table of the shared hwsyn::HwDesign, so explore points, tiers,
+// reference runs and serve sessions replay each other's reactions. A view
+// built without a table gets a private one. The view keeps what belongs to
+// one simulator: anchoring and register tracking, the key scratch, its own
+// stats and its telemetry handles.
+//
+// Threads. Any number of views, on any threads, may share one table; one
+// view is used by one thread at a time. A lookup plus replay takes no lock
+// and no atomic read-modify-write. A generation (the slot array, entries,
+// keys and toggle blocks) is allocated at a fixed capacity on its first
+// insert — 2 x max_entries slots, rounded up to a power of two, never
+// rehashed — and an entry, its key and its toggles are written before the
+// slot pointing at them is published with a release store; lookups read
+// slots with acquire loads. Inserts and generation clears serialize on the
+// table's mutex. A clear installs a new generation and bumps the table's
+// epoch; a view refetches its generation (a shared_ptr copy, under the
+// mutex) only when the epoch moved, so an old generation stays alive, and
+// exact, while a view still reads it.
+//
+// Layout. A generation is flat: an open-addressed array of slot words
+// {hash tag, entry index + 1} probed linearly, every entry's key words back
+// to back in one array (compared with memcmp), and every entry's toggles in
+// fixed-size blocks. Nothing is copied to grow; a clear drops the whole
+// generation.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,7 +85,8 @@ namespace socpower::hw {
 
 struct ReactionCacheConfig {
   bool enabled = true;
-  /// Entry bound; reaching it drops the whole table (generation clear).
+  /// Entry bound; an insert that finds the table at it first drops the
+  /// whole table (generation clear).
   std::size_t max_entries = 4096;
   /// Telemetry namespace for hit/miss/eviction counters ("<prefix>.hits"
   /// etc.); empty publishes nothing.
@@ -84,10 +106,14 @@ struct ExportedReaction {
   std::uint64_t gate_evals = 0;
 };
 
+/// One view's counts. The table-level events (generation clears and the
+/// entries they drop) count in the view whose insert or import made them.
 struct ReactionCacheStats {
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;    ///< anchored steps simulated and memoized
+  std::uint64_t misses = 0;    ///< anchored steps simulated
   std::uint64_t bypassed = 0;  ///< steps run uncached (disabled or de-anchored)
+  /// Misses memoized; a miss whose key another view inserted meanwhile
+  /// adds nothing.
   std::uint64_t insertions = 0;
   std::uint64_t capacity_clears = 0;  ///< generation clears at max_entries
   std::uint64_t evicted_entries = 0;  ///< entries dropped by those clears
@@ -98,88 +124,94 @@ struct ReactionCacheStats {
   std::uint64_t rejected_imports = 0;
 };
 
-/// Wraps one GateSim; step() is a drop-in replacement for GateSim::step().
-/// Not thread-safe — the estimators keep one cache per hardware unit, and a
-/// unit is only ever stepped by one thread at a time (the parallel batch
-/// flush dispatches whole units).
+/// The memo of one netlist: every reaction its views have evaluated. Safe
+/// to share between threads (see the header comment); every operation but
+/// size() and clear() goes through a ReactionCache.
+class ReactionTable {
+ public:
+  explicit ReactionTable(const Netlist& nl);
+
+  /// Words of one key over this table's netlist.
+  [[nodiscard]] std::size_t key_words() const { return key_words_; }
+  /// Entries in the current generation.
+  [[nodiscard]] std::size_t size() const;
+  /// Drops every entry: the next insert starts a new generation.
+  void clear();
+
+ private:
+  friend class ReactionCache;
+  struct Entry;
+  struct Generation;
+
+  /// Memoizes one reaction unless its key is present. A generation at
+  /// min(`bound`, its capacity) is replaced first, after dropping `*reader`
+  /// (the inserting view's reference to it); returns the entries that clear
+  /// dropped (0 when none).
+  std::size_t insert(const std::uint64_t* key, std::uint64_t hash,
+                     std::size_t bound, Joules energy,
+                     std::span<const NetId> toggles, std::uint32_t latch_begin,
+                     std::uint64_t gate_evals, bool* inserted,
+                     std::shared_ptr<const Generation>* reader);
+  /// Inserts the absent keys of `entries` while the generation is below
+  /// `bound`; returns how many absent keys were left out at the bound.
+  std::size_t merge(const std::vector<const ExportedReaction*>& entries,
+                    std::size_t bound);
+  [[nodiscard]] std::vector<ExportedReaction> export_entries() const;
+  /// The current generation (null while empty) and its epoch.
+  std::shared_ptr<const Generation> current(std::uint64_t* epoch) const;
+  /// Replaces the current generation; caller holds mu_.
+  void install(std::shared_ptr<Generation> next);
+
+  std::size_t key_words_;
+  mutable std::mutex mu_;  // serializes inserts, clears and whole-table reads
+  std::shared_ptr<Generation> current_;  // guarded by mu_
+  /// Bumped, under mu_, whenever current_ changes: views poll it to know
+  /// when to refetch their generation.
+  std::atomic<std::uint64_t> epoch_{0};
+};
+
+/// One simulator's view of a ReactionTable; step() is a drop-in replacement
+/// for GateSim::step(). One thread at a time per view; any number of views
+/// may share a table.
 class ReactionCache {
  public:
-  ReactionCache(GateSim* sim, ReactionCacheConfig cfg);
+  /// A view of `table`, which must hold keys of `sim`'s netlist (a private
+  /// table when null).
+  ReactionCache(GateSim* sim, ReactionCacheConfig cfg,
+                std::shared_ptr<ReactionTable> table = nullptr);
 
   /// Evaluate one staged reaction through the cache. Bit-identical to
   /// sim->step() whether it hits, misses, or bypasses.
   CycleResult step();
 
-  /// Re-read per-run knobs (begin_run). Toggling enabled, changing the
-  /// telemetry prefix, or shrinking the bound below the current size clears
-  /// the table.
+  /// Re-read per-run knobs (begin_run). An enabled view whose bound is
+  /// below the table's size clears the table; nothing else does.
   void configure(const ReactionCacheConfig& cfg);
-  /// Drop all entries (tracking state is unaffected).
-  void clear();
+  /// Drop this view's reference to the table's generation; the next step()
+  /// fetches the current one. An idle view calls it so that a generation
+  /// another view replaces is freed at once, not kept alive by this view.
+  void release() { gen_.reset(); }
 
   [[nodiscard]] bool enabled() const { return cfg_.enabled; }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Entries in the table, whichever views inserted them.
+  [[nodiscard]] std::size_t size() const { return table_->size(); }
   [[nodiscard]] const ReactionCacheStats& stats() const { return stats_; }
 
-  /// All memoized entries, sorted by key words so checkpoint bytes are
-  /// deterministic for a given table state.
+  /// All entries of the table, sorted by key words so checkpoint bytes are
+  /// deterministic for a given table state; none from a disabled view,
+  /// which leaves the table alone.
   [[nodiscard]] std::vector<ExportedReaction> export_entries() const;
-  /// Replaces the table with `entries` (capped at max_entries; excess
-  /// entries are dropped, counted as evictions). Tracking state is left
-  /// alone: the cache re-anchors at the owner's next reset(), which is when
-  /// the imported entries become servable — exactly the warm-across-runs
-  /// lifecycle a live table already has. Entries that do not fit this
-  /// netlist are dropped and counted in stats().rejected_imports: a replay
-  /// writes net values at the stored toggles, so none may be trusted.
-  void import_entries(std::vector<ExportedReaction> entries);
+  /// Merges `entries` into the table: keys it lacks go in until it holds
+  /// max_entries, the rest are dropped and counted as evictions. Tracking
+  /// state is left alone: the view re-anchors at the owner's next reset(),
+  /// which is when the imported entries become servable — exactly the
+  /// warm-across-runs lifecycle a live table already has. Entries that do
+  /// not fit this netlist are dropped and counted in
+  /// stats().rejected_imports: a replay writes net values at the stored
+  /// toggles, so none may be trusted. A disabled view imports nothing.
+  void import_entries(const std::vector<ExportedReaction>& entries);
 
  private:
-  /// One memoized reaction. Its key words are keys_[i * key_words_ ..) for
-  /// entry i, its toggles toggle_count NetIds at `offset` in toggle block
-  /// `block`. The full hash is kept so growing the slot array never re-reads
-  /// keys.
-  struct Entry {
-    std::uint64_t hash = 0;
-    Joules energy = 0.0;
-    std::uint64_t gate_evals = 0;  // evaluations the original miss performed
-    std::uint32_t block = 0;
-    std::uint32_t offset = 0;
-    std::uint32_t toggle_count = 0;
-    std::uint32_t latch_begin = 0;  // commit-ordered; latch suffix starts here
-  };
-  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
-  /// An open-addressing slot: the hash's upper half (checked before the
-  /// key) and the entry it points at, kNoEntry when free.
-  struct Slot {
-    std::uint32_t tag = 0;
-    std::uint32_t entry = kNoEntry;
-  };
-  /// Toggle storage granule: a block holds the toggles of many reactions;
-  /// a reaction longer than a block gets a block of its own length.
-  static constexpr std::size_t kToggleBlockNets = std::size_t{1} << 14;
-  struct ToggleBlock {
-    std::unique_ptr<NetId[]> nets;
-    std::size_t capacity = 0;
-  };
-
-  /// Entry whose key equals `key` (key_words_ words), or kNoEntry.
-  [[nodiscard]] std::uint32_t find(const std::uint64_t* key,
-                                   std::uint64_t hash) const;
-  /// Appends an entry whose key is known to be absent. The caller keeps
-  /// size() below max_entries.
-  void insert(const std::uint64_t* key, std::uint64_t hash, Joules energy,
-              std::span<const NetId> toggles, std::uint32_t latch_begin,
-              std::uint64_t gate_evals);
-  [[nodiscard]] std::span<const NetId> toggles_of(const Entry& e) const;
-  /// Copies `toggles` into the block arena; sets `e`'s block and offset.
-  void store_toggles(std::span<const NetId> toggles, Entry& e);
-  /// Points the first free slot of `hash`'s probe sequence at `entry`.
-  static void place(std::vector<Slot>& slots, std::uint64_t hash,
-                    std::size_t entry);
-  /// Doubles the slot array (at least 16 slots) and re-places every entry
-  /// by its stored hash.
-  void grow_slots();
-
   /// Telemetry handles, resolved once per prefix (registry entries are
   /// stable) so the hot path never builds counter names.
   struct TelemetryCounters {
@@ -201,11 +233,16 @@ class ReactionCache {
   /// The value bytes of `runs`' nets, in order, into bytes_scratch_.
   void gather(const std::vector<NetRun>& runs);
 
+  /// The table's current generation, refetched only when its epoch moved.
+  const ReactionTable::Generation* generation();
   void observe_sim_state();  // detect resets / forced writes since last step
   void build_key();          // into key_scratch_
   void capture_regs(std::vector<std::uint64_t>* out);
 
   GateSim* sim_;
+  std::shared_ptr<ReactionTable> table_;
+  std::shared_ptr<const ReactionTable::Generation> gen_;  // as of seen_epoch_
+  std::uint64_t seen_epoch_ = 0;
   std::vector<NetRun> pi_runs_;  // primary-input nets, in index order
   std::vector<NetRun> q_runs_;   // DFF Q nets, in declaration order
   std::vector<std::uint8_t> bytes_scratch_;
@@ -216,11 +253,6 @@ class ReactionCache {
   // lookup.
   std::size_t key_words_;
   std::vector<std::uint64_t> key_scratch_;
-  std::vector<Slot> slots_;  // power-of-two size, at most half full; lazy
-  std::vector<Entry> entries_;
-  std::vector<std::uint64_t> keys_;
-  std::vector<ToggleBlock> blocks_;  // the last one receives new toggles
-  std::size_t fill_used_ = 0;        // nets used in the last block
   std::vector<std::uint64_t> q_prev_;  // register values at last step's entry
   std::vector<std::uint64_t> q_cur_scratch_;
   bool after_reset_ = true;   // no step since the last reset()

@@ -158,9 +158,16 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   impl_->queue_cv.notify_all();
 
-  std::unique_lock<std::mutex> lk(loop->mu);
-  loop->done_cv.wait(lk, [&] { return loop->finished.load() == n; });
-  if (loop->error) std::rethrow_exception(loop->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lk(loop->mu);
+    loop->done_cv.wait(lk, [&] { return loop->finished.load() == n; });
+    // Take the exception out of the loop state: a worker may drop the last
+    // reference to `loop` at any moment, and must not release the exception
+    // the caller is about to read.
+    error = std::move(loop->error);
+  }
+  if (error) std::rethrow_exception(std::move(error));
 }
 
 }  // namespace socpower

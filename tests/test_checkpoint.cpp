@@ -17,9 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "core/estimators/hw_estimator.hpp"
 #include "dist/wire.hpp"
+#include "hwsyn/design.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/session.hpp"
+#include "serve/system_factory.hpp"
 
 #if !defined(_WIN32)
 #include <sys/wait.h>
@@ -288,18 +291,25 @@ TEST(Checkpoint, CraftedReactionEntryIsDroppedOnRestore) {
   ASSERT_LT(backend, crafted.warm.backends.size()) << "no reaction entries";
   auto& entries = crafted.warm.backends[backend].reactions[0].entries;
   const std::size_t good_count = entries.size();
-  entries[0].toggles.push_back(hw::NetId{1} << 28);
+  // A key the table lacks: `session` shares the design's table, so a
+  // crafted copy of a key already there would be skipped either way.
+  hw::ExportedReaction bad = entries[0];
+  bad.key.back() ^= std::uint64_t{1} << 63;
+  for (const hw::ExportedReaction& e : entries) ASSERT_NE(e.key, bad.key);
+  bad.toggles.push_back(hw::NetId{1} << 28);
+  entries.push_back(bad);
 
   Checkpoint decoded;
   ASSERT_TRUE(decode_checkpoint(encode_checkpoint(crafted), &decoded, &error))
       << error;  // encode_checkpoint reseals the hash
   std::unique_ptr<Session> restored = Session::restore(decoded, &error);
   ASSERT_NE(restored, nullptr) << error;
-  EXPECT_EQ(restored->checkpoint()
-                .warm.backends[backend]
-                .reactions[0]
-                .entries.size(),
-            good_count - 1);
+  const std::vector<hw::ExportedReaction> kept = restored->checkpoint()
+                                                     .warm.backends[backend]
+                                                     .reactions[0]
+                                                     .entries;
+  EXPECT_EQ(kept.size(), good_count);
+  for (const hw::ExportedReaction& e : kept) EXPECT_NE(e.key, bad.key);
 
   // The restored session keeps serving, bit-identical to a clean restore.
   std::unique_ptr<Session> clean = Session::restore(good, &error);
@@ -308,6 +318,55 @@ TEST(Checkpoint, CraftedReactionEntryIsDroppedOnRestore) {
   ASSERT_TRUE(restored->estimate(rr, &got, nullptr, &error)) << error;
   ASSERT_TRUE(clean->estimate(rr, &want, nullptr, &error)) << error;
   EXPECT_EQ(result_bits(got), result_bits(want));
+}
+
+/// Empties the reaction tables of `sp`'s hardware designs, which every
+/// estimator of those designs in this process shares.
+void clear_reaction_tables(const SystemParams& sp) {
+  std::string error;
+  const std::unique_ptr<SystemInstance> sys = make_system(sp, &error);
+  ASSERT_NE(sys, nullptr) << error;
+  core::CoEstimator est(&sys->network(), sys->config_template());
+  sys->configure(est);
+  est.prepare();
+  for (const core::ComponentEstimator* b : est.backends())
+    if (dynamic_cast<const core::HwEstimatorBase*>(b))
+      for (const cfsm::CfsmId task : b->component_ids())
+        hwsyn::shared_design(sys->network().cfsm(task),
+                             est.config().electrical)
+            ->reactions->clear();
+}
+
+TEST(Checkpoint, SessionsOfOneSystemShareReactionsAndRestoreMerges) {
+  // Both sessions' hardware units view the same design's reaction table:
+  // the second session's first request replays the first one's gate-level
+  // reactions. Restoring a checkpoint merges its entries into that table;
+  // the keys are all present already, so nothing changes, checkpoint bytes
+  // included.
+  clear_reaction_tables(fuzz_system(4));
+  std::string error;
+  const RunRequest rr;
+  std::unique_ptr<Session> first =
+      Session::create(fuzz_system(4), StructuralConfig{}, &error);
+  ASSERT_NE(first, nullptr) << error;
+  core::RunResults first_res, second_res;
+  RequestStats first_stats, second_stats;
+  ASSERT_TRUE(first->estimate(rr, &first_res, &first_stats, &error)) << error;
+  std::unique_ptr<Session> second =
+      Session::create(fuzz_system(4), StructuralConfig{}, &error);
+  ASSERT_NE(second, nullptr) << error;
+  ASSERT_TRUE(second->estimate(rr, &second_res, &second_stats, &error))
+      << error;
+  EXPECT_EQ(result_bits(first_res), result_bits(second_res));
+  EXPECT_LT(second_stats.warm_fills, first_stats.warm_fills);
+  EXPECT_GT(second_stats.warm_hits, first_stats.warm_hits);
+
+  const Checkpoint ckpt = first->checkpoint();
+  const std::vector<std::uint8_t> bytes = encode_checkpoint(ckpt);
+  std::unique_ptr<Session> restored = Session::restore(ckpt, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(encode_checkpoint(restored->checkpoint()), bytes);
+  EXPECT_EQ(encode_checkpoint(second->checkpoint()), bytes);
 }
 
 TEST(Checkpoint, UnknownSystemDecodesButCannotRestore) {

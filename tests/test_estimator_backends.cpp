@@ -660,6 +660,8 @@ TEST(EstimatorBackends, SharedMacroModelIsCopiedPerEstimator) {
 }
 
 TEST(EstimatorBackends, DesignTableKeepsAtMostTheBoundOfIdleBuilds) {
+  std::weak_ptr<const hwsyn::HwDesign> first_design;
+  std::weak_ptr<hw::ReactionTable> first_table;
   for (std::int32_t i = 0; i < static_cast<std::int32_t>(
                                    util::kMaxIdleBuilds + 4);
        ++i) {
@@ -668,10 +670,25 @@ TEST(EstimatorBackends, DesignTableKeepsAtMostTheBoundOfIdleBuilds) {
     CoEstimator est(&net);
     est.map_hw(0);
     est.prepare();
+    if (i == 0) {
+      // Give the first design's reaction table some entries to free.
+      sim::Stimulus stim;
+      for (sim::SimTime t = 1; t <= 4; ++t) stim.add(t, net.event_id("A"), 1);
+      (void)est.run(stim);
+      const std::shared_ptr<const hwsyn::HwDesign> d =
+          hwsyn::shared_design(net.cfsm(0), est.config().electrical);
+      EXPECT_GT(d->reactions->size(), 0u);
+      first_design = d;
+      first_table = d->reactions;
+    }
     EXPECT_LE(hwsyn::shared_design_count(), util::kMaxIdleBuilds + 1);
   }
-  // Every estimator is gone: what is left is idle, and at the bound.
+  // Every estimator is gone: what is left is idle, and at the bound. The
+  // first design was the least recently used, so it and its table are
+  // freed.
   EXPECT_EQ(hwsyn::shared_design_count(), util::kMaxIdleBuilds);
+  EXPECT_TRUE(first_design.expired());
+  EXPECT_TRUE(first_table.expired());
 }
 
 }  // namespace

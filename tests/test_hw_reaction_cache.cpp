@@ -10,7 +10,10 @@
 // bounds) regress here too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "cfsm/cfsm.hpp"
@@ -440,6 +443,180 @@ TEST(HwReactionCache, SyncHwVarsInvalidatesUntilReset) {
   for (int i = 0; i < 4; ++i) step_both();
   EXPECT_GT(cache.stats().hits, hits_before);
   expect_same_nets(*img.netlist, ref, sim);
+}
+
+// -- one table, many views ----------------------------------------------------
+
+/// Steps the counter `steps` times with enable high through `cache`.
+Joules count_up(GateSim& sim, ReactionCache& cache, int steps) {
+  Joules total = 0.0;
+  for (int i = 0; i < steps; ++i) {
+    sim.set_input(0, true);
+    total += cache.step().energy;
+  }
+  return total;
+}
+
+TEST(HwReactionCache, ViewsOfOneTableReplayEachOther) {
+  Counter c;
+  auto table = std::make_shared<ReactionTable>(c.nl);
+  GateSim first_sim(&c.nl);
+  GateSim second_sim(&c.nl);
+  ReactionCache first(&first_sim, {}, table);
+  ReactionCache second(&second_sim, {}, table);
+  const Joules cold = count_up(first_sim, first, 20);
+  EXPECT_EQ(first.stats().misses, 17u);
+  EXPECT_EQ(table->size(), 17u);
+  // The second simulator meets the same states: every step replays an
+  // entry the first view inserted, and its stats are its own.
+  const Joules warm = count_up(second_sim, second, 20);
+  EXPECT_EQ(cold, warm);  // bitwise
+  EXPECT_EQ(second.stats().hits, 20u);
+  EXPECT_EQ(second.stats().misses, 0u);
+  EXPECT_EQ(first.stats().hits, 3u);
+  expect_same_nets(c.nl, first_sim, second_sim);
+}
+
+TEST(HwReactionCache, ConfigureAndDisabledViewsLeaveTheSharedTableAlone) {
+  Counter c;
+  auto table = std::make_shared<ReactionTable>(c.nl);
+  GateSim sim(&c.nl);
+  ReactionCache cache(&sim, {}, table);
+  (void)count_up(sim, cache, 20);
+  const std::vector<ExportedReaction> before = cache.export_entries();
+  ASSERT_EQ(before.size(), 17u);
+
+  // A new telemetry prefix only re-resolves the counters.
+  ReactionCacheConfig renamed;
+  renamed.telemetry_prefix = "test.rcache.renamed";
+  cache.configure(renamed);
+  EXPECT_EQ(table->size(), 17u);
+
+  // A disabled view steps the simulator without a lookup or an insert,
+  // exports nothing and imports nothing.
+  GateSim other(&c.nl);
+  ReactionCache off(&other, cache_config(false, 4), table);
+  (void)count_up(other, off, 40);
+  EXPECT_EQ(off.stats().bypassed, 40u);
+  EXPECT_TRUE(off.export_entries().empty());
+  ExportedReaction stranger = before[0];
+  stranger.key.back() ^= std::uint64_t{1} << 63;
+  off.import_entries({stranger});
+  off.configure(cache_config(false, 1));
+  expect_same_entries(before, cache.export_entries());
+}
+
+TEST(HwReactionCache, ImportMergesAbsentKeysUpToTheBound) {
+  Counter c;
+  // The donor holds the 17 keys of an enabled count; the receiver already
+  // holds 3 of them and has room for 10 entries.
+  GateSim donor_sim(&c.nl);
+  ReactionCache donor(&donor_sim, {});
+  (void)count_up(donor_sim, donor, 20);
+  const std::vector<ExportedReaction> exported = donor.export_entries();
+  ASSERT_EQ(exported.size(), 17u);
+
+  GateSim sim(&c.nl);
+  ReactionCache cache(&sim, cache_config(true, 10));
+  (void)count_up(sim, cache, 3);
+  ASSERT_EQ(cache.size(), 3u);
+  cache.import_entries(exported);
+  // 3 present keys stay as they are, 7 absent ones fill the table to the
+  // bound, the other 7 are dropped there.
+  EXPECT_EQ(cache.size(), 10u);
+  EXPECT_EQ(cache.stats().evicted_entries, 7u);
+  EXPECT_EQ(cache.stats().capacity_clears, 0u);
+  for (const ExportedReaction& e : cache.export_entries()) {
+    const auto it = std::find_if(
+        exported.begin(), exported.end(),
+        [&](const ExportedReaction& x) { return x.key == e.key; });
+    ASSERT_NE(it, exported.end());
+    expect_same_entries({*it}, {e});
+  }
+}
+
+// Four threads step their own simulators through views of one table, with
+// overlapping stimulus (threads 0/2 and 1/3 replay the same stream, and all
+// four draw from one small input pool with frequent resets). A bound well
+// below the distinct keys keeps generation clears coming while other
+// threads replay. Every step is compared bit for bit with a simulator
+// stepped through a private table: energy, toggle count and every net; and
+// every entry the shared table ends up holding equals, toggle list and
+// order included, the private tables' entry for the same key.
+TEST(ReactionTableThreads, SharedTableMatchesPrivateTablesBitwise) {
+  Rng design_rng(7);
+  const RandomDesign d = random_design(design_rng);
+  auto shared = std::make_shared<ReactionTable>(d.nl);
+  constexpr int kThreads = 4;
+  constexpr int kSteps = 1500;
+  std::vector<std::uint64_t> pool;
+  for (int i = 0; i < 4; ++i) pool.push_back(design_rng.next());
+
+  struct Lane {
+    ReactionCacheStats stats;
+    std::vector<ExportedReaction> reference_entries;
+    std::string failure;
+  };
+  std::vector<Lane> lanes(kThreads);
+  auto lane_main = [&](int t) {
+    Lane& lane = lanes[static_cast<std::size_t>(t)];
+    GateSim sim(&d.nl);
+    GateSim ref(&d.nl);
+    ReactionCache view(&sim, cache_config(true, 24), shared);
+    ReactionCache reference(&ref, cache_config(true, 1 << 16));
+    Rng rng(100 + static_cast<std::uint64_t>(t % 2));
+    for (int step = 0; step < kSteps; ++step) {
+      if (rng.chance(0.1)) {
+        sim.reset();
+        ref.reset();
+      }
+      const std::uint64_t vec = pool[rng.below(pool.size())];
+      for (std::size_t i = 0; i < d.n_inputs; ++i) {
+        sim.set_input(i, (vec >> (i & 63u)) & 1u);
+        ref.set_input(i, (vec >> (i & 63u)) & 1u);
+      }
+      const CycleResult got = view.step();
+      const CycleResult want = reference.step();
+      bool same = got.energy == want.energy && got.toggles == want.toggles;
+      for (std::size_t n = 0; same && n < d.nl.net_count(); ++n)
+        same = sim.net_value(static_cast<NetId>(n)) ==
+               ref.net_value(static_cast<NetId>(n));
+      if (!same) {
+        lane.failure = "thread " + std::to_string(t) + " step " +
+                       std::to_string(step) + " diverged";
+        return;
+      }
+    }
+    lane.stats = view.stats();
+    lane.reference_entries = reference.export_entries();
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(lane_main, t);
+  for (std::thread& th : threads) th.join();
+
+  std::uint64_t hits = 0;
+  std::uint64_t clears = 0;
+  for (const Lane& lane : lanes) {
+    ASSERT_EQ(lane.failure, "");
+    hits += lane.stats.hits;
+    clears += lane.stats.capacity_clears;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(clears, 0u);
+  GateSim probe(&d.nl);
+  const std::vector<ExportedReaction> held =
+      ReactionCache(&probe, {}, shared).export_entries();
+  EXPECT_LE(held.size(), 24u);
+  for (const ExportedReaction& e : held) {
+    bool found = false;
+    for (const Lane& lane : lanes)
+      for (const ExportedReaction& r : lane.reference_entries)
+        if (r.key == e.key) {
+          expect_same_entries({r}, {e});
+          found = true;
+        }
+    EXPECT_TRUE(found);
+  }
 }
 
 // -- end-to-end through the co-estimator --------------------------------------

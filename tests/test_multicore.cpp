@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/estimators/hw_estimator.hpp"
 #include "core/explorer.hpp"
 #include "dist/wire.hpp"
+#include "hwsyn/design.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "systems/multicore.hpp"
@@ -180,6 +183,98 @@ TEST(MulticoreExplore, ShardedMatchesSerial) {
   EXPECT_EQ(serial.winner_confirmed, threaded.winner_confirmed);
   EXPECT_EQ(serial.verification_correlation,
             threaded.verification_correlation);
+}
+
+/// Gate-level steps of hardware estimators, and how many of them replayed
+/// a memoized reaction.
+struct GateStepCount {
+  std::mutex mu;
+  std::uint64_t hits = 0;
+  std::uint64_t steps = 0;
+
+  void add(const core::CoEstimator& est) {
+    std::lock_guard<std::mutex> lk(mu);
+    for (const core::ComponentEstimator* b : est.backends())
+      if (const auto* hb = dynamic_cast<const core::HwEstimatorBase*>(b)) {
+        const hw::ReactionCacheStats s = hb->reaction_cache_stats();
+        hits += s.hits;
+        steps += s.hits + s.misses + s.bypassed;
+      }
+  }
+};
+
+/// 4-core points on bus and NoC, over two shared-line counts and two start
+/// gaps each.
+std::vector<core::ExplorationPoint> four_core_points(bool reaction_cache,
+                                                     GateStepCount* count) {
+  std::vector<core::ExplorationPoint> pts;
+  for (const core::InterconnectKind ic :
+       {core::InterconnectKind::kBus, core::InterconnectKind::kNoc}) {
+    for (const unsigned lines : {1u, 4u}) {
+      for (const sim::SimTime gap : {2, 8}) {
+        auto make_run = [=](bool exact) {
+          return [=] {
+            systems::MulticoreSystem sys({.cores = 4,
+                                          .num_packets = 3,
+                                          .start_gap = gap,
+                                          .interconnect = ic,
+                                          .shared_lines = lines});
+            core::CoEstimatorConfig cfg = sys.config_template();
+            if (!exact) cfg.accel = core::Acceleration::kCaching;
+            cfg.hw_reaction_cache = reaction_cache;
+            core::CoEstimator est(&sys.network(), cfg);
+            sys.configure(est);
+            est.prepare();
+            const core::RunResults r = est.run(sys.stimulus(4096));
+            if (count) count->add(est);
+            return r;
+          };
+        };
+        core::ExplorationPoint p;
+        p.label = std::string(core::interconnect_name(ic)) + "/l" +
+                  std::to_string(lines) + "/g" + std::to_string(gap);
+        p.run_coarse = make_run(false);
+        p.run_exact = make_run(true);
+        pts.push_back(std::move(p));
+      }
+    }
+  }
+  return pts;
+}
+
+/// Every estimator of a design shares its reaction table, so one explore()
+/// from cold tables replays most gate-level reactions: later points and the
+/// exact tier meet the states earlier points evaluated. The ranking stays
+/// bit-identical to the same explore with the cache off.
+TEST(MulticoreExplore, OneColdExploreReplaysMostGateSteps) {
+  {
+    systems::MulticoreSystem sys({.cores = 4});
+    core::CoEstimator est(&sys.network(), sys.config_template());
+    sys.configure(est);
+    est.prepare();
+    for (const core::ComponentEstimator* b : est.backends())
+      for (const cfsm::CfsmId task : b->component_ids())
+        if (dynamic_cast<const core::HwEstimatorBase*>(b))
+          hwsyn::shared_design(sys.network().cfsm(task),
+                               est.config().electrical)
+              ->reactions->clear();
+  }
+  GateStepCount count;
+  const core::ExplorationOutcome on =
+      core::explore(four_core_points(true, &count), 3);
+  const core::ExplorationOutcome off =
+      core::explore(four_core_points(false, nullptr), 3);
+  ASSERT_GT(count.steps, 0u);
+  EXPECT_GE(2 * count.hits, count.steps)
+      << count.hits << " hits in " << count.steps << " gate steps";
+  ASSERT_EQ(on.ranked.size(), off.ranked.size());
+  for (std::size_t i = 0; i < on.ranked.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(on.ranked[i].label, off.ranked[i].label);
+    EXPECT_EQ(on.ranked[i].coarse_energy, off.ranked[i].coarse_energy);
+    EXPECT_EQ(on.ranked[i].exact_energy, off.ranked[i].exact_energy);
+  }
+  EXPECT_EQ(on.winner_confirmed, off.winner_confirmed);
 }
 
 TEST(Multicore, SeparateErrorExceedsSingleCpuScenario) {
