@@ -50,6 +50,14 @@ void HwEstimatorBase::end_run() {
   for (const cfsm::CfsmId task : components_) unit(task).rcache->release();
 }
 
+void HwEstimatorBase::use_private_reaction_tables() {
+  for (const cfsm::CfsmId task : components_) {
+    Unit& u = unit(task);
+    u.rcache = std::make_unique<hw::ReactionCache>(u.sim.get(),
+                                                   reaction_cache_config());
+  }
+}
+
 TransitionCost HwEstimatorBase::cost(const TransitionRequest& req) {
   sync_overhead(config_->sync_spin);
   Unit& u = unit(req.task);

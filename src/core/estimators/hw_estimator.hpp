@@ -34,6 +34,12 @@ class HwEstimatorBase : public HwBackend {
   void prepare(const EstimatorContext& ctx) override;
   void begin_run() override;
   void end_run() override;
+  /// Points every unit's reaction-cache view at a table of its own instead
+  /// of its design's shared one. For a forked child (dist::Worker): another
+  /// thread of the parent may have held a shared table's mutex at fork(),
+  /// and the child would inherit it held. Call it between prepare() and
+  /// the first run: a new view adopts its simulator as freshly reset.
+  void use_private_reaction_tables();
   TransitionCost cost(const TransitionRequest& req) override;
   void flush(std::vector<FlushJob>& jobs) override;
   void stats(RunResults& res) const override;
@@ -62,8 +68,9 @@ class HwEstimatorBase : public HwBackend {
   /// "estimator.<name>.rcache.*").
   [[nodiscard]] hw::ReactionCacheStats reaction_cache_stats() const;
 
-  /// The reaction tables of this backend's designs, which the process's
-  /// other estimators of those designs share; importing merges into them.
+  /// Per unit, the gate-level reactions its view replayed or inserted in
+  /// its design's shared table, plus those it imported. Importing merges
+  /// into each view's private import table, never into the shared one.
   [[nodiscard]] BackendWarmState export_warm_state() const override;
   void import_warm_state(const BackendWarmState& state) override;
   [[nodiscard]] WarmCacheCounters warm_cache_counters() const override;
@@ -98,7 +105,8 @@ class HwEstimatorBase : public HwBackend {
     /// This unit's view of the design's reaction table, wrapping `sim`. The
     /// view is stepped by one thread at a time (the parallel batch flush
     /// dispatches whole units); the table behind it is shared with every
-    /// other estimator of the design, on any thread.
+    /// other estimator of the design, on any thread (a forked dist::Worker
+    /// views a private one instead).
     std::unique_ptr<hw::ReactionCache> rcache;
     bool registers_dirty = false;  // gate sim skipped; state needs resync
     /// Buffered vectors of the run, in enqueue order. A pool: draining

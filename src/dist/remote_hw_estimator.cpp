@@ -63,6 +63,7 @@ void RemoteHwEstimator::prepare(const core::EstimatorContext& ctx) {
   std::lock_guard<std::mutex> lk(mu_);
   const bool spawned = supported() && fork_child(&worker_, [this](Channel& ch) {
     Worker w(inner_, net_, prep_cfg_, components_);
+    w.use_private_reaction_tables();
     return w.serve(ch);
   });
   if (!spawned) (void)recover();  // empty log

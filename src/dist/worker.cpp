@@ -48,6 +48,10 @@ Worker::Worker(const std::string& inner_name, const cfsm::Network* net,
 
 Worker::~Worker() = default;
 
+void Worker::use_private_reaction_tables() {
+  hw_->use_private_reaction_tables();
+}
+
 void Worker::handle_chunk(const ChunkPayload& chunk) {
   const auto c = static_cast<std::size_t>(chunk.task);
   cfsm::PathTable& table = paths_.at(c);

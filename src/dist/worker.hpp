@@ -51,6 +51,11 @@ class Worker {
   std::optional<std::vector<std::uint8_t>> dispatch(
       MsgType type, const std::vector<std::uint8_t>& payload);
 
+  /// Makes the inner backend memoize gate-level reactions in tables of its
+  /// own (HwEstimatorBase::use_private_reaction_tables); the forked child
+  /// calls it before serving.
+  void use_private_reaction_tables();
+
   /// Serve loop for the forked child: recv / dispatch / reply until
   /// kShutdown, EOF, or a channel error. Returns the child's exit code.
   int serve(Channel& ch);

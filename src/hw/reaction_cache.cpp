@@ -70,8 +70,7 @@ struct ReactionTable::Entry {
 /// into entries not yet published.
 struct ReactionTable::Generation {
   Generation(std::size_t capacity, std::size_t key_words)
-      : capacity(capacity),
-        key_words(key_words),
+      : key_words(key_words),
         mask(std::bit_ceil(2 * capacity) - 1),
         slots(std::make_unique<std::atomic<std::uint64_t>[]>(mask + 1)),
         entries(std::make_unique_for_overwrite<Entry[]>(capacity)),
@@ -94,8 +93,8 @@ struct ReactionTable::Generation {
     }
   }
 
-  /// Appends an entry whose key is absent; size < capacity. Caller holds
-  /// the table's mutex.
+  /// Appends an entry whose key is absent; size < the capacity it was built
+  /// with. Caller holds the table's mutex.
   void append(const std::uint64_t* key, std::uint64_t hash, Joules energy,
               std::span<const NetId> toggles, std::uint32_t latch_begin,
               std::uint64_t gate_evals) {
@@ -108,11 +107,18 @@ struct ReactionTable::Generation {
     slots[i].store((hash >> 32 << 32) | (e + 1), std::memory_order_release);
   }
 
-  [[nodiscard]] std::span<const NetId> toggles_of(const Entry& e) const {
-    return {e.toggles, e.toggle_count};
+  [[nodiscard]] std::size_t index_of(const Entry* e) const {
+    return static_cast<std::size_t>(e - entries.get());
   }
 
-  const std::size_t capacity;  // entries
+  [[nodiscard]] ExportedReaction exported(std::size_t i) const {
+    const Entry& e = entries[i];
+    const std::uint64_t* key = keys.get() + i * key_words;
+    return {{key, key + key_words}, e.energy,
+            {e.toggles, e.toggles + e.toggle_count}, e.latch_begin,
+            e.gate_evals};
+  }
+
   const std::size_t key_words;
   const std::size_t mask;  // slot count - 1; at most half the slots fill
   /// (hash tag << 32) | (entry index + 1); 0 when free.
@@ -146,8 +152,9 @@ struct ReactionTable::Generation {
   std::size_t fill_used_ = 0;                     // nets used in it
 };
 
-ReactionTable::ReactionTable(const Netlist& nl)
-    : key_words_(key_words_of(nl)) {}
+ReactionTable::ReactionTable(const Netlist& nl, std::size_t max_entries)
+    : key_words_(key_words_of(nl)),
+      max_entries_(std::max<std::size_t>(1, max_entries)) {}
 
 std::size_t ReactionTable::size() const {
   std::lock_guard<std::mutex> lk(mu_);
@@ -172,42 +179,48 @@ std::shared_ptr<const ReactionTable::Generation> ReactionTable::current(
   return current_;
 }
 
-std::size_t ReactionTable::insert(const std::uint64_t* key, std::uint64_t hash,
-                                  std::size_t bound, Joules energy,
-                                  std::span<const NetId> toggles,
-                                  std::uint32_t latch_begin,
-                                  std::uint64_t gate_evals, bool* inserted,
-                                  std::shared_ptr<const Generation>* reader) {
+ReactionTable::Placement ReactionTable::insert(
+    const std::uint64_t* key, std::uint64_t hash, Joules energy,
+    std::span<const NetId> toggles, std::uint32_t latch_begin,
+    std::uint64_t gate_evals, std::shared_ptr<const Generation>* reader) {
   std::lock_guard<std::mutex> lk(mu_);
-  *inserted = false;
-  if (current_ && current_->find(key, hash)) return 0;  // another view won
-  std::size_t evicted = 0;
-  if (!current_ || current_->size >= std::min(bound, current_->capacity)) {
+  Placement at;
+  if (current_) {
+    if (const Entry* e = current_->find(key, hash)) {  // another view won
+      at.epoch = epoch_.load(std::memory_order_relaxed);
+      at.index = current_->index_of(e);
+      return at;
+    }
+  }
+  if (!current_ || current_->size >= max_entries_) {
     // Generation clear, like the ISS block cache: drop everything rather
     // than track per-entry age. Keys are pure content, so dropped entries
     // simply repopulate on their next miss. The old generation is released
     // before the new one is allocated, so unless another view still reads
     // it, the new one reuses its memory.
-    evicted = current_ ? current_->size : 0;
+    at.evicted = current_ ? current_->size : 0;
     reader->reset();
     current_.reset();
-    install(std::make_shared<Generation>(bound, key_words_));
+    install(std::make_shared<Generation>(max_entries_, key_words_));
   }
+  at.epoch = epoch_.load(std::memory_order_relaxed);
+  at.index = current_->size;
+  at.inserted = true;
   current_->append(key, hash, energy, toggles, latch_begin, gate_evals);
-  *inserted = true;
-  return evicted;
+  return at;
 }
 
 std::size_t ReactionTable::merge(
-    const std::vector<const ExportedReaction*>& entries, std::size_t bound) {
+    const std::vector<const ExportedReaction*>& entries) {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t dropped = 0;
   for (const ExportedReaction* x : entries) {
-    if (!current_) install(std::make_shared<Generation>(bound, key_words_));
+    if (!current_)
+      install(std::make_shared<Generation>(max_entries_, key_words_));
     // A repeated key keeps the entry already present, as a map insert would.
     const std::uint64_t h = hash_words(x->key.data(), key_words_);
     if (current_->find(x->key.data(), h)) continue;
-    if (current_->size >= std::min(bound, current_->capacity)) {
+    if (current_->size >= max_entries_) {
       ++dropped;
       continue;
     }
@@ -217,27 +230,17 @@ std::size_t ReactionTable::merge(
   return dropped;
 }
 
-std::vector<ExportedReaction> ReactionTable::export_entries() const {
-  std::vector<ExportedReaction> out;
+void ReactionTable::export_entries(std::vector<ExportedReaction>* out,
+                                   const std::vector<std::uint64_t>* only,
+                                   std::uint64_t epoch) const {
   std::lock_guard<std::mutex> lk(mu_);
-  if (!current_) return out;
+  if (!current_) return;
+  if (only && epoch != epoch_.load(std::memory_order_relaxed)) return;
   const Generation& g = *current_;
-  out.reserve(g.size);
-  for (std::size_t i = 0; i < g.size; ++i) {
-    const Entry& e = g.entries[i];
-    const std::uint64_t* key = g.keys.get() + i * key_words_;
-    const std::span<const NetId> toggles = g.toggles_of(e);
-    out.push_back(ExportedReaction{
-        {key, key + key_words_}, e.energy, {toggles.begin(), toggles.end()},
-        e.latch_begin, e.gate_evals});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ExportedReaction& a, const ExportedReaction& b) {
-              return a.key < b.key;
-            });
-  return out;
+  for (std::size_t i = 0; i < g.size; ++i)
+    if (!only || ((*only)[i / 64] >> (i % 64) & 1u))
+      out->push_back(g.exported(i));
 }
-
 
 std::vector<ReactionCache::NetRun> ReactionCache::runs_of(
     const std::vector<NetId>& nets) {
@@ -271,7 +274,6 @@ ReactionCache::ReactionCache(GateSim* sim, ReactionCacheConfig cfg,
   if (table_->key_words() != key_words_)
     throw std::invalid_argument(
         "ReactionCache: the table holds keys of another netlist");
-  if (cfg_.max_entries == 0) cfg_.max_entries = 1;
   std::vector<NetId> qs;
   for (const Dff& d : sim_->netlist().dffs()) qs.push_back(d.q);
   pi_runs_ = runs_of(sim_->netlist().primary_inputs());
@@ -288,13 +290,30 @@ ReactionCache::ReactionCache(GateSim* sim, ReactionCacheConfig cfg,
 void ReactionCache::configure(const ReactionCacheConfig& cfg) {
   if (cfg.telemetry_prefix != cfg_.telemetry_prefix) counters_ = nullptr;
   cfg_ = cfg;
-  if (cfg_.max_entries == 0) cfg_.max_entries = 1;
-  if (cfg_.enabled && table_->size() > cfg_.max_entries) table_->clear();
+}
+
+std::size_t ReactionCache::size() const {
+  return table_->size() + (imported_ ? imported_->size() : 0);
 }
 
 std::vector<ExportedReaction> ReactionCache::export_entries() const {
-  if (!cfg_.enabled) return {};
-  return table_->export_entries();
+  std::vector<ExportedReaction> out;
+  if (!cfg_.enabled) return out;
+  table_->export_entries(&out, &touched_, touched_epoch_);
+  if (imported_) imported_->export_entries(&out, nullptr, 0);
+  // The table's entry first where a key is in both: it is the one a lookup
+  // finds.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ExportedReaction& a, const ExportedReaction& b) {
+                     return a.key < b.key;
+                   });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const ExportedReaction& a,
+                           const ExportedReaction& b) {
+                          return a.key == b.key;
+                        }),
+            out.end());
+  return out;
 }
 
 void ReactionCache::import_entries(
@@ -313,7 +332,12 @@ void ReactionCache::import_entries(
     else
       ++stats_.rejected_imports;
   }
-  stats_.evicted_entries += table_->merge(fitting, cfg_.max_entries);
+  if (!imported_)
+    imported_ = std::make_unique<ReactionTable>(sim_->netlist(),
+                                                table_->max_entries());
+  stats_.evicted_entries += imported_->merge(fitting);
+  std::uint64_t epoch = 0;
+  imported_gen_ = imported_->current(&epoch);
 }
 
 ReactionCache::TelemetryCounters* ReactionCache::counters() {
@@ -341,6 +365,14 @@ const ReactionTable::Generation* ReactionCache::generation() {
   if (!gen_ || table_->epoch_.load(std::memory_order_acquire) != seen_epoch_)
     gen_ = table_->current(&seen_epoch_);
   return gen_.get();
+}
+
+void ReactionCache::touch(std::uint64_t epoch, std::size_t index) {
+  if (epoch != touched_epoch_) {
+    touched_.assign(words_for(table_->max_entries()), 0);
+    touched_epoch_ = epoch;
+  }
+  touched_[index / 64] |= std::uint64_t{1} << (index % 64);
 }
 
 void ReactionCache::observe_sim_state() {
@@ -406,8 +438,13 @@ CycleResult ReactionCache::step() {
 
   const std::uint64_t hash = hash_words(key_scratch_.data(), key_words_);
   const ReactionTable::Generation* gen = generation();
-  if (const ReactionTable::Entry* e =
-          gen ? gen->find(key_scratch_.data(), hash) : nullptr) {
+  const ReactionTable::Entry* e =
+      gen ? gen->find(key_scratch_.data(), hash) : nullptr;
+  if (e)
+    touch(seen_epoch_, gen->index_of(e));
+  else if (imported_gen_)
+    e = imported_gen_->find(key_scratch_.data(), hash);
+  if (e) {
     ++stats_.hits;
     stats_.skipped_gate_evals += e->gate_evals;
     std::swap(q_prev_, q_cur_scratch_);
@@ -416,25 +453,24 @@ CycleResult ReactionCache::step() {
       c->hits->add();
       c->skipped_gate_evals->add(e->gate_evals);
     }
-    return sim_->apply_cached_reaction(gen->toggles_of(*e), e->latch_begin,
-                                       e->energy);
+    return sim_->apply_cached_reaction({e->toggles, e->toggle_count},
+                                       e->latch_begin, e->energy);
   }
 
   ++stats_.misses;
   const std::uint64_t evals_before = sim_->gates_evaluated();
   const CycleResult r = sim_->step();
-  bool inserted = false;
-  const std::size_t evicted = table_->insert(
-      key_scratch_.data(), hash, cfg_.max_entries, r.energy,
-      sim_->last_toggles(),
+  const ReactionTable::Placement at = table_->insert(
+      key_scratch_.data(), hash, r.energy, sim_->last_toggles(),
       static_cast<std::uint32_t>(sim_->last_latch_begin()),
-      sim_->gates_evaluated() - evals_before, &inserted, &gen_);
-  if (evicted != 0) {
+      sim_->gates_evaluated() - evals_before, &gen_);
+  touch(at.epoch, at.index);
+  if (at.evicted != 0) {
     ++stats_.capacity_clears;
-    stats_.evicted_entries += evicted;
-    if (TelemetryCounters* c = counters()) c->evictions->add(evicted);
+    stats_.evicted_entries += at.evicted;
+    if (TelemetryCounters* c = counters()) c->evictions->add(at.evicted);
   }
-  if (inserted) ++stats_.insertions;
+  if (at.inserted) ++stats_.insertions;
   std::swap(q_prev_, q_cur_scratch_);
   after_reset_ = false;
   if (TelemetryCounters* c = counters()) c->misses->add();

@@ -47,18 +47,28 @@
 // one simulator: anchoring and register tracking, the key scratch, its own
 // stats and its telemetry handles.
 //
+// Trust. Only a view's own misses go into the table it shares: every entry
+// there was simulated in this process. Entries imported from a checkpoint
+// are checked for fit, not for truth, so they go into a private table of
+// the importing view, probed after the shared one; they serve that view
+// alone. An export carries the entries this view has replayed or inserted
+// in the table's current generation plus its imported ones, never another
+// view's.
+//
 // Threads. Any number of views, on any threads, may share one table; one
 // view is used by one thread at a time. A lookup plus replay takes no lock
 // and no atomic read-modify-write. A generation (the slot array, entries,
 // keys and toggle blocks) is allocated at a fixed capacity on its first
-// insert — 2 x max_entries slots, rounded up to a power of two, never
-// rehashed — and an entry, its key and its toggles are written before the
-// slot pointing at them is published with a release store; lookups read
-// slots with acquire loads. Inserts and generation clears serialize on the
-// table's mutex. A clear installs a new generation and bumps the table's
-// epoch; a view refetches its generation (a shared_ptr copy, under the
-// mutex) only when the epoch moved, so an old generation stays alive, and
-// exact, while a view still reads it.
+// insert — max_entries entries and 2 x max_entries slots, rounded up to a
+// power of two, never rehashed — and an entry, its key and its toggles are
+// written before the slot pointing at them is published with a release
+// store; lookups read slots with acquire loads. Inserts and generation
+// clears serialize on the table's mutex. A clear installs a new generation
+// and bumps the table's epoch; a view refetches its generation (a
+// shared_ptr copy, under the mutex) only when the epoch moved, so an old
+// generation stays alive, and exact, while a view still reads it. A forked
+// child must not step a view of a table another parent thread could have
+// been inserting into (dist::Worker switches to private tables).
 //
 // Layout. A generation is flat: an open-addressed array of slot words
 // {hash tag, entry index + 1} probed linearly, every entry's key words back
@@ -85,9 +95,6 @@ namespace socpower::hw {
 
 struct ReactionCacheConfig {
   bool enabled = true;
-  /// Entry bound; an insert that finds the table at it first drops the
-  /// whole table (generation clear).
-  std::size_t max_entries = 4096;
   /// Telemetry namespace for hit/miss/eviction counters ("<prefix>.hits"
   /// etc.); empty publishes nothing.
   std::string telemetry_prefix;
@@ -107,7 +114,7 @@ struct ExportedReaction {
 };
 
 /// One view's counts. The table-level events (generation clears and the
-/// entries they drop) count in the view whose insert or import made them.
+/// entries they drop) count in the view whose insert made them.
 struct ReactionCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;    ///< anchored steps simulated
@@ -116,7 +123,9 @@ struct ReactionCacheStats {
   /// adds nothing.
   std::uint64_t insertions = 0;
   std::uint64_t capacity_clears = 0;  ///< generation clears at max_entries
-  std::uint64_t evicted_entries = 0;  ///< entries dropped by those clears
+  /// Entries dropped by those clears, and imported entries left out at the
+  /// bound.
+  std::uint64_t evicted_entries = 0;
   std::uint64_t invalidations = 0;    ///< forced-write de-anchors
   std::uint64_t skipped_gate_evals = 0;  ///< gate evaluations hits avoided
   /// Imported entries dropped as malformed for this netlist (wrong key
@@ -129,10 +138,17 @@ struct ReactionCacheStats {
 /// size() and clear() goes through a ReactionCache.
 class ReactionTable {
  public:
-  explicit ReactionTable(const Netlist& nl);
+  static constexpr std::size_t kDefaultMaxEntries = 4096;
+
+  /// A table of `nl`'s keys holding at most `max_entries` (at least 1)
+  /// entries; an insert that finds it full first drops them all
+  /// (generation clear).
+  explicit ReactionTable(const Netlist& nl,
+                         std::size_t max_entries = kDefaultMaxEntries);
 
   /// Words of one key over this table's netlist.
   [[nodiscard]] std::size_t key_words() const { return key_words_; }
+  [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
   /// Entries in the current generation.
   [[nodiscard]] std::size_t size() const;
   /// Drops every entry: the next insert starts a new generation.
@@ -143,30 +159,43 @@ class ReactionTable {
   struct Entry;
   struct Generation;
 
-  /// Memoizes one reaction unless its key is present. A generation at
-  /// min(`bound`, its capacity) is replaced first, after dropping `*reader`
-  /// (the inserting view's reference to it); returns the entries that clear
-  /// dropped (0 when none).
-  std::size_t insert(const std::uint64_t* key, std::uint64_t hash,
-                     std::size_t bound, Joules energy,
-                     std::span<const NetId> toggles, std::uint32_t latch_begin,
-                     std::uint64_t gate_evals, bool* inserted,
-                     std::shared_ptr<const Generation>* reader);
-  /// Inserts the absent keys of `entries` while the generation is below
-  /// `bound`; returns how many absent keys were left out at the bound.
-  std::size_t merge(const std::vector<const ExportedReaction*>& entries,
-                    std::size_t bound);
-  [[nodiscard]] std::vector<ExportedReaction> export_entries() const;
+  /// Where insert() left a key: the entry's index in the generation of
+  /// `epoch`, and the entries a generation clear dropped first (0 when
+  /// none).
+  struct Placement {
+    std::uint64_t epoch = 0;
+    std::size_t index = 0;
+    std::size_t evicted = 0;
+    bool inserted = false;  ///< false when another view inserted it first
+  };
+  /// Memoizes one reaction unless its key is present. A full generation is
+  /// replaced first, after dropping `*reader` (the inserting view's
+  /// reference to it).
+  Placement insert(const std::uint64_t* key, std::uint64_t hash,
+                   Joules energy, std::span<const NetId> toggles,
+                   std::uint32_t latch_begin, std::uint64_t gate_evals,
+                   std::shared_ptr<const Generation>* reader);
+  /// Inserts the absent keys of `entries` while the generation has room;
+  /// returns how many absent keys were left out at the bound.
+  std::size_t merge(const std::vector<const ExportedReaction*>& entries);
+  /// Appends the current generation's entries to `out`: all of them when
+  /// `only` is null, else those whose bit is set in `*only` if the
+  /// generation is the one of `epoch`.
+  void export_entries(std::vector<ExportedReaction>* out,
+                      const std::vector<std::uint64_t>* only,
+                      std::uint64_t epoch) const;
   /// The current generation (null while empty) and its epoch.
   std::shared_ptr<const Generation> current(std::uint64_t* epoch) const;
   /// Replaces the current generation; caller holds mu_.
   void install(std::shared_ptr<Generation> next);
 
   std::size_t key_words_;
+  std::size_t max_entries_;
   mutable std::mutex mu_;  // serializes inserts, clears and whole-table reads
   std::shared_ptr<Generation> current_;  // guarded by mu_
   /// Bumped, under mu_, whenever current_ changes: views poll it to know
-  /// when to refetch their generation.
+  /// when to refetch their generation, and it names the generation their
+  /// replayed-entry bits refer to.
   std::atomic<std::uint64_t> epoch_{0};
 };
 
@@ -184,8 +213,7 @@ class ReactionCache {
   /// sim->step() whether it hits, misses, or bypasses.
   CycleResult step();
 
-  /// Re-read per-run knobs (begin_run). An enabled view whose bound is
-  /// below the table's size clears the table; nothing else does.
+  /// Re-read per-run knobs (begin_run); the table is left alone.
   void configure(const ReactionCacheConfig& cfg);
   /// Drop this view's reference to the table's generation; the next step()
   /// fetches the current one. An idle view calls it so that a generation
@@ -193,22 +221,25 @@ class ReactionCache {
   void release() { gen_.reset(); }
 
   [[nodiscard]] bool enabled() const { return cfg_.enabled; }
-  /// Entries in the table, whichever views inserted them.
-  [[nodiscard]] std::size_t size() const { return table_->size(); }
+  /// Entries this view may replay: the table's, whichever views inserted
+  /// them, plus its imported ones (a key in both counts twice).
+  [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const ReactionCacheStats& stats() const { return stats_; }
 
-  /// All entries of the table, sorted by key words so checkpoint bytes are
-  /// deterministic for a given table state; none from a disabled view,
-  /// which leaves the table alone.
+  /// The entries this view has replayed or inserted in the table's current
+  /// generation, and its imported ones, sorted by key words (a key in both
+  /// once) so checkpoint bytes are deterministic; none from a disabled
+  /// view, which leaves the table alone.
   [[nodiscard]] std::vector<ExportedReaction> export_entries() const;
-  /// Merges `entries` into the table: keys it lacks go in until it holds
-  /// max_entries, the rest are dropped and counted as evictions. Tracking
-  /// state is left alone: the view re-anchors at the owner's next reset(),
-  /// which is when the imported entries become servable — exactly the
-  /// warm-across-runs lifecycle a live table already has. Entries that do
-  /// not fit this netlist are dropped and counted in
-  /// stats().rejected_imports: a replay writes net values at the stored
-  /// toggles, so none may be trusted. A disabled view imports nothing.
+  /// Merges `entries` into this view's private import table: keys it lacks
+  /// go in until it holds the shared table's max_entries, the rest are
+  /// dropped and counted as evictions. They serve this view only, after a
+  /// miss in the shared table, and are never inserted there. Tracking state
+  /// is left alone: the view re-anchors at the owner's next reset(), which
+  /// is when the imported entries become servable. Entries that do not fit
+  /// this netlist are dropped and counted in stats().rejected_imports: a
+  /// replay writes net values at the stored toggles, so none may be
+  /// trusted. A disabled view imports nothing.
   void import_entries(const std::vector<ExportedReaction>& entries);
 
  private:
@@ -235,6 +266,9 @@ class ReactionCache {
 
   /// The table's current generation, refetched only when its epoch moved.
   const ReactionTable::Generation* generation();
+  /// Marks entry `index` of the generation of `epoch` as replayed or
+  /// inserted by this view.
+  void touch(std::uint64_t epoch, std::size_t index);
   void observe_sim_state();  // detect resets / forced writes since last step
   void build_key();          // into key_scratch_
   void capture_regs(std::vector<std::uint64_t>* out);
@@ -243,6 +277,14 @@ class ReactionCache {
   std::shared_ptr<ReactionTable> table_;
   std::shared_ptr<const ReactionTable::Generation> gen_;  // as of seen_epoch_
   std::uint64_t seen_epoch_ = 0;
+  /// One bit per entry of the generation of touched_epoch_ that this view
+  /// replayed or inserted: what export_entries() returns of the table.
+  std::vector<std::uint64_t> touched_;
+  std::uint64_t touched_epoch_ = 0;
+  /// Imported entries: a table no other view sees (null until an import),
+  /// and its generation, which never changes after the import.
+  std::unique_ptr<ReactionTable> imported_;
+  std::shared_ptr<const ReactionTable::Generation> imported_gen_;
   std::vector<NetRun> pi_runs_;  // primary-input nets, in index order
   std::vector<NetRun> q_runs_;   // DFF Q nets, in declaration order
   std::vector<std::uint8_t> bytes_scratch_;

@@ -12,8 +12,10 @@
 // its per-run state: a GateSim over `program` and a ReactionCache viewing
 // `reactions`, so every estimator of a design replays the reactions any
 // other one evaluated. The table is the one mutable part; it is safe to
-// share between threads (hw/reaction_cache.hpp), and it is freed with the
-// design when the build table evicts it.
+// share between threads (hw/reaction_cache.hpp), it holds only reactions
+// simulated in this process (checkpoint imports stay private to the
+// importing view), and it is freed with the design when the build table
+// evicts it.
 #pragma once
 
 #include <cstddef>

@@ -291,25 +291,18 @@ TEST(Checkpoint, CraftedReactionEntryIsDroppedOnRestore) {
   ASSERT_LT(backend, crafted.warm.backends.size()) << "no reaction entries";
   auto& entries = crafted.warm.backends[backend].reactions[0].entries;
   const std::size_t good_count = entries.size();
-  // A key the table lacks: `session` shares the design's table, so a
-  // crafted copy of a key already there would be skipped either way.
-  hw::ExportedReaction bad = entries[0];
-  bad.key.back() ^= std::uint64_t{1} << 63;
-  for (const hw::ExportedReaction& e : entries) ASSERT_NE(e.key, bad.key);
-  bad.toggles.push_back(hw::NetId{1} << 28);
-  entries.push_back(bad);
+  entries[0].toggles.push_back(hw::NetId{1} << 28);
 
   Checkpoint decoded;
   ASSERT_TRUE(decode_checkpoint(encode_checkpoint(crafted), &decoded, &error))
       << error;  // encode_checkpoint reseals the hash
   std::unique_ptr<Session> restored = Session::restore(decoded, &error);
   ASSERT_NE(restored, nullptr) << error;
-  const std::vector<hw::ExportedReaction> kept = restored->checkpoint()
-                                                     .warm.backends[backend]
-                                                     .reactions[0]
-                                                     .entries;
-  EXPECT_EQ(kept.size(), good_count);
-  for (const hw::ExportedReaction& e : kept) EXPECT_NE(e.key, bad.key);
+  EXPECT_EQ(restored->checkpoint()
+                .warm.backends[backend]
+                .reactions[0]
+                .entries.size(),
+            good_count - 1);
 
   // The restored session keeps serving, bit-identical to a clean restore.
   std::unique_ptr<Session> clean = Session::restore(good, &error);
@@ -340,9 +333,9 @@ void clear_reaction_tables(const SystemParams& sp) {
 TEST(Checkpoint, SessionsOfOneSystemShareReactionsAndRestoreMerges) {
   // Both sessions' hardware units view the same design's reaction table:
   // the second session's first request replays the first one's gate-level
-  // reactions. Restoring a checkpoint merges its entries into that table;
-  // the keys are all present already, so nothing changes, checkpoint bytes
-  // included.
+  // reactions. Each checkpoint carries the reactions its own session met,
+  // and a restore merges them into the restored session's import table;
+  // here the two sessions met the same ones, so the bytes are equal.
   clear_reaction_tables(fuzz_system(4));
   std::string error;
   const RunRequest rr;
@@ -367,6 +360,53 @@ TEST(Checkpoint, SessionsOfOneSystemShareReactionsAndRestoreMerges) {
   ASSERT_NE(restored, nullptr) << error;
   EXPECT_EQ(encode_checkpoint(restored->checkpoint()), bytes);
   EXPECT_EQ(encode_checkpoint(second->checkpoint()), bytes);
+}
+
+TEST(Checkpoint, ForgedReactionEnergyStaysInTheRestoredSession) {
+  // The SPCK hash detects corruption, not tampering, so a checkpoint's
+  // reaction entries may be forged while still fitting the netlist. They
+  // must serve the restored session alone: a separate session of the same
+  // design, on a table that lacks those keys, still matches its cache-off
+  // result bit for bit.
+  const SystemParams sp = fuzz_system(4);
+  std::string error;
+  RunRequest off;
+  off.config.hw_reaction_cache = false;
+  std::unique_ptr<Session> reference =
+      Session::create(sp, StructuralConfig{}, &error);
+  ASSERT_NE(reference, nullptr) << error;
+  core::RunResults want;
+  ASSERT_TRUE(reference->estimate(off, &want, nullptr, &error)) << error;
+
+  clear_reaction_tables(sp);
+  const RunRequest rr;
+  std::unique_ptr<Session> donor =
+      Session::create(sp, StructuralConfig{}, &error);
+  ASSERT_NE(donor, nullptr) << error;
+  core::RunResults res;
+  ASSERT_TRUE(donor->estimate(rr, &res, nullptr, &error)) << error;
+  Checkpoint forged = donor->checkpoint();
+  std::size_t forged_entries = 0;
+  for (core::BackendWarmState& b : forged.warm.backends)
+    for (core::BackendWarmState::UnitReactions& u : b.reactions)
+      for (hw::ExportedReaction& e : u.entries) {
+        e.energy = 2.0 * e.energy + 1.0;
+        ++forged_entries;
+      }
+  ASSERT_GT(forged_entries, 0u);
+  donor.reset();
+  clear_reaction_tables(sp);  // every forged key is now absent
+
+  std::unique_ptr<Session> restored = Session::restore(forged, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  ASSERT_TRUE(restored->estimate(rr, &res, nullptr, &error)) << error;
+  std::unique_ptr<Session> other =
+      Session::create(sp, StructuralConfig{}, &error);
+  ASSERT_NE(other, nullptr) << error;
+  core::RunResults got;
+  ASSERT_TRUE(other->estimate(rr, &got, nullptr, &error)) << error;
+  EXPECT_EQ(result_bits(got), result_bits(want));
+  EXPECT_NE(result_bits(res), result_bits(want));  // the forgery did serve
 }
 
 TEST(Checkpoint, UnknownSystemDecodesButCannotRestore) {

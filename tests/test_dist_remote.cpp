@@ -9,14 +9,22 @@
 // observable.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/coestimator.hpp"
+#include "core/estimators/hw_estimator.hpp"
 #include "dist/remote_hw_estimator.hpp"
 #include "dist/wire.hpp"
+#include "hw/reaction_cache.hpp"
+#include "hwsyn/design.hpp"
 #include "systems/tcpip.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace socpower::dist {
 namespace {
@@ -161,6 +169,65 @@ TEST(DistRemote, RpcTelemetryCounts) {
   EXPECT_GT(rpcs.value(), rpcs0);
   EXPECT_GT(tx.value(), tx0);
   EXPECT_GT(rx.value(), rx0);
+}
+
+TEST(DistRemote, WorkersForkedWhileTheSharedTableInsertsStayRemote) {
+  // A forked worker steps its units over reaction tables of its own. The
+  // designs' shared tables take a mutex on every insert, and a child forked
+  // while another thread held it would inherit it held: its first miss
+  // would block until the RPC timeout and the proxy would fall back to
+  // in-process. Two threads keep inserting fresh reactions into the shared
+  // tables while remote estimators fork one after another; every worker
+  // must stay remote and every run must match the in-process one.
+  if (!supported()) GTEST_SKIP() << "no fork/socketpair";
+  const core::RunResults want = baseline_run();
+  systems::TcpIpSystem sys(gate_params());
+  std::vector<std::shared_ptr<const hwsyn::HwDesign>> designs;
+  {
+    core::CoEstimator est(&sys.network(), core::CoEstimatorConfig{});
+    sys.configure(est);
+    est.prepare();
+    for (const core::ComponentEstimator* b : est.backends())
+      if (dynamic_cast<const core::HwEstimatorBase*>(b))
+        for (const cfsm::CfsmId task : b->component_ids())
+          designs.push_back(hwsyn::shared_design(sys.network().cfsm(task),
+                                                 est.config().electrical));
+  }
+  ASSERT_FALSE(designs.empty());
+
+  std::atomic<bool> stop{false};
+  auto insert_misses = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::unique_ptr<hw::GateSim>> sims;
+    std::vector<std::unique_ptr<hw::ReactionCache>> views;
+    for (const auto& d : designs) {
+      sims.push_back(hwsyn::make_gate_sim(d));
+      views.push_back(std::make_unique<hw::ReactionCache>(
+          sims.back().get(), hw::ReactionCacheConfig{}, d->reactions));
+    }
+    while (!stop.load(std::memory_order_relaxed))
+      for (std::size_t i = 0; i < sims.size(); ++i) {
+        const std::size_t n = sims[i]->netlist().primary_inputs().size();
+        for (std::size_t pi = 0; pi < n; ++pi)
+          sims[i]->set_input(pi, rng.chance(0.5));
+        (void)views[i]->step();
+      }
+  };
+  std::thread first(insert_misses, 1);
+  std::thread second(insert_misses, 2);
+  for (int i = 0; i < 6; ++i) {
+    core::CoEstimator est(&sys.network(), remote_config());
+    sys.configure(est);
+    est.prepare();
+    const RemoteHwEstimator* remote = find_remote(est);
+    EXPECT_NE(remote, nullptr);
+    if (!remote) break;
+    expect_bit_identical(est.run(sys.stimulus()), want);
+    EXPECT_TRUE(remote->remote_active()) << "worker " << i;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  first.join();
+  second.join();
 }
 
 }  // namespace

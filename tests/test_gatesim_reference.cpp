@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -284,9 +285,8 @@ TEST_P(GateSimReference, CachedReplaysMatchReferenceKernel) {
   const RandomNetlist d = random_netlist(rng);
   ReferenceGateSim ref(&d.nl);
   GateSim sim(&d.nl);
-  ReactionCacheConfig cfg;
-  cfg.max_entries = 64;  // small enough to exercise generation clears
-  ReactionCache cache(&sim, cfg);
+  // 64 entries: small enough to exercise generation clears.
+  ReactionCache cache(&sim, {}, std::make_shared<ReactionTable>(d.nl, 64));
   // A small stimulus pool makes reactions repeat, so the cache replays.
   std::vector<std::uint64_t> stimuli;
   for (int i = 0; i < 4; ++i) stimuli.push_back(rng.next());

@@ -34,11 +34,16 @@ namespace {
 
 constexpr unsigned kWidth = 4;
 
-ReactionCacheConfig cache_config(bool enabled, std::size_t max_entries) {
+ReactionCacheConfig cache_config(bool enabled) {
   ReactionCacheConfig cfg;
   cfg.enabled = enabled;
-  cfg.max_entries = max_entries;
   return cfg;
+}
+
+/// A table of `nl`'s reactions holding at most `max_entries`.
+std::shared_ptr<ReactionTable> table_of(const Netlist& nl,
+                                        std::size_t max_entries) {
+  return std::make_shared<ReactionTable>(nl, max_entries);
 }
 
 struct RandomDesign {
@@ -107,7 +112,7 @@ TEST_P(HwReactionCacheFuzz, CachedMatchesUncachedBitwise) {
   RandomDesign d = random_design(rng);
   GateSim ref(&d.nl);
   GateSim sim(&d.nl);
-  ReactionCache cache(&sim, cache_config(true, 256));
+  ReactionCache cache(&sim, {}, table_of(d.nl, 256));
 
   // A small stimulus pool makes reactions repeat, so the cache actually
   // serves hits while the reference path re-simulates every cycle.
@@ -198,7 +203,7 @@ TEST(HwReactionCache, CapacityTriggersGenerationClear) {
   Counter c;
   GateSim ref(&c.nl);
   GateSim sim(&c.nl);
-  ReactionCache cache(&sim, cache_config(true, 5));
+  ReactionCache cache(&sim, {}, table_of(c.nl, 5));
   for (int i = 0; i < 64; ++i) {
     ref.set_input(0, true);
     sim.set_input(0, true);
@@ -305,15 +310,16 @@ void expect_same_entries(const std::vector<ExportedReaction>& a,
 TEST(HwReactionCache, LifecycleCountsAcrossClearsAndShrink) {
   // A seeded stream (random enables, occasional resets) through the 4-bit
   // counter, first into a 40-entry table, which fills and generation-clears,
-  // then, after configure() shrinks the bound below the table's size, into
-  // an 8-entry one. The counts pin when lookups hit, when entries go in and
-  // when the table clears; they follow from the stream and the bound alone,
-  // not from how the table stores its entries. Every step stays
-  // bit-identical to an uncached simulator.
+  // then, after a reset, through a view of an 8-entry one. The counts pin
+  // when lookups hit, when entries go in and when the table clears; they
+  // follow from the stream and the bound alone, not from how the table
+  // stores its entries. Every step stays bit-identical to an uncached
+  // simulator.
   Counter c;
   GateSim ref(&c.nl);
   GateSim sim(&c.nl);
-  ReactionCache cache(&sim, cache_config(true, 40));
+  auto cache = std::make_unique<ReactionCache>(&sim, ReactionCacheConfig{},
+                                               table_of(c.nl, 40));
   Rng rng(11);
   auto run = [&](int steps) {
     for (int step = 0; step < steps; ++step) {
@@ -325,45 +331,44 @@ TEST(HwReactionCache, LifecycleCountsAcrossClearsAndShrink) {
       ref.set_input(0, en);
       sim.set_input(0, en);
       const CycleResult re = ref.step();
-      const CycleResult ce = cache.step();
+      const CycleResult ce = cache->step();
       ASSERT_EQ(re.energy, ce.energy) << "step " << step;  // bitwise
       ASSERT_EQ(re.toggles, ce.toggles) << "step " << step;
     }
   };
 
   run(400);
-  const ReactionCacheStats first = cache.stats();
+  const ReactionCacheStats first = cache->stats();
   EXPECT_EQ(first.hits, 168u);
   EXPECT_EQ(first.misses, 232u);
   EXPECT_EQ(first.insertions, 232u);
   EXPECT_EQ(first.capacity_clears, 5u);
   EXPECT_EQ(first.evicted_entries, 200u);
-  EXPECT_EQ(cache.size(), 32u);
+  EXPECT_EQ(cache->size(), 32u);
 
-  // Export, import into a fresh table, export again: the same entries.
-  const std::vector<ExportedReaction> exported = cache.export_entries();
-  ASSERT_EQ(exported.size(), cache.size());
+  // Export, import into a fresh view, export again: the same entries.
+  const std::vector<ExportedReaction> exported = cache->export_entries();
+  ASSERT_EQ(exported.size(), cache->size());
   GateSim other(&c.nl);
-  ReactionCache copy(&other, cache_config(true, 40));
+  ReactionCache copy(&other, {}, table_of(c.nl, 40));
   copy.import_entries(exported);
   EXPECT_EQ(copy.size(), exported.size());
   EXPECT_EQ(copy.stats().rejected_imports, 0u);
   expect_same_entries(exported, copy.export_entries());
 
-  // Shrinking below the current size drops the table without counting a
-  // capacity clear; the smaller bound then clears more often.
-  cache.configure(cache_config(true, 8));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().capacity_clears, first.capacity_clears);
-  EXPECT_EQ(cache.stats().evicted_entries, first.evicted_entries);
+  // A smaller bound clears more often.
+  ref.reset();
+  sim.reset();
+  cache = std::make_unique<ReactionCache>(&sim, ReactionCacheConfig{},
+                                          table_of(c.nl, 8));
   run(200);
-  const ReactionCacheStats second = cache.stats();
-  EXPECT_EQ(second.hits - first.hits, 10u);
-  EXPECT_EQ(second.misses - first.misses, 190u);
-  EXPECT_EQ(second.insertions - first.insertions, 190u);
-  EXPECT_EQ(second.capacity_clears - first.capacity_clears, 23u);
-  EXPECT_EQ(second.evicted_entries - first.evicted_entries, 184u);
-  EXPECT_EQ(cache.size(), 6u);
+  const ReactionCacheStats second = cache->stats();
+  EXPECT_EQ(second.hits, 10u);
+  EXPECT_EQ(second.misses, 190u);
+  EXPECT_EQ(second.insertions, 190u);
+  EXPECT_EQ(second.capacity_clears, 23u);
+  EXPECT_EQ(second.evicted_entries, 184u);
+  EXPECT_EQ(cache->size(), 6u);
   EXPECT_EQ(ref.total_energy(), sim.total_energy());  // bitwise
   expect_same_nets(c.nl, ref, sim);
 }
@@ -372,7 +377,7 @@ TEST(HwReactionCache, DisabledBypassesAndStaysIdentical) {
   Counter c;
   GateSim ref(&c.nl);
   GateSim sim(&c.nl);
-  ReactionCache cache(&sim, cache_config(false, 64));
+  ReactionCache cache(&sim, cache_config(false));
   for (int i = 0; i < 20; ++i) {
     ref.set_input(0, true);
     sim.set_input(0, true);
@@ -495,44 +500,100 @@ TEST(HwReactionCache, ConfigureAndDisabledViewsLeaveTheSharedTableAlone) {
   // A disabled view steps the simulator without a lookup or an insert,
   // exports nothing and imports nothing.
   GateSim other(&c.nl);
-  ReactionCache off(&other, cache_config(false, 4), table);
+  ReactionCache off(&other, cache_config(false), table);
   (void)count_up(other, off, 40);
   EXPECT_EQ(off.stats().bypassed, 40u);
   EXPECT_TRUE(off.export_entries().empty());
   ExportedReaction stranger = before[0];
   stranger.key.back() ^= std::uint64_t{1} << 63;
   off.import_entries({stranger});
-  off.configure(cache_config(false, 1));
+  off.configure(cache_config(false));
   expect_same_entries(before, cache.export_entries());
 }
 
-TEST(HwReactionCache, ImportMergesAbsentKeysUpToTheBound) {
+TEST(HwReactionCache, ImportedEntriesServeOnlyTheImportingView) {
+  // A checkpoint's entries are checked for fit, not for truth: they go into
+  // the importing view's own table, up to the shared table's bound, and
+  // never into the shared one. Here they are forged outright.
   Counter c;
-  // The donor holds the 17 keys of an enabled count; the receiver already
-  // holds 3 of them and has room for 10 entries.
   GateSim donor_sim(&c.nl);
   ReactionCache donor(&donor_sim, {});
   (void)count_up(donor_sim, donor, 20);
-  const std::vector<ExportedReaction> exported = donor.export_entries();
-  ASSERT_EQ(exported.size(), 17u);
+  std::vector<ExportedReaction> forged = donor.export_entries();
+  ASSERT_EQ(forged.size(), 17u);
+  for (ExportedReaction& e : forged) e.energy = -1.0;
 
+  // The importer has inserted 3 keys into a table with room for 10.
+  auto table = table_of(c.nl, 10);
   GateSim sim(&c.nl);
-  ReactionCache cache(&sim, cache_config(true, 10));
-  (void)count_up(sim, cache, 3);
-  ASSERT_EQ(cache.size(), 3u);
-  cache.import_entries(exported);
-  // 3 present keys stay as they are, 7 absent ones fill the table to the
-  // bound, the other 7 are dropped there.
-  EXPECT_EQ(cache.size(), 10u);
-  EXPECT_EQ(cache.stats().evicted_entries, 7u);
-  EXPECT_EQ(cache.stats().capacity_clears, 0u);
-  for (const ExportedReaction& e : cache.export_entries()) {
-    const auto it = std::find_if(
-        exported.begin(), exported.end(),
-        [&](const ExportedReaction& x) { return x.key == e.key; });
-    ASSERT_NE(it, exported.end());
+  ReactionCache importer(&sim, {}, table);
+  (void)count_up(sim, importer, 3);
+  const std::vector<ExportedReaction> own = importer.export_entries();
+  ASSERT_EQ(own.size(), 3u);
+  importer.import_entries(forged);
+  // The first 10 forged entries (in key order) fill the import table to
+  // the bound; the other 7 are dropped there. The shared table is as it
+  // was.
+  EXPECT_EQ(importer.stats().evicted_entries, 7u);
+  EXPECT_EQ(importer.stats().capacity_clears, 0u);
+  EXPECT_EQ(table->size(), 3u);
+  EXPECT_EQ(importer.size(), 13u);
+
+  // The export holds each key once: the table's genuine entry where the
+  // key is in both, the imported one elsewhere.
+  std::vector<ExportedReaction> want = own;
+  for (std::size_t i = 0; i < 10; ++i)
+    if (std::none_of(own.begin(), own.end(), [&](const ExportedReaction& x) {
+          return x.key == forged[i].key;
+        }))
+      want.push_back(forged[i]);
+  std::sort(want.begin(), want.end(),
+            [](const ExportedReaction& a, const ExportedReaction& b) {
+              return a.key < b.key;
+            });
+  expect_same_entries(want, importer.export_entries());
+
+  // Another view of the table never meets a forged entry.
+  GateSim ref(&c.nl);
+  GateSim other_sim(&c.nl);
+  ReactionCache other(&other_sim, {}, table);
+  for (int i = 0; i < 40; ++i) {
+    ref.set_input(0, true);
+    other_sim.set_input(0, true);
+    const CycleResult want_step = ref.step();
+    const CycleResult got = other.step();
+    ASSERT_EQ(want_step.energy, got.energy) << "step " << i;  // bitwise
+    ASSERT_EQ(want_step.toggles, got.toggles) << "step " << i;
+  }
+  EXPECT_GT(other.stats().hits, 0u);
+  expect_same_nets(c.nl, ref, other_sim);
+}
+
+TEST(HwReactionCache, ExportsOnlyWhatTheViewReplayedOrInserted) {
+  // Two views of one table: each exports the reactions it met, not the
+  // ones only the other view evaluated.
+  Counter c;
+  auto table = table_of(c.nl, 64);
+  GateSim first_sim(&c.nl);
+  GateSim second_sim(&c.nl);
+  ReactionCache first(&first_sim, {}, table);
+  ReactionCache second(&second_sim, {}, table);
+  (void)count_up(first_sim, first, 20);  // 17 keys
+  (void)count_up(second_sim, second, 5);  // 5 of them, replayed
+  EXPECT_EQ(first.export_entries().size(), 17u);
+  const std::vector<ExportedReaction> few = second.export_entries();
+  ASSERT_EQ(few.size(), 5u);
+  const std::vector<ExportedReaction> all = first.export_entries();
+  for (const ExportedReaction& e : few) {
+    const auto it =
+        std::find_if(all.begin(), all.end(),
+                     [&](const ExportedReaction& x) { return x.key == e.key; });
+    ASSERT_NE(it, all.end());
     expect_same_entries({*it}, {e});
   }
+  // After a generation clear the table holds none of what `second` met.
+  table->clear();
+  EXPECT_TRUE(second.export_entries().empty());
 }
 
 // Four threads step their own simulators through views of one table, with
@@ -541,18 +602,21 @@ TEST(HwReactionCache, ImportMergesAbsentKeysUpToTheBound) {
 // below the distinct keys keeps generation clears coming while other
 // threads replay. Every step is compared bit for bit with a simulator
 // stepped through a private table: energy, toggle count and every net; and
-// every entry the shared table ends up holding equals, toggle list and
+// every entry a view exports from the shared table equals, toggle list and
 // order included, the private tables' entry for the same key.
 TEST(ReactionTableThreads, SharedTableMatchesPrivateTablesBitwise) {
   Rng design_rng(7);
   const RandomDesign d = random_design(design_rng);
-  auto shared = std::make_shared<ReactionTable>(d.nl);
+  auto shared = table_of(d.nl, 24);
   constexpr int kThreads = 4;
   constexpr int kSteps = 1500;
   std::vector<std::uint64_t> pool;
   for (int i = 0; i < 4; ++i) pool.push_back(design_rng.next());
 
   struct Lane {
+    // Kept past the thread: the views export after the join.
+    std::unique_ptr<GateSim> sim;
+    std::unique_ptr<ReactionCache> view;
     ReactionCacheStats stats;
     std::vector<ExportedReaction> reference_entries;
     std::string failure;
@@ -560,10 +624,13 @@ TEST(ReactionTableThreads, SharedTableMatchesPrivateTablesBitwise) {
   std::vector<Lane> lanes(kThreads);
   auto lane_main = [&](int t) {
     Lane& lane = lanes[static_cast<std::size_t>(t)];
-    GateSim sim(&d.nl);
+    lane.sim = std::make_unique<GateSim>(&d.nl);
+    GateSim& sim = *lane.sim;
     GateSim ref(&d.nl);
-    ReactionCache view(&sim, cache_config(true, 24), shared);
-    ReactionCache reference(&ref, cache_config(true, 1 << 16));
+    lane.view = std::make_unique<ReactionCache>(&sim, ReactionCacheConfig{},
+                                                shared);
+    ReactionCache& view = *lane.view;
+    ReactionCache reference(&ref, {}, table_of(d.nl, 1 << 16));
     Rng rng(100 + static_cast<std::uint64_t>(t % 2));
     for (int step = 0; step < kSteps; ++step) {
       if (rng.chance(0.1)) {
@@ -603,10 +670,16 @@ TEST(ReactionTableThreads, SharedTableMatchesPrivateTablesBitwise) {
   }
   EXPECT_GT(hits, 0u);
   EXPECT_GT(clears, 0u);
-  GateSim probe(&d.nl);
-  const std::vector<ExportedReaction> held =
-      ReactionCache(&probe, {}, shared).export_entries();
-  EXPECT_LE(held.size(), 24u);
+  // What each view exports of the shared table is what the private tables
+  // hold for those keys. The view that made the last insert met the
+  // current generation, so the union is not empty.
+  std::vector<ExportedReaction> held;
+  for (const Lane& lane : lanes) {
+    const std::vector<ExportedReaction> mine = lane.view->export_entries();
+    EXPECT_LE(mine.size(), 24u);
+    held.insert(held.end(), mine.begin(), mine.end());
+  }
+  EXPECT_FALSE(held.empty());
   for (const ExportedReaction& e : held) {
     bool found = false;
     for (const Lane& lane : lanes)

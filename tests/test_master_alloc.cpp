@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <ostream>
 #include <string>
@@ -165,9 +166,9 @@ TEST(ReactionCacheAlloc, ColdMissesAllocateAlmostNothing) {
   rtl.connect_reg(acc, rtl.add(acc, rtl.word_xor(in, acc)));
   for (const hw::NetId q : acc) nl.mark_output(q, "acc");
   hw::GateSim sim(&nl);
-  hw::ReactionCacheConfig cfg;
-  cfg.max_entries = 1024;  // the 3000-step stream clears the table twice
-  hw::ReactionCache cache(&sim, cfg);
+  // 1024 entries: the 3000-step stream clears the table twice.
+  hw::ReactionCache cache(&sim, {},
+                          std::make_shared<hw::ReactionTable>(nl, 1024));
   Rng rng(5);
 
   const std::uint64_t a0 = g_allocations.load();
